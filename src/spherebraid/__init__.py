@@ -24,7 +24,6 @@ from .freegroup import (
 from .garside import (
     GarsideNormalForm,
     PermutationBraid,
-    conjugate_by_half_twist,
     equal_Bn,
     normal_form,
 )

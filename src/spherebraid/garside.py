@@ -11,13 +11,19 @@ independent of the free-group action in freegroup.
 Representation choices:
   * a permutation braid is stored as the image tuple of its permutation
     (1-based, word order: in a product the left factor permutes first);
-  * starting/finishing sets are bitmasks of descents, cached per
-    permutation;
+  * starting/finishing sets are bitmasks of descents, computed directly
+    from the images and from the position array;
   * a negative letter sigma_i^-1 enters the pipeline as Delta^-1 times
     the simple factor Delta sigma_i^-1, so only positive factors are
     ever normalized;
-  * left-weighting runs the standard local slide on adjacent pairs to a
-    fixed point, with per-pair results memoized.
+  * the form is built left-greedily (El-Rifai-Morton; Epstein et al.,
+    Word Processing in Groups, ch. 9): each factor is appended to an
+    already left-weighted list, and one right-to-left pass of the local
+    slide stops at the first pair whose left factor does not change;
+  * the slide of one pair keeps both descent masks and updates only the
+    three bits next to each crossing it moves; its results are memoized
+    in one lru_cache of SLIDE_MEMO_SIZE entries, which bounds the memory
+    the engine keeps between calls.
 
 The canonical positive word of a simple factor, when one is needed, is
 rebuilt by repeatedly stripping the lowest starting descent; the choice
@@ -31,10 +37,10 @@ from functools import lru_cache
 
 from .words import BraidWord, Permutation, StrandCountMismatchError
 
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Word-order composition: p first, then q."""
-    return tuple(q[v - 1] for v in p)
+# Entries of the pair-slide memo.  Short words on few strands repeat
+# nearly every pair, so the memo carries them; the bound keeps long
+# words on many strands from growing it without limit.
+SLIDE_MEMO_SIZE = 1 << 16
 
 
 def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -50,84 +56,61 @@ def inversion_count(p: tuple[int, ...]) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
-class _Ctx:
-    """Cached tables for one strand count.
+def _descents(p: tuple[int, ...]) -> int:
+    """Bitmask of i - 1 for each i with sigma_i a left divisor of the simple braid p.
 
-    Cache entries are pure functions of their keys, so concurrent reads
-    and duplicate writes are benign.
+    Applied to the inverse permutation it gives the finishing set.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.identity = tuple(range(1, n + 1))
-        self.delta = tuple(range(n, 0, -1))
-        # sigma_i as a permutation, and the simple complement Delta*sigma_i^-1
-        self.sigma: dict[int, tuple[int, ...]] = {}
-        self.neg_factor: dict[int, tuple[int, ...]] = {}
-        for i in range(1, n):
-            s = list(self.identity)
-            s[i - 1], s[i] = s[i], s[i - 1]
-            self.sigma[i] = tuple(s)
-            self.neg_factor[i] = _compose(self.delta, self.sigma[i])
-        self._start: dict[tuple[int, ...], int] = {}
-        self._finish: dict[tuple[int, ...], int] = {}
-        self._tau: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._pair: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
-
-    def start_mask(self, p: tuple[int, ...]) -> int:
-        """Bitmask of i with sigma_i a left divisor of the simple braid p."""
-        m = self._start.get(p)
-        if m is None:
-            m = 0
-            for i in range(len(p) - 1):
-                if p[i] > p[i + 1]:
-                    m |= 1 << i
-            self._start[p] = m
-        return m
-
-    def finish_mask(self, p: tuple[int, ...]) -> int:
-        """Bitmask of i with sigma_i a right divisor of the simple braid p."""
-        m = self._finish.get(p)
-        if m is None:
-            m = self.start_mask(_inverse(p))
-            self._finish[p] = m
-        return m
-
-    def tau(self, p: tuple[int, ...]) -> tuple[int, ...]:
-        """Conjugation by Delta (the index flip); an involution on simples."""
-        t = self._tau.get(p)
-        if t is None:
-            n = self.n
-            t = tuple(n + 1 - p[n - j] for j in range(1, n + 1))
-            self._tau[p] = t
-        return t
-
-    def left_weight_pair(self, a: tuple[int, ...], b: tuple[int, ...]):
-        """The left-weighted factorization of the product of two simples."""
-        key = (a, b)
-        hit = self._pair.get(key)
-        if hit is not None:
-            return hit
-        la, lb = list(a), list(b)
-        while True:
-            need = self.start_mask(tuple(lb)) & ~self.finish_mask(tuple(la))
-            if need == 0:
-                break
-            i = (need & -need).bit_length()  # lowest movable index (1-based)
-            # a <- a * sigma_i : swap the values i, i+1 in a's images
-            pi = la.index(i)
-            pj = la.index(i + 1)
-            la[pi], la[pj] = la[pj], la[pi]
-            # b <- sigma_i * b : swap the entries at positions i, i+1
-            lb[i - 1], lb[i] = lb[i], lb[i - 1]
-        result = (tuple(la), tuple(lb))
-        self._pair[key] = result
-        return result
+    m = 0
+    for i in range(len(p) - 1):
+        if p[i] > p[i + 1]:
+            m |= 1 << i
+    return m
 
 
-@lru_cache(maxsize=None)
-def _ctx(n: int) -> _Ctx:
-    return _Ctx(n)
+@lru_cache(maxsize=SLIDE_MEMO_SIZE)
+def _slide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The left-weighted factorization of the product of two simples.
+
+    While some sigma_i starts b but does not finish a, it moves from the
+    front of b to the end of a.  A move on sigma_i changes only the
+    descents i-1, i and i+1 of a^-1 and of b, so both masks are kept and
+    patched rather than rebuilt.
+    """
+    n = len(a)
+    pos = [0] * (n + 1)  # pos[v]: 0-based position of the value v in a
+    for i, v in enumerate(a):
+        pos[v] = i
+    start = _descents(b)
+    finish = 0
+    for i in range(1, n):
+        if pos[i] > pos[i + 1]:
+            finish |= 1 << (i - 1)
+    need = start & ~finish
+    if not need:
+        return a, b
+    la, lb = list(a), list(b)
+    while need:
+        bit = need & -need
+        i = bit.bit_length()  # lowest movable index (1-based)
+        # a <- a * sigma_i : swap the values i, i+1 in a's images
+        pi, pj = pos[i], pos[i + 1]
+        la[pi], la[pj] = i + 1, i
+        pos[i], pos[i + 1] = pj, pi
+        # b <- sigma_i^-1 * b : swap the entries at positions i, i+1
+        lb[i - 1], lb[i] = lb[i], lb[i - 1]
+        finish |= bit
+        start &= ~bit
+        if i > 1:
+            low = bit >> 1
+            finish = finish | low if pos[i - 1] > pos[i] else finish & ~low
+            start = start | low if lb[i - 2] > lb[i - 1] else start & ~low
+        if i < n - 1:
+            high = bit << 1
+            finish = finish | high if pos[i + 1] > pos[i + 2] else finish & ~high
+            start = start | high if lb[i] > lb[i + 1] else start & ~high
+        need = start & ~finish
+    return tuple(la), tuple(lb)
 
 
 @dataclass(frozen=True)
@@ -146,11 +129,9 @@ class PermutationBraid:
 
     def word(self) -> BraidWord:
         """The canonical positive word: strip the lowest starting descent until trivial."""
-        ctx = _ctx(self.strand_count)
         p = self.permutation.images
         letters: list[int] = []
-        while p != ctx.identity:
-            need = ctx.start_mask(p)
+        while need := _descents(p):
             i = (need & -need).bit_length()
             letters.append(i)
             # strip sigma_i from the left: p <- sigma_i * p
@@ -169,15 +150,10 @@ class GarsideNormalForm:
     factors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        ctx = _ctx(self.strand_count)
+        identity = tuple(range(1, self.strand_count + 1))
         for f in self.factors:
-            if f == ctx.identity or f == ctx.delta:
+            if f == identity or f == identity[::-1]:
                 raise ValueError("normal-form factors must be neither trivial nor Delta")
-
-    def factor_braids(self) -> tuple[PermutationBraid, ...]:
-        return tuple(
-            PermutationBraid(self.strand_count, Permutation(f)) for f in self.factors
-        )
 
     def exponent_sum(self) -> int:
         n = self.strand_count
@@ -214,31 +190,48 @@ def _half_twist_letters(n: int) -> list[int]:
 
 def is_left_weighted(nf: GarsideNormalForm) -> bool:
     """Check the descent condition between consecutive factors (test helper)."""
-    ctx = _ctx(nf.strand_count)
     for a, b in zip(nf.factors, nf.factors[1:]):
-        if ctx.start_mask(b) & ~ctx.finish_mask(a):
+        if _descents(b) & ~_descents(_inverse(a)):
             return False
     return True
 
 
-def _normalize_factors(ctx: _Ctx, factors: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
-    """Slide adjacent pairs to a fixed point, then strip Delta prefix and trivial suffix."""
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            a, b = factors[i], factors[i + 1]
-            a2, b2 = ctx.left_weight_pair(a, b)
-            if a2 != a:
-                factors[i], factors[i + 1] = a2, b2
-                changed = True
-    lo = 0
-    hi = len(factors)
-    while lo < hi and factors[lo] == ctx.delta:
-        lo += 1
-    while lo < hi and factors[hi - 1] == ctx.identity:
-        hi -= 1
-    return lo, factors[lo:hi]
+def _normalize_factors(n: int, simples: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
+    """Left-greedy normal form of a product of simples: (leading Delta count, other factors).
+
+    Each simple is appended to a left-weighted list and slid leftwards
+    until a pair's left factor stays put; a factor emptied by the slide
+    is trivial and, the list being left-weighted, last, so it is popped.
+    """
+    identity = tuple(range(1, n + 1))
+    factors: list[tuple[int, ...]] = []
+    for f in simples:
+        factors.append(f)
+        j = len(factors) - 1
+        while j:
+            a = factors[j - 1]
+            a2, b2 = _slide(a, factors[j])
+            if a2 == a:
+                break
+            factors[j - 1], factors[j] = a2, b2
+            j -= 1
+        while factors and factors[-1] == identity:
+            factors.pop()
+    delta = identity[::-1]
+    lead = 0
+    while lead < len(factors) and factors[lead] == delta:
+        lead += 1
+    return lead, factors[lead:]
+
+
+def _letter_simple(n: int, k: int) -> tuple[int, ...]:
+    """The simple factor of the letter k: sigma_k, or Delta sigma_{-k}^-1 when k < 0."""
+    if k > 0:
+        p, i = list(range(1, n + 1)), k - 1
+    else:
+        p, i = list(range(n, 0, -1)), n + k - 1
+    p[i], p[i + 1] = p[i + 1], p[i]
+    return tuple(p)
 
 
 def normal_form(w: BraidWord) -> GarsideNormalForm:
@@ -246,26 +239,25 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     n = w.strand_count
     if n < 2:
         return GarsideNormalForm(n, 0, ())
-    ctx = _ctx(n)
     # Each letter becomes Delta^d * simple with d in {0, -1}; collecting the
-    # Delta powers at the front conjugates every factor to their right by
-    # tau once per collected Delta (tau is an involution, so parity suffices).
-    raw: list[tuple[int, tuple[int, ...]]] = []
+    # Delta powers at the front conjugates every factor by tau (the index
+    # flip sigma_i -> sigma_{n-i}) once per negative letter to its right,
+    # and tau is an involution, so parity suffices.
+    negatives = sum(1 for k in w.letters if k < 0)
+    right = negatives  # negative letters strictly to the right of k
+    by_letter: dict[int, tuple[int, ...]] = {}
+    simples: list[tuple[int, ...]] = []
     for k in w.letters:
-        if k > 0:
-            raw.append((0, ctx.sigma[k]))
-        else:
-            raw.append((-1, ctx.neg_factor[-k]))
-    delta = 0
-    factors: list[tuple[int, ...]] = []
-    suffix = 0  # parity of Delta powers strictly to the right
-    for d, f in reversed(raw):
-        factors.append(ctx.tau(f) if suffix & 1 else f)
-        suffix += -d
-        delta += d
-    factors.reverse()
-    lead, trimmed = _normalize_factors(ctx, factors)
-    return GarsideNormalForm(n, delta + lead, tuple(trimmed))
+        if k < 0:
+            right -= 1
+        if right & 1:
+            k = n - k if k > 0 else -n - k
+        f = by_letter.get(k)
+        if f is None:
+            f = by_letter[k] = _letter_simple(n, k)
+        simples.append(f)
+    lead, factors = _normalize_factors(n, simples)
+    return GarsideNormalForm(n, lead - negatives, tuple(factors))
 
 
 def equal_Bn(w: BraidWord, v: BraidWord) -> bool:
@@ -275,10 +267,3 @@ def equal_Bn(w: BraidWord, v: BraidWord) -> bool:
             f"cannot compare words on {w.strand_count} and {v.strand_count} strands"
         )
     return normal_form(w) == normal_form(v)
-
-
-def conjugate_by_half_twist(w: BraidWord) -> GarsideNormalForm:
-    """Normal form of x w x^-1 for the half twist x; equals normal_form(mirror(w))."""
-    n = w.strand_count
-    half = BraidWord(n, tuple(_half_twist_letters(n)))
-    return normal_form(half * w * half.inverse())

@@ -26,6 +26,7 @@ from __future__ import annotations
 from enum import Enum
 import math
 
+from . import freegroup, garside
 from .certificates import AxiomId, ProofStep, Verdict, VerificationCertificate, make_certificate
 from .freegroup import EndoOnBasis, FreeWord, _artin_images, _inv, _reduce_concat
 from .words import (
@@ -38,6 +39,22 @@ from .words import (
 )
 
 DEFAULT_MAX_IMAGE_LETTERS = 10**6
+
+
+class EngineDisagreementError(RuntimeError):
+    """The Garside and Artin-action engines returned different answers."""
+
+
+def _both_engines_equal(lhs: BraidWord, rhs: BraidWord, budget) -> bool:
+    """Equality in B_n decided by both exact engines, which must agree."""
+    g = garside.equal_Bn(lhs, rhs)
+    a = freegroup.eq_Bn(lhs, rhs, budget)
+    if g != a:
+        raise EngineDisagreementError(
+            f"garside says {g}, artin action says {a} on "
+            f"[{lhs.to_text()}] vs [{rhs.to_text()}] in B_{lhs.strand_count}"
+        )
+    return g
 
 
 AXIOMS: dict[str, AxiomId] = {
@@ -245,18 +262,10 @@ def square_rule(v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
 
 def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -> tuple[list[ProofStep], bool]:
     """Certify w^k = Delta^2 in B_n(S^2); returns (steps, a5_backed)."""
-    from . import garside, freegroup
-
     n = w.strand_count
     power = w**k
     delta2 = named_element("full_twist", n)
-    g_eq = garside.equal_Bn(power, delta2)
-    a_eq = freegroup.eq_Bn(power, delta2, max_image_letters)
-    if g_eq != a_eq:
-        raise RuntimeError(
-            f"engine disagreement on [{power.to_text()}] vs full twist in B_{n}"
-        )
-    if g_eq:
+    if _both_engines_equal(power, delta2, max_image_letters):
         return (
             [
                 ProofStep(

@@ -16,30 +16,23 @@ configured budget (coset cap, endomorphism letter cap) runs out.
 
 from __future__ import annotations
 
-from . import freegroup, garside, presentations, sphere
+from . import presentations, sphere
 from .certificates import ProofStep, Verdict, VerificationCertificate, make_certificate
 from .freegroup import BudgetExceededError
 from .presentations import Overflow, presentation_library, todd_coxeter
-from .sphere import CenterDecision, acts_trivially, eq_mod_center, square_rule, torsion_order
+from .sphere import (
+    DEFAULT_MAX_IMAGE_LETTERS,
+    CenterDecision,
+    EngineDisagreementError,  # re-exported
+    _both_engines_equal,
+    acts_trivially,
+    eq_mod_center,
+    square_rule,
+    torsion_order,
+)
 from .words import BraidWord, mirror, named_element, permutation, xi
 
 DEFAULT_MAX_COSETS = 10_000
-DEFAULT_MAX_IMAGE_LETTERS = 10**6
-
-
-class EngineDisagreementError(RuntimeError):
-    """The Garside and Artin-action engines returned different answers."""
-
-
-def _both_engines_equal(lhs: BraidWord, rhs: BraidWord, budget) -> bool:
-    g = garside.equal_Bn(lhs, rhs)
-    a = freegroup.eq_Bn(lhs, rhs, budget)
-    if g != a:
-        raise EngineDisagreementError(
-            f"garside says {g}, artin action says {a} on "
-            f"[{lhs.to_text()}] vs [{rhs.to_text()}] in B_{lhs.strand_count}"
-        )
-    return g
 
 
 def _exact_step(step_id, statement, pairs, budget, depends=()) -> ProofStep:

@@ -201,13 +201,21 @@ class TestConsoleEntryPoint:
 
     @staticmethod
     def _run(*args):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import spherebraid
+
+        # the child imports the same spherebraid as this process, installed or not
+        src = str(Path(spherebraid.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "spherebraid", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         ).returncode
 
     def test_verified_claim_exits_0(self):

@@ -7,7 +7,6 @@ from spherebraid import freegroup
 from spherebraid.garside import (
     GarsideNormalForm,
     PermutationBraid,
-    conjugate_by_half_twist,
     equal_Bn,
     inversion_count,
     is_left_weighted,
@@ -27,6 +26,81 @@ from spherebraid.words import (
 def braid_letters(n, max_len=25):
     alphabet = [k for k in range(-(n - 1), n) if k != 0]
     return st.lists(st.sampled_from(alphabet), max_size=max_len)
+
+
+# Reference: the fixed-point sweep that normal_form ran before the
+# left-greedy rewrite.  One factor per letter, every adjacent pair slid
+# until nothing changes, descent masks rebuilt after every move, and an
+# unbounded per-pair memo.
+
+_REFERENCE_PAIRS: dict = {}
+
+
+def _ref_descents(p):
+    return sum(1 << i for i in range(len(p) - 1) if p[i] > p[i + 1])
+
+
+def _ref_compose(p, q):
+    return tuple(q[v - 1] for v in p)
+
+
+def _ref_inverse(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v - 1] = i + 1
+    return tuple(inv)
+
+
+def _ref_left_weight_pair(a, b):
+    hit = _REFERENCE_PAIRS.get((a, b))
+    if hit is not None:
+        return hit
+    la, lb = list(a), list(b)
+    while True:
+        need = _ref_descents(tuple(lb)) & ~_ref_descents(_ref_inverse(tuple(la)))
+        if need == 0:
+            break
+        i = (need & -need).bit_length()
+        pi, pj = la.index(i), la.index(i + 1)
+        la[pi], la[pj] = la[pj], la[pi]
+        lb[i - 1], lb[i] = lb[i], lb[i - 1]
+    result = _REFERENCE_PAIRS[(a, b)] = (tuple(la), tuple(lb))
+    return result
+
+
+def _reference_normal_form(w):
+    n = w.strand_count
+    if n < 2:
+        return GarsideNormalForm(n, 0, ())
+    identity = tuple(range(1, n + 1))
+    delta = tuple(range(n, 0, -1))
+    sigma = {}
+    for i in range(1, n):
+        s = list(identity)
+        s[i - 1], s[i] = s[i], s[i - 1]
+        sigma[i] = tuple(s)
+    tau = lambda p: tuple(n + 1 - p[n - j] for j in range(1, n + 1))
+    raw = [(0, sigma[k]) if k > 0 else (-1, _ref_compose(delta, sigma[-k])) for k in w.letters]
+    power, suffix, factors = 0, 0, []
+    for d, f in reversed(raw):
+        factors.append(tau(f) if suffix & 1 else f)
+        suffix -= d
+        power += d
+    factors.reverse()
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 1):
+            a2, b2 = _ref_left_weight_pair(factors[i], factors[i + 1])
+            if a2 != factors[i]:
+                factors[i], factors[i + 1] = a2, b2
+                changed = True
+    lo, hi = 0, len(factors)
+    while lo < hi and factors[lo] == delta:
+        lo += 1
+    while lo < hi and factors[hi - 1] == identity:
+        hi -= 1
+    return GarsideNormalForm(n, power + lo, tuple(factors[lo:hi]))
 
 
 class TestNormalForm:
@@ -67,6 +141,25 @@ class TestNormalForm:
         n, letters = data
         nf = normal_form(BraidWord(n, tuple(letters)))
         assert is_left_weighted(nf)
+
+    def test_matches_fixed_point_sweep_on_random_words(self):
+        rng = random.Random(2024)
+        for n in range(3, 9):
+            for _ in range(150):
+                w = random_word(n, 60, rng)
+                assert normal_form(w) == _reference_normal_form(w), w.to_text()
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_matches_fixed_point_sweep_on_delta_heavy_words(self, n):
+        x = named_element("half_twist", n)
+        words = [
+            x * x,
+            named_element("full_twist", n),  # the word alpha0^n
+            named_element("alpha2", n) ** (n - 2),
+            x * named_element("bipolar_twist", n) * x.inverse(),
+        ]
+        for w in words:
+            assert normal_form(w) == _reference_normal_form(w)
 
     @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n), st.integers(0, 2**30))))
     @settings(max_examples=60, deadline=None)
@@ -120,15 +213,22 @@ class TestEqualBn:
 
 
 class TestConjugateByHalfTwist:
+    """Conjugation by the half twist x flips indices: x w x^-1 = mirror(w)."""
+
+    @staticmethod
+    def conjugate_by_half_twist(w):
+        x = named_element("half_twist", w.strand_count)
+        return normal_form(x * w * x.inverse())
+
     def test_single_generator(self):
-        assert conjugate_by_half_twist(BraidWord(4, (1,))) == normal_form(BraidWord(4, (3,)))
+        assert self.conjugate_by_half_twist(BraidWord(4, (1,))) == normal_form(BraidWord(4, (3,)))
 
     def test_identity(self):
-        nf = conjugate_by_half_twist(BraidWord(4))
+        nf = self.conjugate_by_half_twist(BraidWord(4))
         assert (nf.delta_power, nf.factors) == (0, ())
 
     def test_alpha0_n6(self):
-        nf = conjugate_by_half_twist(named_element("alpha0", 6))
+        nf = self.conjugate_by_half_twist(named_element("alpha0", 6))
         assert nf == normal_form(BraidWord(6, (5, 4, 3, 2, 1)))
 
     @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 18))))
@@ -136,14 +236,14 @@ class TestConjugateByHalfTwist:
     def test_matches_mirror(self, data):
         n, letters = data
         w = BraidWord(n, tuple(letters))
-        assert conjugate_by_half_twist(w) == normal_form(mirror(w))
+        assert self.conjugate_by_half_twist(w) == normal_form(mirror(w))
 
     def test_matches_mirror_bulk(self):
         rng = random.Random(331)
         for n in range(3, 8):
             for _ in range(500):
                 w = random_word(n, 20, rng)
-                assert conjugate_by_half_twist(w) == normal_form(mirror(w))
+                assert self.conjugate_by_half_twist(w) == normal_form(mirror(w))
 
 
 class TestPermutationBraid:
@@ -177,3 +277,24 @@ class TestConcurrency:
         with ThreadPoolExecutor(max_workers=8) as pool:
             parallel = list(pool.map(normal_form, words))
         assert serial == parallel
+
+    def test_evicting_slide_memo_under_threads(self, monkeypatch):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        from functools import lru_cache
+
+        from spherebraid import garside
+
+        rng = random.Random(23)
+        words = [random_word(n, 40, rng) for n in (3, 5, 7, 9) for _ in range(30)]
+        expected = [_reference_normal_form(w) for w in words]
+        # a memo far smaller than the working set evicts on nearly every call
+        monkeypatch.setattr(garside, "_slide", lru_cache(maxsize=8)(garside._slide.__wrapped__))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                parallel = list(pool.map(normal_form, words, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == expected

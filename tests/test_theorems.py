@@ -1,8 +1,11 @@
 import pytest
 
+from spherebraid import garside
 from spherebraid.certificates import Verdict, to_json
 from spherebraid.presentations import presentation_library, todd_coxeter
+from spherebraid.sphere import torsion_order
 from spherebraid.theorems import (
+    EngineDisagreementError,
     replay_certificate,
     verify_background,
     verify_dicyclic,
@@ -10,6 +13,7 @@ from spherebraid.theorems import (
     verify_q8,
     verify_torsion_table,
 )
+from spherebraid.words import named_element
 
 
 class TestVerifyQ8:
@@ -213,3 +217,20 @@ class TestCertificateHygiene:
         for cert in (verify_q8(4), verify_dicyclic(8), verify_torsion_table(7)):
             cited = sorted({a for s in cert.steps for a in s.axioms})
             assert list(cert.cited_axiom_ids()) == cited
+
+
+class TestEngineDisagreement:
+    @pytest.fixture
+    def lying_garside(self, monkeypatch):
+        honest = garside.equal_Bn
+        monkeypatch.setattr(garside, "equal_Bn", lambda w, v: not honest(w, v))
+
+    def test_exact_step_raises(self, lying_garside):
+        with pytest.raises(EngineDisagreementError) as excinfo:
+            verify_q8(4)
+        assert any(entry.name == "_exact_step" for entry in excinfo.traceback)
+
+    def test_root_identity_raises(self, lying_garside):
+        with pytest.raises(EngineDisagreementError) as excinfo:
+            torsion_order(named_element("alpha0", 4), 8)
+        assert any(entry.name == "_root_identity_steps" for entry in excinfo.traceback)
