@@ -14,11 +14,8 @@ from .freegroup import (
     BudgetExceededError,
     EndoOnBasis,
     FreeWord,
-    apply_endo,
     artin_disk_endo,
-    compose_endo,
     eq_Bn,
-    identity_endo,
     reduce,
 )
 from .garside import (

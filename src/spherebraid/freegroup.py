@@ -12,8 +12,13 @@ action, trust-ledger axiom A4), which makes endomorphism comparison an
 exact equality engine for B_n -- the second engine, independent of the
 Garside normal form.
 
-Free words are plain tuples of signed generator indices internally;
-all arithmetic runs on int lists with a cancellation stack.
+Free words are plain tuples of signed generator indices.  Artin's theorem
+makes every image of a basis generator a conjugate W x_p W^-1 of the
+permuted generator, so the engine keeps each image as its conjugator W
+(reduced, and not ending in x_p^+-1, which makes it unique), W^-1 and p.
+One braid letter then costs one free cancellation, at the junction of two
+reduced words (`_junction`); everything else is list slicing and
+concatenation.
 """
 
 from __future__ import annotations
@@ -25,20 +30,49 @@ class BudgetExceededError(RuntimeError):
     """An endomorphism image outgrew the configured letter budget."""
 
 
-def _reduce_concat(parts, budget: int | None = None) -> list[int]:
-    """Freely reduce the concatenation of letter sequences."""
-    out: list[int] = []
-    for part in parts:
-        for x in part:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        if budget is not None and len(out) > budget:
-            raise BudgetExceededError(
-                f"endomorphism image exceeded {budget} letters; raise the budget to continue"
-            )
-    return out
+# junctions are scanned letter by letter up to this length, then galloped
+_SCAN = 8
+
+
+def _junction(u: list[int], v_inv: list[int]) -> int:
+    """How many letters of u cancel against v in the product u v of reduced words.
+
+    That is the common prefix of u^-1 and v, found here as the common
+    suffix of u and v^-1 so both lists are compared as stored: a short
+    letter scan, then galloping slice compares and a binary search.  Both
+    must be lists, since a list slice never equals a tuple slice.
+    """
+    lu, lv = len(u), len(v_inv)
+    top = min(lu, lv)
+    c = 0
+    while c < top and u[lu - 1 - c] == v_inv[lv - 1 - c]:
+        c += 1
+        if c == _SCAN:
+            break
+    else:
+        return c
+    lo, step = c, _SCAN
+    while True:
+        hi = min(lo + step, top)
+        if u[lu - hi : lu - lo] != v_inv[lv - hi : lv - lo]:
+            break
+        if hi == top:
+            return top
+        lo, step = hi, 2 * step
+    # the common suffix is at least lo letters long and shorter than hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if u[lu - mid : lu - lo] == v_inv[lv - mid : lv - lo]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _extend(out: list[int], v: list[int], v_inv: list[int]) -> None:
+    """Replace the reduced word `out` by the free reduction of out v, in place."""
+    c = _junction(out, v_inv)
+    out[len(out) - c :] = v[c:]
 
 
 def _inv(letters) -> list[int]:
@@ -76,10 +110,12 @@ class FreeWord:
 
 def reduce(letters, rank: int) -> FreeWord:
     """Free reduction of a raw letter list; the result is independent of cancellation order."""
+    out: list[int] = []
     for k in letters:
         if k == 0 or abs(k) > rank:
             raise ValueError(f"letter {k} out of range for rank {rank}")
-    return FreeWord(rank, tuple(_reduce_concat([letters])))
+        _extend(out, [k], [-k])
+    return FreeWord(rank, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -100,59 +136,65 @@ class EndoOnBasis:
         return all(img.letters == (j,) for j, img in enumerate(self.images, start=1))
 
 
-def identity_endo(rank: int) -> EndoOnBasis:
-    return EndoOnBasis(rank, tuple(FreeWord(rank, (j,)) for j in range(1, rank + 1)))
+def _conjugated(u: list[int], u_inv: list[int], v, budget: int | None):
+    """The image u v u^-1, where v = (V, r, V^-1) stands for V x_r V^-1.
 
+    u v u^-1 = C x_r C^-1 with C the reduced product u V, stripped of
+    trailing x_r^+-1.  u is a fresh list and becomes C.
 
-def _substitute(images: list[tuple[int, ...] | list[int]], letters, budget: int | None = None) -> list[int]:
-    out: list[int] = []
-    for k in letters:
-        img = images[abs(k) - 1]
-        seq = img if k > 0 else _inv(img)
-        for x in seq:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        if budget is not None and len(out) > budget:
-            raise BudgetExceededError(
-                f"endomorphism image exceeded {budget} letters; raise the budget to continue"
-            )
-    return out
-
-
-def apply_endo(e: EndoOnBasis, w: FreeWord) -> FreeWord:
-    """Image of w under e: substitute each letter by its (possibly inverted) image and reduce."""
-    if e.rank != w.rank:
-        raise ValueError(f"rank mismatch: endomorphism has rank {e.rank}, word has rank {w.rank}")
-    raw = [img.letters for img in e.images]
-    return FreeWord(w.rank, tuple(_substitute(raw, w.letters)))
-
-
-def compose_endo(e1: EndoOnBasis, e2: EndoOnBasis) -> EndoOnBasis:
-    """The endomorphism "e1 first, then e2": each generator g maps to e2(e1(g))."""
-    if e1.rank != e2.rank:
-        raise ValueError(f"rank mismatch: {e1.rank} vs {e2.rank}")
-    return EndoOnBasis(e1.rank, tuple(apply_endo(e2, img) for img in e1.images))
-
-
-def _artin_images(strand_count: int, letters, budget: int | None = None) -> list[list[int]]:
-    """Images of x_1..x_n under the word's action, as raw reduced letter lists.
-
-    Builds the composite right-to-left so each braid letter touches only
-    two images; this keeps the cost proportional to the sizes of the
-    images actually rewritten.
+    Only |u v u^-1| is checked against the budget.  Reducing u, v, u^-1
+    letter by letter also passes through u and u v, but neither can be the
+    first word over a budget: |u| and |v| are lengths of images checked
+    earlier, or 1, and |u v| <= max(|u|, |v|, |u v u^-1|).  (If u V cancels
+    less than all of V, one of |v|, |u v u^-1| is at least |u v|; if it
+    cancels all of V, |u v| <= |u| + 1, with |u v| above all three only
+    when u = v, that is a = b or b^-1 = a, which an automorphism never
+    allows.)
     """
-    imgs: list[list[int]] = [[j] for j in range(1, strand_count + 1)]
+    V, r, V_inv = v
+    lu, lv = len(u), len(V)
+    # most junctions cancel nothing: test the first letter before the call
+    c = _junction(u, V_inv) if lv and u[-1] == V_inv[-1] else 0
+    C_inv = V_inv[: lv - c] + u_inv[c:]
+    u[lu - c :] = V[c:]
+    if c == lv:
+        # V cancelled completely, so C is a prefix of u and may end in x_r^+-1
+        m = 0
+        while m < len(u) and (u[-1 - m] == r or u[-1 - m] == -r):
+            m += 1
+        if m:
+            del u[-m:]
+            del C_inv[:m]
+    if budget is not None and 2 * len(u) + 1 > budget:
+        raise BudgetExceededError(
+            f"endomorphism image exceeded {budget} letters; raise the budget to continue"
+        )
+    return u, r, C_inv
+
+
+def _artin_images(strand_count: int, letters, budget: int | None = None) -> list[tuple]:
+    """Images of x_1..x_n under the word's action, in conjugator form.
+
+    Entry j - 1 is (W, p, W^-1) for the image W x_p W^-1 of x_j, with W
+    reduced and not ending in x_p^+-1; p is the strand permutation's
+    image of j.  Builds the composite right-to-left so each braid letter
+    touches only two images.  No stored list is ever changed, so the
+    identity images can share one empty list.
+    """
+    empty: list[int] = []
+    imgs: list[tuple] = [(empty, j, empty) for j in range(1, strand_count + 1)]
     for k in reversed(letters):
         i = abs(k) - 1
-        a, b = imgs[i], imgs[i + 1]
         if k > 0:
-            imgs[i] = _reduce_concat([a, b, _inv(a)], budget)
+            # x_i -> a b a^-1, x_{i+1} -> a
+            A, p, A_inv = a = imgs[i]
+            imgs[i] = _conjugated([*A, p, *A_inv], [*A, -p, *A_inv], imgs[i + 1], budget)
             imgs[i + 1] = a
         else:
+            # x_i -> b, x_{i+1} -> b^-1 a b
+            B, q, B_inv = b = imgs[i + 1]
+            imgs[i + 1] = _conjugated([*B, -q, *B_inv], [*B, q, *B_inv], imgs[i], budget)
             imgs[i] = b
-            imgs[i + 1] = _reduce_concat([_inv(b), a, b], budget)
     return imgs
 
 
@@ -160,7 +202,7 @@ def artin_disk_endo(w, max_image_letters: int | None = None) -> EndoOnBasis:
     """The action of a braid word on the rank-n free group (n = strand count)."""
     n = w.strand_count
     imgs = _artin_images(n, w.letters, max_image_letters)
-    return EndoOnBasis(n, tuple(FreeWord(n, tuple(img)) for img in imgs))
+    return EndoOnBasis(n, tuple(FreeWord(n, (*W, p, *W_inv)) for W, p, W_inv in imgs))
 
 
 def eq_Bn(w, v, max_image_letters: int | None = None) -> bool:
@@ -168,6 +210,8 @@ def eq_Bn(w, v, max_image_letters: int | None = None) -> bool:
 
     True iff the action of w * v^-1 is the identity endomorphism;
     computed as equality of the two actions, which is the same predicate.
+    The conjugator form of an image is unique, so the actions are compared
+    on it without expanding the images.
     """
     if w.strand_count != v.strand_count:
         from .words import StrandCountMismatchError

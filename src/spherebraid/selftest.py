@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import freegroup, garside
-from .sphere import CenterDecision, acts_trivially, sphere_endo
+from .sphere import DEFAULT_MAX_IMAGE_LETTERS, CenterDecision, acts_trivially, sphere_endo
 from .presentations import presentation_library
 from .words import BraidWord
 
@@ -103,7 +103,7 @@ def run_cross_oracle(
     seed: int = 20240801,
     equivalent_fraction: float = 0.3,
     relation_ns=range(3, 9),
-    max_image_letters: int | None = 10**6,
+    max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> SelftestReport:
     report = SelftestReport()
     for n in ns:

@@ -28,7 +28,7 @@ import math
 
 from . import freegroup, garside
 from .certificates import AxiomId, ProofStep, Verdict, VerificationCertificate, make_certificate
-from .freegroup import EndoOnBasis, FreeWord, _artin_images, _inv, _reduce_concat
+from .freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _artin_images, _extend, _inv
 from .words import (
     BraidWord,
     StrandCountMismatchError,
@@ -118,19 +118,25 @@ def sphere_endo(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
     disk = _artin_images(n, w.letters, max_image_letters)
     closure = list(range(-(n - 1), 0))  # (x_1 .. x_{n-1})^-1
     closure_inv = list(range(1, n))
+    substitute = {n: (closure, closure_inv), -n: (closure_inv, closure)}
     images = []
-    for img in disk[: n - 1]:
-        out: list[int] = []
-        for k in img:
-            seq = closure if k == n else closure_inv if k == -n else (k,)
-            for x in seq:
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
+    for W, p, W_inv in disk[: n - 1]:
+        # the disk image is W x_p W^-1, so x_n is substituted in W and x_p only
+        if p != n and n not in W and -n not in W:
+            out = (*W, p, *W_inv)  # already reduced
+        else:
+            # S is W with x_n substituted, reduced one piece at a time
+            S: list[int] = []
+            start, end = 0, len(W)
+            for t in [t for t, k in enumerate(W) if k == n or k == -n]:
+                _extend(S, W[start:t], W_inv[end - t : end - start])
+                _extend(S, *substitute[W[t]])
+                start = t + 1
+            _extend(S, W[start:], W_inv[: end - start])
+            out = S[:]
+            _extend(out, *substitute.get(p, ([p], [-p])))
+            _extend(out, _inv(S), S)
         if max_image_letters is not None and len(out) > max_image_letters:
-            from .freegroup import BudgetExceededError
-
             raise BudgetExceededError(
                 f"endomorphism image exceeded {max_image_letters} letters"
             )
@@ -158,7 +164,16 @@ def inner_conjugator(e: EndoOnBasis) -> tuple[int, ...] | None:
         return None
     if len(imgs) == 1:
         return tuple(u)
-    psi = [_reduce_concat([_inv(u), img, u]) for img in imgs]
+    # psi_j = u^-1 e(x_j) u; conjugating by the empty word changes nothing
+    psi = imgs
+    if u:
+        u_inv = _inv(u)
+        psi = []
+        for img in imgs:
+            conj = u_inv[:]
+            _extend(conj, img, _inv(img))
+            _extend(conj, u, u_inv)
+            psi.append(conj)
     if psi[0] != [1]:
         return None
     # psi_j must be x_1^k x_j x_1^-k for one k shared by all j >= 2
@@ -173,7 +188,8 @@ def inner_conjugator(e: EndoOnBasis) -> tuple[int, ...] | None:
         expected = [sign] * k + [j] + [-sign] * k
         if pj != expected:
             return None
-    return tuple(_reduce_concat([u, [sign] * k]))
+    _extend(u, [sign] * k, [-sign] * k)
+    return tuple(u)
 
 
 def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> CenterDecision:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,13 +7,12 @@ from spherebraid.freegroup import (
     BudgetExceededError,
     EndoOnBasis,
     FreeWord,
-    apply_endo,
+    _artin_images,
     artin_disk_endo,
-    compose_endo,
     eq_Bn,
-    identity_endo,
     reduce,
 )
+from spherebraid.selftest import random_word, rewrite_equivalent
 from spherebraid.words import BraidWord, named_element, permutation
 
 
@@ -50,38 +51,6 @@ class TestReduce:
 SWAP = EndoOnBasis(2, (FW(2, 1, 2, -1), FW(2, 1)))  # the sigma_1 action on rank 2
 
 
-class TestApplyEndo:
-    def test_identity(self):
-        w = FW(3, 1, -2, 3)
-        assert apply_endo(identity_endo(3), w) == w
-
-    def test_positive_letter(self):
-        assert apply_endo(SWAP, FW(2, 2)).letters == (1,)
-
-    def test_inverse_letter_inverts_image(self):
-        assert apply_endo(SWAP, FW(2, -1)).letters == (1, -2, -1)
-
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_endo(SWAP, FW(3, 1))
-
-
-class TestComposeEndo:
-    def test_identity_neutral(self):
-        assert compose_endo(SWAP, identity_endo(2)) == SWAP
-        assert compose_endo(identity_endo(2), SWAP) == SWAP
-
-    def test_inverse_pair_cancels(self):
-        inv = EndoOnBasis(2, (FW(2, 2), FW(2, -2, 1, 2)))  # sigma_1^-1 action
-        assert compose_endo(SWAP, inv).is_identity()
-        assert compose_endo(inv, SWAP).is_identity()
-
-    def test_square_of_generator_action(self):
-        sq = compose_endo(SWAP, SWAP)
-        assert sq.images[0].letters == (1, 2, 1, -2, -1)
-        assert sq.images[1].letters == (1, 2, -1)
-
-
 class TestArtinDiskEndo:
     def test_empty_word(self):
         assert artin_disk_endo(BraidWord(4)).is_identity()
@@ -108,10 +77,10 @@ class TestArtinDiskEndo:
 
     @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n), braid_letters(n))))
     @settings(max_examples=50, deadline=None)
-    def test_action_is_multiplicative(self, data):
+    def test_action_is_multiplicative(self, compose_endos, data):
         n, lu, lv = data
         u, v = BraidWord(n, tuple(lu)), BraidWord(n, tuple(lv))
-        assert artin_disk_endo(u * v) == compose_endo(artin_disk_endo(u), artin_disk_endo(v))
+        assert artin_disk_endo(u * v) == compose_endos(artin_disk_endo(u), artin_disk_endo(v))
 
     @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n))))
     @settings(max_examples=60, deadline=None)
@@ -130,6 +99,118 @@ class TestArtinDiskEndo:
         w = named_element("half_twist", 6) ** 4
         with pytest.raises(BudgetExceededError):
             artin_disk_endo(w, max_image_letters=3)
+
+
+def _reference_reduce_concat(parts, budget=None, lengths=None):
+    """Letter-by-letter free reduction with a cancellation stack, checking
+    the budget after each part; `lengths` records every checked length."""
+    out = []
+    for part in parts:
+        for x in part:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+        if lengths is not None:
+            lengths.append(len(out))
+        if budget is not None and len(out) > budget:
+            raise BudgetExceededError(
+                f"endomorphism image exceeded {budget} letters; raise the budget to continue"
+            )
+    return out
+
+
+def _reference_inv(letters):
+    return [-x for x in reversed(letters)]
+
+
+def _reference_artin_images(strand_count, letters, budget=None, lengths=None):
+    """The expanded images, each braid letter reducing a b a^-1 (or b^-1 a b) in full."""
+    imgs = [[j] for j in range(1, strand_count + 1)]
+    for k in reversed(letters):
+        i = abs(k) - 1
+        a, b = imgs[i], imgs[i + 1]
+        if k > 0:
+            imgs[i] = _reference_reduce_concat([a, b, _reference_inv(a)], budget, lengths)
+            imgs[i + 1] = a
+        else:
+            imgs[i] = b
+            imgs[i + 1] = _reference_reduce_concat([_reference_inv(b), a, b], budget, lengths)
+    return imgs
+
+
+def _random_words():
+    # at n <= 4 a 60-letter word can have images of millions of letters,
+    # which the reference takes seconds over, so those stop at 40 letters
+    rng = random.Random(3031)
+    return [random_word(n, 60 if n > 4 else 40, rng) for n in range(2, 9) for _ in range(300)]
+
+
+def _delta_heavy_words(n):
+    x = named_element("half_twist", n)
+    words = [
+        x * x,
+        named_element("full_twist", n),  # the word alpha0^n
+        named_element("alpha2", n) ** (n - 2),
+        x * named_element("bipolar_twist", n) * x.inverse(),
+    ]
+    return words + [w.inverse() for w in words]
+
+
+class TestMatchesLetterByLetterReduction:
+    """The conjugator-form engine against the expanded, stack-reduced images."""
+
+    def check(self, words):
+        for w in words:
+            n, letters = w.strand_count, w.letters
+            lengths = []
+            expected = _reference_artin_images(n, letters, None, lengths)
+            imgs = _artin_images(n, letters)
+            assert [W + [p] + W_inv for W, p, W_inv in imgs] == expected
+            perm = permutation(w)
+            assert [p for _, p, _ in imgs] == [perm(j) for j in range(1, n + 1)]
+            if not lengths:
+                continue
+            # the reference raises exactly when a recorded length exceeds the
+            # budget.  Its longest word is always a finished image, never the
+            # product a b (or b^-1 a) on the way, which is why the engine
+            # checks finished images only
+            peak = max(lengths)
+            assert max(lengths[2::3]) == peak
+            for budget in {0, peak - 1, peak, peak + 1}:
+                try:
+                    _artin_images(n, letters, budget)
+                except BudgetExceededError as exc:
+                    assert budget < peak, (w, budget)
+                    assert str(exc) == (
+                        f"endomorphism image exceeded {budget} letters; raise the budget to continue"
+                    )
+                else:
+                    assert budget >= peak, (w, budget)
+
+    def test_matches_on_random_words(self):
+        self.check(_random_words())
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_matches_on_delta_heavy_words(self, n):
+        self.check(_delta_heavy_words(n))
+
+    def test_reference_raises_at_its_peak(self):
+        w = _delta_heavy_words(8)[0]
+        lengths = []
+        _reference_artin_images(8, w.letters, None, lengths)
+        _reference_artin_images(8, w.letters, max(lengths))
+        with pytest.raises(BudgetExceededError):
+            _reference_artin_images(8, w.letters, max(lengths) - 1)
+
+    def test_eq_bn_matches_reference_comparison(self):
+        rng = random.Random(3037)
+        for n in range(2, 9):
+            for _ in range(150):
+                w = random_word(n, 40, rng)
+                v = rewrite_equivalent(w, rng) if rng.random() < 0.4 else random_word(n, 40, rng)
+                expected = _reference_artin_images(n, w.letters) == _reference_artin_images(n, v.letters)
+                assert eq_Bn(w, v) == expected
 
 
 class TestEqBn:
