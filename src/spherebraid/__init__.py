@@ -28,8 +28,6 @@ from .presentations import (
     CayleyTable,
     FinitePresentation,
     Overflow,
-    iso_type_order8,
-    order_spectrum,
     presentation_library,
     todd_coxeter,
 )

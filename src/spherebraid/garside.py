@@ -13,9 +13,21 @@ Representation choices:
     (1-based, word order: in a product the left factor permutes first);
   * starting/finishing sets are bitmasks of descents, computed directly
     from the images and from the position array;
-  * a negative letter sigma_i^-1 enters the pipeline as Delta^-1 times
-    the simple factor Delta sigma_i^-1, so only positive factors are
-    ever normalized;
+  * a positive letter sigma_i enters the pipeline as its own simple; a
+    negative letter sigma_i^-1 as Delta^-1 times the simple
+    Delta sigma_i^-1, so only positive factors are ever normalized;
+  * a maximal run of negative letters at least n(n-1)/2 long (the number
+    of crossings in Delta) enters whole: it is P^-1 for a positive word
+    P, and from P's normal form Delta^e B_1 .. B_r
+        P^-1 = Delta^-(e+r) tau^(r+e)(dB_r) .. tau^(1+e)(dB_1),
+    with dB = B^-1 Delta the right complement and tau the index flip
+    sigma_i -> sigma_{n-i}.  Each Delta sigma_i^-1 is one crossing short
+    of Delta, and sliding two of them moves up to n(n-1)/2 crossings,
+    while P's own normal form slides single crossings; the inverse x^-1
+    of a half twist becomes Delta^-1 and adds no simple at all.  Shorter
+    runs keep their letter simples, since for them P's normal form and
+    the complements cost more than they save; so does every run in B_3,
+    whose letter simples have at most two crossings;
   * the form is built left-greedily (El-Rifai-Morton; Epstein et al.,
     Word Processing in Groups, ch. 9): each factor is appended to an
     already left-weighted list, and one right-to-left pass of the local
@@ -32,6 +44,7 @@ does not affect the normal form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -234,30 +247,73 @@ def _letter_simple(n: int, k: int) -> tuple[int, ...]:
     return tuple(p)
 
 
+def _negative_run(
+    n: int, run: tuple[int, ...], flips: int, by_letter: dict[int, tuple[int, ...]]
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The simples of a negative run, right to left, and the Delta^-1 count after it.
+
+    The run is P^-1 for the positive word P = -run reversed.  With P's
+    normal form Delta^e B_1 .. B_r the run is
+    Delta^-(e+r) tau^(r+e)(dB_r) .. tau^(1+e)(dB_1), where dB = B^-1 Delta
+    is the simple with images n+1-v over B^-1 (equally, the inverse of B
+    reversed) and tau(dB) is B^-1 reversed.  `flips` counts the Delta^-1
+    already collected to the right of the run.
+    """
+    positive = []
+    for k in reversed(run):
+        f = by_letter.get(-k)
+        if f is None:
+            f = by_letter[-k] = _letter_simple(n, -k)
+        positive.append(f)
+    e, factors = _normalize_factors(n, positive)
+    flips += e
+    simples = []
+    for b in factors:
+        flips += 1
+        simples.append(_inverse(b)[::-1] if flips & 1 else _inverse(b[::-1]))
+    return flips, simples
+
+
 def normal_form(w: BraidWord) -> GarsideNormalForm:
     """The left-canonical form of the element represented by w."""
     n = w.strand_count
     if n < 2:
         return GarsideNormalForm(n, 0, ())
-    # Each letter becomes Delta^d * simple with d in {0, -1}; collecting the
-    # Delta powers at the front conjugates every factor by tau (the index
-    # flip sigma_i -> sigma_{n-i}) once per negative letter to its right,
-    # and tau is an involution, so parity suffices.
-    negatives = sum(1 for k in w.letters if k < 0)
-    right = negatives  # negative letters strictly to the right of k
+    letters = w.letters
+    # A maximal run of negative letters as long as Delta has crossings
+    # enters whole (_negative_run): its letter simples, appended while
+    # walking it, are replaced when the run ends.  In B_3 none does.
+    long_run = n * (n - 1) // 2 if n > 3 else math.inf
     by_letter: dict[int, tuple[int, ...]] = {}
+    # Walking right to left, `flips` counts the Delta^-1 collected so far:
+    # moving them to the front conjugates each simple by tau (the index
+    # flip sigma_i -> sigma_{n-i}) once per Delta^-1 to its right, and tau
+    # is an involution, so parity suffices.
+    flips = run = 0
     simples: list[tuple[int, ...]] = []
-    for k in w.letters:
+    for j in range(len(letters) - 1, -1, -1):
+        k = letters[j]
         if k < 0:
-            right -= 1
-        if right & 1:
-            k = n - k if k > 0 else -n - k
+            run += 1
+            if flips & 1:
+                k = -n - k
+            flips += 1
+        else:
+            if run >= long_run:
+                whole = letters[j + 1 : j + 1 + run]
+                flips, simples[-run:] = _negative_run(n, whole, flips - run, by_letter)
+            run = 0
+            if flips & 1:
+                k = n - k
         f = by_letter.get(k)
         if f is None:
             f = by_letter[k] = _letter_simple(n, k)
         simples.append(f)
+    if run >= long_run:
+        flips, simples[-run:] = _negative_run(n, letters[:run], flips - run, by_letter)
+    simples.reverse()
     lead, factors = _normalize_factors(n, simples)
-    return GarsideNormalForm(n, lead - negatives, tuple(factors))
+    return GarsideNormalForm(n, lead - flips, tuple(factors))
 
 
 def equal_Bn(w: BraidWord, v: BraidWord) -> bool:

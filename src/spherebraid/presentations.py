@@ -8,13 +8,12 @@ compression.  A cap on the number of live cosets guarantees
 termination; when the cap is hit the result is Overflow, never a wrong
 table.  On success the cosets are exactly the group elements, and the
 full multiplication table is rebuilt by tracing representative words,
-which downstream classifiers (element orders, the five groups of order
-eight, derived subgroups) consume.
+which downstream checks (element orders, involutions, derived
+subgroups) consume.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 
@@ -73,22 +72,8 @@ class CayleyTable:
             k += 1
         return k
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
     def involution_count(self) -> int:
         return sum(1 for a in range(1, self.order) if self.table[a][a] == 0)
-
-    def word_to_element(self, word) -> int:
-        acc = 0
-        for k in word:
-            g = self.generator_images[abs(k) - 1]
-            acc = self.table[acc][g if k > 0 else self.inverse(g)]
-        return acc
 
     def as_dict(self) -> dict:
         return {
@@ -220,22 +205,15 @@ class _OverflowSignal(Exception):
     pass
 
 
-def todd_coxeter(
-    p: FinitePresentation, max_cosets: int, strategy: str = "default"
-) -> CayleyTable | Overflow:
+def todd_coxeter(p: FinitePresentation, max_cosets: int) -> CayleyTable | Overflow:
     """Enumerate the cosets of the trivial subgroup; the table is the group.
 
     Returns Overflow when more than max_cosets cosets would be live at
-    once.  The two strategies process relators in opposite orders; the
-    resulting group is the same, which the tests use as a sanity check.
+    once.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    if strategy not in ("default", "alt"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     relators = [rel for rel in p.relators if rel]
-    if strategy == "alt":
-        relators = list(reversed(relators))
     enum = _Enumeration(p.generator_count, max_cosets)
     try:
         alpha = 0
@@ -296,26 +274,6 @@ def todd_coxeter(
         table.append(tuple(row))
     gen_images = tuple(action[0][enum.col(g + 1)] for g in range(p.generator_count))
     return CayleyTable(order, tuple(table), gen_images)
-
-
-def order_spectrum(t: CayleyTable) -> Counter:
-    """Multiset of element orders."""
-    return Counter(t.element_order(a) for a in range(t.order))
-
-
-def iso_type_order8(t: CayleyTable) -> str:
-    """One of Q8, D4, Z8, Z4xZ2, Z2cubed, by abelianness and involution count."""
-    if t.order != 8:
-        raise ValueError(f"classifier needs order 8, got {t.order}")
-    involutions = t.involution_count()
-    if not t.is_abelian():
-        return "Q8" if involutions == 1 else "D4"
-    max_order = max(t.element_order(a) for a in range(t.order))
-    if max_order == 8:
-        return "Z8"
-    if max_order == 4:
-        return "Z4xZ2"
-    return "Z2cubed"
 
 
 def subgroup_closure(t: CayleyTable, elements) -> tuple[int, ...]:

@@ -223,8 +223,6 @@ def relator_trivializes(w: BraidWord) -> tuple[bool, ProofStep]:
 
     Either way w = 1 in B_n(S^2); the step is exact and cites no axioms.
     """
-    from . import garside
-
     n = w.strand_count
     relator = named_element("surface_relator", n)
     empty = BraidWord(n)

@@ -36,12 +36,20 @@ class TestReduce:
         assert reduce([1, 2, 1], 2).letters == (1, 2, 1)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^letter 3 out of range for rank 2$"):
             reduce([3], 2)
 
     def test_freeword_rejects_unreduced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^word \(1, -1\) is not freely reduced$"):
             FW(2, 1, -1)
+
+    def test_freeword_reports_its_first_fault(self):
+        with pytest.raises(ValueError, match=r"^word \(2, 1, -1, 3\) is not freely reduced$"):
+            FW(2, 2, 1, -1, 3)
+        with pytest.raises(ValueError, match=r"^letter -3 out of range for rank 2$"):
+            FW(2, 2, -3, 1, -1)
+        with pytest.raises(ValueError, match=r"^letter 0 out of range for rank 2$"):
+            FW(2, 1, 0)
 
     def test_freeword_text_syntax_matches_braid_words(self):
         assert FW(3, 1, -2, 3).to_text() == "1 -2 3"

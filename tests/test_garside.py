@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherebraid import freegroup
+from spherebraid import freegroup, garside
 from spherebraid.garside import (
     GarsideNormalForm,
     PermutationBraid,
@@ -152,14 +152,60 @@ class TestNormalForm:
     @pytest.mark.parametrize("n", [16, 24])
     def test_matches_fixed_point_sweep_on_delta_heavy_words(self, n):
         x = named_element("half_twist", n)
+        y = named_element("bipolar_twist", n)
+        alpha0_n = named_element("full_twist", n)  # the word alpha0^n
         words = [
             x * x,
-            named_element("full_twist", n),  # the word alpha0^n
+            alpha0_n,
             named_element("alpha2", n) ** (n - 2),
-            x * named_element("bipolar_twist", n) * x.inverse(),
+            x * y * x.inverse(),
+            x.inverse(),
+            (x * x).inverse(),
+            y.inverse(),
+            alpha0_n.inverse(),
         ]
         for w in words:
             assert normal_form(w) == _reference_normal_form(w)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_matches_fixed_point_sweep_on_half_twist_conjugates(self, n):
+        x = named_element("half_twist", n)
+        for i in range(1, n):
+            w = x * BraidWord(n, (i,)) * x.inverse()
+            assert normal_form(w) == _reference_normal_form(w)
+            assert normal_form(w) == normal_form(BraidWord(n, (n - i,)))
+
+    def test_matches_fixed_point_sweep_around_the_whole_run_length(self):
+        # negative runs one letter short of Delta's crossing count, equal
+        # to it, one past it and twice it, between short positive runs
+        rng = random.Random(4242)
+        for n in range(3, 9):
+            crossings = n * (n - 1) // 2
+            for _ in range(110):
+                letters = []
+                for length in rng.sample([crossings - 1, crossings, crossings + 1, 2 * crossings], 3):
+                    letters += [rng.randint(1, n - 1) for _ in range(rng.randint(1, 3))]
+                    letters += [-rng.randint(1, n - 1) for _ in range(length)]
+                w = BraidWord(n, tuple(letters))
+                assert normal_form(w) == _reference_normal_form(w), w.to_text()
+
+    def test_complement_identities_on_every_simple_of_b4(self):
+        # a whole negative run enters as complements dB = B^-1 Delta, taken
+        # as the inverse of B reversed, and tau(dB) as B^-1 reversed
+        from itertools import permutations
+
+        n = 4
+        delta = (4, 3, 2, 1)
+        tau = lambda p: tuple(n + 1 - p[n - j] for j in range(1, n + 1))
+        simples = list(permutations(range(1, n + 1)))
+        assert len(simples) == 24
+        for b in simples:
+            b_inv = garside._inverse(b)
+            complement = garside._inverse(b[::-1])
+            assert complement == tuple(n + 1 - v for v in b_inv)
+            assert _ref_compose(b, complement) == delta
+            assert inversion_count(b) + inversion_count(complement) == 6
+            assert tau(complement) == b_inv[::-1]
 
     @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n), st.integers(0, 2**30))))
     @settings(max_examples=60, deadline=None)
@@ -282,8 +328,6 @@ class TestConcurrency:
         import sys
         from concurrent.futures import ThreadPoolExecutor
         from functools import lru_cache
-
-        from spherebraid import garside
 
         rng = random.Random(23)
         words = [random_word(n, 40, rng) for n in (3, 5, 7, 9) for _ in range(30)]
