@@ -25,7 +25,7 @@ EXIT_REFUTED = 1
 EXIT_INTERNAL = 2
 EXIT_INCONCLUSIVE = 3
 
-CLAIMS = ("q8", "dicyclic", "odd-obstruction", "torsion", "background")
+CLAIMS = tuple(theorems.PLANS)
 
 _EXPECTED = {Verdict.VERIFIED, Verdict.REFUTED_REALIZATION}
 
@@ -132,14 +132,7 @@ def verify(ctx, claim, n, n_from, n_to, fmt, max_cosets, max_endo_letters, out):
         if not values:
             raise click.UsageError("odd-obstruction needs at least one odd n in the range")
     config = RunConfig("verify", claim, tuple(values), fmt, max_cosets, max_endo_letters)
-    runners = {
-        "q8": lambda m: theorems.verify_q8(m, max_cosets, max_endo_letters),
-        "dicyclic": lambda m: theorems.verify_dicyclic(m, max_cosets, max_endo_letters),
-        "odd-obstruction": lambda m: theorems.verify_odd_obstruction(m),
-        "torsion": lambda m: theorems.verify_torsion_table(m, max_cosets, max_endo_letters),
-        "background": lambda m: theorems.verify_background(m, max_cosets, max_endo_letters),
-    }
-    certs = [runners[claim](m) for m in values]
+    certs = [theorems.PLANS[claim].run(m, max_cosets, max_endo_letters) for m in values]
 
     if fmt == "machine":
         doc = {
@@ -207,7 +200,7 @@ def act(ctx, n, word_text, target, max_endo_letters, fmt, out):
         click.echo(f"budget exhausted: {exc}", err=True)
         ctx.exit(EXIT_INCONCLUSIVE)
         return
-    images = [" ".join(str(k) for k in img.letters) for img in endo.images]
+    images = [img.to_text() for img in endo.images]
     if fmt == "machine":
         doc = {
             "tool_version": __version__,

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .words import StrandCountMismatchError
+
 
 class BudgetExceededError(RuntimeError):
     """An endomorphism image outgrew the configured letter budget."""
@@ -99,9 +101,6 @@ class FreeWord:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple(_inv(self.letters)))
 
     def to_text(self) -> str:
         """The same signed-integer text syntax braid words use."""
@@ -214,8 +213,6 @@ def eq_Bn(w, v, max_image_letters: int | None = None) -> bool:
     on it without expanding the images.
     """
     if w.strand_count != v.strand_count:
-        from .words import StrandCountMismatchError
-
         raise StrandCountMismatchError(
             f"cannot compare words on {w.strand_count} and {v.strand_count} strands"
         )

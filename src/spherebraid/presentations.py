@@ -59,9 +59,6 @@ class CayleyTable:
     table: tuple[tuple[int, ...], ...]
     generator_images: tuple[int, ...]
 
-    def multiply(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inverse(self, a: int) -> int:
         return self.table[a].index(0)
 

@@ -16,6 +16,9 @@ configured budget (coset cap, endomorphism letter cap) runs out.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Callable, NamedTuple
+
 from . import presentations, sphere
 from .certificates import ProofStep, Verdict, VerificationCertificate, make_certificate
 from .freegroup import BudgetExceededError
@@ -26,7 +29,6 @@ from .sphere import (
     EngineDisagreementError,  # re-exported
     _both_engines_equal,
     acts_trivially,
-    eq_mod_center,
     square_rule,
     torsion_order,
 )
@@ -72,63 +74,6 @@ def _run_plan(claim: str, n: int, body) -> VerificationCertificate:
         return _budget_certificate(claim, n, str(exc))
 
 
-def _odd_obstruction_steps(n: int) -> list[ProofStep]:
-    """The non-existence argument for odd n, as four steps o1..o4."""
-    a1 = named_element("alpha1", n)
-    half = (n - 1) // 2
-    modulus = 2 * (n - 1)
-    o1 = ProofStep(
-        id="o1",
-        statement=f"every element of order 4 in B_{n}(S^2) is a conjugate of a power of one "
-        f"of the three canonical torsion roots; their orders are 2n = {2 * n}, 2(n-1) = "
-        f"{modulus} and 2(n-2) = {2 * (n - 2)}, and for odd n only the middle one is "
-        f"divisible by 4, so order-4 elements are conjugates of the +-{half} powers of the "
-        f"order-{modulus} root.  If a quaternion subgroup existed, replacing it by a "
-        f"conjugate lets one generator be such a power on the nose, and inverting it makes "
-        f"the two generators carry opposite signs",
-        method="axiom",
-        axioms=("A5",),
-        data={"n": n, "half_power": half},
-    )
-    word = a1**half
-    r_plus = xi(word)
-    r_minus = xi(word.inverse())
-    o2 = ProofStep(
-        id="o2",
-        statement=f"the abelianization values of the two candidate order-4 powers are "
-        f"{r_plus.value} and {r_minus.value} modulo {modulus}, both nonzero",
-        method="arithmetic",
-        ok=r_plus.value != 0 and r_minus.value != 0,
-        depends_on=("o1",),
-        data={
-            "n": n,
-            "residues": sorted([r_plus.value, r_minus.value]),
-            "modulus": modulus,
-            "word": word.to_text(),
-        },
-    )
-    o3 = ProofStep(
-        id="o3",
-        statement="with opposite signs the product of the two generators is a commutator, "
-        "and the exponent sum of any commutator is zero, so the product has abelianization "
-        "value zero",
-        method="arithmetic",
-        depends_on=("o1",),
-        data={"n": n},
-    )
-    o4 = ProofStep(
-        id="o4",
-        statement="the product of the generators has order 4 inside the quaternion group, "
-        "hence is itself conjugate to one of the candidate powers and must have nonzero "
-        "abelianization value; this contradicts the zero value of the commutator, so no "
-        f"subgroup of B_{n}(S^2) is isomorphic to the quaternion group of order 8",
-        method="arithmetic",
-        depends_on=("o1", "o2", "o3"),
-        data={"n": n},
-    )
-    return [o1, o2, o3, o4]
-
-
 def verify_q8(
     n: int,
     max_cosets: int = DEFAULT_MAX_COSETS,
@@ -138,20 +83,21 @@ def verify_q8(
 
     Even n: the half twist x and the bipolar twist y generate a copy;
     for n divisible by 4 it lies in the commutator subgroup.  Odd n:
-    certified non-existence (the certificate verdict is
-    REFUTED-realization and its steps are the obstruction argument).
+    the steps are those of `verify_odd_obstruction`, and the verdict is
+    REFUTED-realization (certified non-existence) when that argument
+    holds, REFUTED otherwise.
     """
     if n < 3:
         raise ValueError(f"verify_q8 needs n >= 3, got n = {n}")
     claim = "q8-subgroup"
     if n % 2 == 1:
-        return make_certificate(
-            claim,
-            n,
-            Verdict.REFUTED_REALIZATION,
-            _odd_obstruction_steps(n),
-            {"in_commutator": False},
+        obstruction = verify_odd_obstruction(n)
+        verdict = (
+            Verdict.REFUTED_REALIZATION
+            if obstruction.verdict is Verdict.VERIFIED
+            else Verdict.REFUTED
         )
+        return make_certificate(claim, n, verdict, obstruction.steps, {"in_commutator": False})
 
     def body() -> VerificationCertificate:
         x = named_element("half_twist", n)
@@ -170,16 +116,18 @@ def verify_q8(
             [(x * y * x.inverse(), mirror(y)), (mirror(y), y.inverse())],
             max_image_letters,
         )
-        s3_raw = square_rule(y, max_image_letters)
-        if s3_raw is None:
-            return _budget_certificate(claim, n, "square rule failed on the bipolar twist")
-        s3 = ProofStep(
-            id="s3",
-            statement=s3_raw.statement,
-            method=s3_raw.method,
-            axioms=s3_raw.axioms,
-            data=s3_raw.data,
-        )
+        s3 = square_rule(y, max_image_letters)
+        if s3 is None:
+            s3 = ProofStep(
+                id="s3",
+                statement=f"the square rule fails on the bipolar twist, so y^2 = Delta^2 is "
+                f"not established in B_{n}(S^2)",
+                method="square-rule",
+                ok=False,
+                data={"n": n, "word": y.to_text()},
+            )
+        else:
+            s3 = replace(s3, id="s3")
         s4 = ProofStep(
             id="s4",
             statement=f"x^2 = Delta^2 and Delta^2 has order exactly 2, so x has order 4 and "
@@ -267,7 +215,59 @@ def verify_odd_obstruction(n: int) -> VerificationCertificate:
     """The non-existence of a quaternion subgroup for odd n, as a VERIFIED claim."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"verify_odd_obstruction needs odd n >= 3, got n = {n}")
-    steps = _odd_obstruction_steps(n)
+    a1 = named_element("alpha1", n)
+    half = (n - 1) // 2
+    modulus = 2 * (n - 1)
+    o1 = ProofStep(
+        id="o1",
+        statement=f"every element of order 4 in B_{n}(S^2) is a conjugate of a power of one "
+        f"of the three canonical torsion roots; their orders are 2n = {2 * n}, 2(n-1) = "
+        f"{modulus} and 2(n-2) = {2 * (n - 2)}, and for odd n only the middle one is "
+        f"divisible by 4, so order-4 elements are conjugates of the +-{half} powers of the "
+        f"order-{modulus} root.  If a quaternion subgroup existed, replacing it by a "
+        f"conjugate lets one generator be such a power on the nose, and inverting it makes "
+        f"the two generators carry opposite signs",
+        method="axiom",
+        axioms=("A5",),
+        data={"n": n, "half_power": half},
+    )
+    word = a1**half
+    r_plus = xi(word)
+    r_minus = xi(word.inverse())
+    o2 = ProofStep(
+        id="o2",
+        statement=f"the abelianization values of the two candidate order-4 powers are "
+        f"{r_plus.value} and {r_minus.value} modulo {modulus}, both nonzero",
+        method="arithmetic",
+        ok=r_plus.value != 0 and r_minus.value != 0,
+        depends_on=("o1",),
+        data={
+            "n": n,
+            "residues": sorted([r_plus.value, r_minus.value]),
+            "modulus": modulus,
+            "word": word.to_text(),
+        },
+    )
+    o3 = ProofStep(
+        id="o3",
+        statement="with opposite signs the product of the two generators is a commutator, "
+        "and the exponent sum of any commutator is zero, so the product has abelianization "
+        "value zero",
+        method="arithmetic",
+        depends_on=("o1",),
+        data={"n": n},
+    )
+    o4 = ProofStep(
+        id="o4",
+        statement="the product of the generators has order 4 inside the quaternion group, "
+        "hence is itself conjugate to one of the candidate powers and must have nonzero "
+        "abelianization value; this contradicts the zero value of the commutator, so no "
+        f"subgroup of B_{n}(S^2) is isomorphic to the quaternion group of order 8",
+        method="arithmetic",
+        depends_on=("o1", "o2", "o3"),
+        data={"n": n},
+    )
+    steps = [o1, o2, o3, o4]
     verdict = Verdict.VERIFIED if all(s.ok for s in steps) else Verdict.REFUTED
     return make_certificate("odd-obstruction", n, verdict, steps)
 
@@ -535,66 +535,40 @@ def verify_background(
     return _run_plan(claim, n, body)
 
 
+class Plan(NamedTuple):
+    """A verification plan: the claim its certificates carry and how to run it."""
+
+    claim: str
+    run: Callable[[int, int, int | None], VerificationCertificate]  # (n, max_cosets, max_image_letters)
+
+
+# Keyed by the CLI claim name.  Entries look their plan up when called, so a
+# wrapper put in place of the module attribute (a tracer) sees every call.
+PLANS = {
+    "q8": Plan("q8-subgroup", lambda n, c, m: verify_q8(n, c, m)),
+    "dicyclic": Plan("dicyclic-subgroup", lambda n, c, m: verify_dicyclic(n, c, m)),
+    "odd-obstruction": Plan("odd-obstruction", lambda n, c, m: verify_odd_obstruction(n)),
+    "torsion": Plan("torsion-orders", lambda n, c, m: verify_torsion_table(n, c, m)),
+    "background": Plan("background", lambda n, c, m: verify_background(n, c, m)),
+}
+
+
 def replay_certificate(
     cert: VerificationCertificate,
     max_cosets: int = DEFAULT_MAX_COSETS,
     max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> bool:
-    """Re-execute every step's method on its recorded inputs.
+    """Check a certificate by running the plan that made it again.
 
-    Axiom and pure-logic arithmetic steps replay trivially; every
-    computational step must reproduce its recorded outcome.
+    The plan for `cert.claim` is re-run at `cert.n`, and the result must
+    equal `cert` in every field: step ids, DAG, methods, ok flags,
+    statements, data, verdict, flags and axiom ledger.  Pass the budgets
+    the certificate was made with, which a machine document's `config`
+    records: coset steps record their cap, and a run out of budget is
+    INCONCLUSIVE.  Raises ValueError if no plan makes `cert.claim`, such
+    as a standalone `sphere.torsion_order` certificate.
     """
-    for step in cert.steps:
-        data = step.data
-        n = data.get("n", cert.n)
-        if step.method == "exact-Bn":
-            for lhs_text, rhs_text in data["pairs"]:
-                lhs = BraidWord.from_text(lhs_text, n)
-                rhs = BraidWord.from_text(rhs_text, n)
-                if _both_engines_equal(lhs, rhs, max_image_letters) != data["equal"]:
-                    return False
-        elif step.method == "relator":
-            word = BraidWord.from_text(data["word"], n)
-            ok, _ = sphere.relator_trivializes(word)
-            if ok != step.ok:
-                return False
-        elif step.method == "mod-center":
-            lhs = BraidWord.from_text(data["lhs"], n)
-            rhs = BraidWord.from_text(data["rhs"], n)
-            if eq_mod_center(lhs, rhs, max_image_letters) != step.ok:
-                return False
-        elif step.method == "square-rule":
-            word = BraidWord.from_text(data["word"], n)
-            if (square_rule(word, max_image_letters) is not None) != step.ok:
-                return False
-        elif step.method == "coset-enumeration":
-            pres_info = data["presentation"]
-            pres = presentation_library(pres_info["name"], pres_info.get("n", 0))
-            tc = todd_coxeter(pres, data["max_cosets"])
-            if isinstance(tc, Overflow) or tc.order != data["order"]:
-                return False
-        elif step.method == "invariant":
-            if "permutation" in data and "word" in data:
-                word = BraidWord.from_text(data["word"], n)
-                if list(permutation(word).images) != data["permutation"]:
-                    return False
-            if "xi" in data and "word" in data:
-                word = BraidWord.from_text(data["word"], n)
-                r = xi(word)
-                if [r.value, r.modulus] != data["xi"]:
-                    return False
-            if "xi_x" in data:
-                x = named_element("half_twist", n)
-                r = xi(x)
-                if [r.value, r.modulus] != data["xi_x"]:
-                    return False
-        elif step.method == "arithmetic":
-            if "residues" in data:
-                half = (n - 1) // 2
-                word = named_element("alpha1", n) ** half
-                recomputed = sorted([xi(word).value, xi(word.inverse()).value])
-                if recomputed != data["residues"]:
-                    return False
-        # axiom steps carry no computation
-    return True
+    for plan in PLANS.values():
+        if plan.claim == cert.claim:
+            return plan.run(cert.n, max_cosets, max_image_letters).as_dict() == cert.as_dict()
+    raise ValueError(f"no verification plan makes certificates for the claim {cert.claim!r}")

@@ -113,12 +113,6 @@ class Permutation:
         """Composition in word order: self first, then other."""
         return Permutation(tuple(other.images[v - 1] for v in self.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
-
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
 

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from spherebraid import theorems
 from spherebraid.cli import main, parse_word
 
 
@@ -73,6 +74,13 @@ class TestVerifyCommand:
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert [c["flags"]["order"] for c in doc["certificates"]] == [12, 16, 20]
+
+    def test_failed_square_rule_exits_1(self, runner, monkeypatch):
+        monkeypatch.setattr(theorems, "square_rule", lambda v, max_image_letters=None: None)
+        result = runner.invoke(main, ["verify", "--claim", "q8", "--n", "4"])
+        assert result.exit_code == 1
+        assert "verdict=REFUTED" in result.output
+        assert "[s3] FAIL square-rule" in result.output
 
     def test_background_n2(self, runner):
         result = runner.invoke(main, ["verify", "--claim", "background", "--n", "2"])

@@ -1,10 +1,14 @@
+import copy
+
 import pytest
 
-from spherebraid import garside
+from spherebraid import cli, garside, theorems
 from spherebraid.certificates import Verdict, to_json
 from spherebraid.presentations import presentation_library, todd_coxeter
-from spherebraid.sphere import torsion_order
+from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, torsion_order
 from spherebraid.theorems import (
+    DEFAULT_MAX_COSETS,
+    PLANS,
     EngineDisagreementError,
     replay_certificate,
     verify_background,
@@ -13,7 +17,7 @@ from spherebraid.theorems import (
     verify_q8,
     verify_torsion_table,
 )
-from spherebraid.words import named_element
+from spherebraid.words import Residue, named_element
 
 
 class TestVerifyQ8:
@@ -60,6 +64,23 @@ class TestVerifyQ8:
     def test_precondition(self):
         with pytest.raises(ValueError):
             verify_q8(2)
+
+    def test_odd_n_without_the_obstruction_is_not_a_refuted_realization(self, monkeypatch):
+        monkeypatch.setattr(theorems, "xi", lambda w: Residue(0, 2 * (w.strand_count - 1)))
+        cert = verify_q8(5)
+        assert cert.verdict is Verdict.REFUTED
+        (o2,) = [s for s in cert.steps if s.id == "o2"]
+        assert not o2.ok
+
+    def test_failed_square_rule_is_a_refutation(self, monkeypatch):
+        monkeypatch.setattr(theorems, "square_rule", lambda v, max_image_letters=None: None)
+        cert = verify_q8(4)
+        assert cert.verdict is Verdict.REFUTED
+        assert [s.id for s in cert.steps if not s.ok] == ["s3"]
+        (s3,) = [s for s in cert.steps if s.id == "s3"]
+        assert s3.method == "square-rule"
+        assert s3.axioms == ()
+        assert s3.data == {"n": 4, "word": named_element("bipolar_twist", 4).to_text()}
 
 
 class TestVerifyOddObstruction:
@@ -217,6 +238,100 @@ class TestCertificateHygiene:
         for cert in (verify_q8(4), verify_dicyclic(8), verify_torsion_table(7)):
             cited = sorted({a for s in cert.steps for a in s.axioms})
             assert list(cert.cited_axiom_ids()) == cited
+
+
+# one certificate per plan branch: q8 in and out of the commutator subgroup
+# and odd, dicyclic with and without d7, torsion with and without A5,
+# background with and without coset enumeration, and the odd obstruction
+REPLAY_FIXTURES = [
+    ("q8", 4),
+    ("q8", 5),
+    ("q8", 6),
+    ("dicyclic", 6),
+    ("dicyclic", 8),
+    ("torsion", 5),
+    ("torsion", 6),
+    ("background", 3),
+    ("background", 5),
+    ("odd-obstruction", 7),
+]
+
+
+def _changed(value):
+    """A different value of the same shape: the last entry of a list or dict is changed."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + " 1"
+    if isinstance(value, list):
+        return value[:-1] + [_changed(value[-1])] if value else [0]
+    if isinstance(value, dict):
+        last = list(value)[-1]
+        return {**value, last: _changed(value[last])}
+    raise TypeError(f"no change defined for {value!r}")
+
+
+def _forged(obj, **fields):
+    """A copy of a frozen certificate or step with fields replaced, skipping its own checks."""
+    forged = copy.copy(obj)
+    for name, value in fields.items():
+        object.__setattr__(forged, name, value)
+    return forged
+
+
+def _single_changes(cert):
+    """(label, changed certificate) for every change of one field of cert."""
+
+    def with_step(i, step):
+        return _forged(cert, steps=cert.steps[:i] + (step,) + cert.steps[i + 1 :])
+
+    for i, step in enumerate(cert.steps):
+        for key, value in step.data.items():
+            changed = _forged(step, data={**step.data, key: _changed(value)})
+            yield f"{step.id}.{key}", with_step(i, changed)
+        yield f"{step.id}.ok", with_step(i, _forged(step, ok=not step.ok))
+        yield f"{step.id}.statement", with_step(i, _forged(step, statement=step.statement + "."))
+    for verdict in Verdict:
+        if verdict is not cert.verdict:
+            yield f"verdict {verdict.value}", _forged(cert, verdict=verdict)
+    for key, value in cert.flags.items():
+        yield f"flags.{key}", _forged(cert, flags={**cert.flags, key: _changed(value)})
+
+
+class TestReplay:
+    @pytest.mark.parametrize("claim,n", REPLAY_FIXTURES, ids=[f"{c}-{n}" for c, n in REPLAY_FIXTURES])
+    def test_every_single_change_is_rejected(self, claim, n):
+        cert = PLANS[claim].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
+        assert replay_certificate(cert)
+        changes = list(_single_changes(cert))
+        assert len(changes) > 3 * len(cert.steps)
+        accepted = [label for label, changed in changes if replay_certificate(changed)]
+        assert accepted == []
+
+    def test_claim_without_a_plan_raises(self):
+        cert = torsion_order(named_element("alpha0", 4), 8)
+        with pytest.raises(ValueError, match="no verification plan"):
+            replay_certificate(cert)
+
+    def test_other_budgets_give_another_certificate(self):
+        cert = verify_q8(4)
+        assert not replay_certificate(cert, max_cosets=DEFAULT_MAX_COSETS + 1)
+
+
+class TestPlanTable:
+    def test_cli_claims_are_the_table(self):
+        assert cli.CLAIMS == tuple(PLANS) == (
+            "q8", "dicyclic", "odd-obstruction", "torsion", "background"
+        )
+
+    def test_entries_look_the_plan_up_when_called(self, monkeypatch):
+        calls = []
+        honest = theorems.verify_q8
+        monkeypatch.setattr(theorems, "verify_q8", lambda *args: calls.append(args) or honest(*args))
+        PLANS["q8"].run(4, 50, 1000)
+        assert calls == [(4, 50, 1000)]
 
 
 class TestEngineDisagreement:
