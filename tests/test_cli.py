@@ -163,6 +163,26 @@ class TestVerifyCommand:
         out2 = runner.invoke(main, args).output
         assert out1 == out2
 
+    # sha256 of `verify --format machine` over each range.  Machine output
+    # is byte-identical across engine changes; a change that alters it on
+    # purpose updates these digests and says why.
+    PINNED_MACHINE_DIGESTS = {
+        ("q8", 3, 12): "4c2a2222edb3a3a800a7326b375912d7b9d975c0c2bdc30894a9677b81682f8d",
+        ("dicyclic", 3, 12): "783f1cff85fafa6755b127bd831663161eb8d4135f9cc38beca279842cbdcff4",
+        ("torsion", 3, 12): "cb831ccd6f9ad78f2b9272b756991489e45abac56b1b64eec6399c67f6b1ed24",
+        ("background", 3, 12): "5f37b6c4241cb60c88f77cd375965c6023805011764d3fc42507c3741e9e07b5",
+        ("odd-obstruction", 3, 13): "f248195ed7a5f1a0877f8f017c33ba7b5bbd26b6cd423dc75975ba2bfe8ad85d",
+    }
+
+    def test_machine_output_matches_pinned_digests(self, runner):
+        import hashlib
+
+        for (claim, lo, hi), digest in self.PINNED_MACHINE_DIGESTS.items():
+            args = ["verify", "--claim", claim, "--from", str(lo), "--to", str(hi)]
+            result = runner.invoke(main, [*args, "--format", "machine"])
+            assert result.exit_code == 0, claim
+            assert hashlib.sha256(result.output.encode()).hexdigest() == digest, claim
+
     def test_out_file(self, runner, tmp_path):
         target = tmp_path / "report.json"
         result = runner.invoke(
