@@ -13,21 +13,21 @@ Representation choices:
     (1-based, word order: in a product the left factor permutes first);
   * starting/finishing sets are bitmasks of descents, computed directly
     from the images and from the position array;
-  * a positive letter sigma_i enters the pipeline as its own simple; a
-    negative letter sigma_i^-1 as Delta^-1 times the simple
-    Delta sigma_i^-1, so only positive factors are ever normalized;
-  * a maximal run of negative letters at least n(n-1)/2 long (the number
-    of crossings in Delta) enters whole: it is P^-1 for a positive word
-    P, and from P's normal form Delta^e B_1 .. B_r
-        P^-1 = Delta^-(e+r) tau^(r+e)(dB_r) .. tau^(1+e)(dB_1),
-    with dB = B^-1 Delta the right complement and tau the index flip
-    sigma_i -> sigma_{n-i}.  Each Delta sigma_i^-1 is one crossing short
-    of Delta, and sliding two of them moves up to n(n-1)/2 crossings,
-    while P's own normal form slides single crossings; the inverse x^-1
-    of a half twist becomes Delta^-1 and adds no simple at all.  Shorter
-    runs keep their letter simples, since for them P's normal form and
-    the complements cost more than they save; so does every run in B_3,
-    whose letter simples have at most two crossings;
+  * the word enters the pipeline as few simples: walking it right to
+    left, each maximal simple piece of a same-sign run is one chunk, and
+    each letter costs one comparison and one swap.  A positive letter
+    sigma_k joins a positive chunk Q while sigma_k Q is still simple, that
+    is while sigma_k does not start Q.  A negative chunk is
+        Q^-1 = Delta^-1 (Delta Q^-1),
+    held as the simple Delta Q^-1, which starts at Delta; sigma_c^-1
+    joins it by stripping sigma_{n-c} from the front, since
+        Delta (Q sigma_c)^-1 = sigma_{n-c}^-1 Delta Q^-1,
+    while sigma_{n-c} starts Delta Q^-1.  Each negative chunk adds one
+    Delta^-1, so only positive factors are ever normalized, and the
+    inverse x^-1 of a half twist is one chunk, Delta^-1 and a trivial
+    simple.  Moving each Delta^-1 to the front conjugates every chunk to
+    its left by tau, the index flip sigma_i -> sigma_{n-i}, which the
+    walk applies to each letter as it joins;
   * the form is built left-greedily (El-Rifai-Morton; Epstein et al.,
     Word Processing in Groups, ch. 9): each factor is appended to an
     already left-weighted list, and one right-to-left pass of the local
@@ -44,23 +44,17 @@ does not affect the normal form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .words import BraidWord, Permutation, StrandCountMismatchError
 
-# Entries of the pair-slide memo.  Short words on few strands repeat
-# nearly every pair, so the memo carries them; the bound keeps long
-# words on many strands from growing it without limit.
+# Entries of the pair-slide memo.  Short mixed-sign words on few strands
+# enter about one simple per letter and repeat nearly every pair, so the
+# memo carries them; long same-sign runs enter as few large chunks whose
+# pairs rarely repeat, and the bound keeps them from growing it without
+# limit.
 SLIDE_MEMO_SIZE = 1 << 16
-
-
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
 
 
 def inversion_count(p: tuple[int, ...]) -> int:
@@ -201,14 +195,6 @@ def _half_twist_letters(n: int) -> list[int]:
     return letters
 
 
-def is_left_weighted(nf: GarsideNormalForm) -> bool:
-    """Check the descent condition between consecutive factors (test helper)."""
-    for a, b in zip(nf.factors, nf.factors[1:]):
-        if _descents(b) & ~_descents(_inverse(a)):
-            return False
-    return True
-
-
 def _normalize_factors(n: int, simples: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
     """Left-greedy normal form of a product of simples: (leading Delta count, other factors).
 
@@ -237,80 +223,49 @@ def _normalize_factors(n: int, simples: list[tuple[int, ...]]) -> tuple[int, lis
     return lead, factors[lead:]
 
 
-def _letter_simple(n: int, k: int) -> tuple[int, ...]:
-    """The simple factor of the letter k: sigma_k, or Delta sigma_{-k}^-1 when k < 0."""
-    if k > 0:
-        p, i = list(range(1, n + 1)), k - 1
-    else:
-        p, i = list(range(n, 0, -1)), n + k - 1
-    p[i], p[i + 1] = p[i + 1], p[i]
-    return tuple(p)
-
-
-def _negative_run(
-    n: int, run: tuple[int, ...], flips: int, by_letter: dict[int, tuple[int, ...]]
-) -> tuple[int, list[tuple[int, ...]]]:
-    """The simples of a negative run, right to left, and the Delta^-1 count after it.
-
-    The run is P^-1 for the positive word P = -run reversed.  With P's
-    normal form Delta^e B_1 .. B_r the run is
-    Delta^-(e+r) tau^(r+e)(dB_r) .. tau^(1+e)(dB_1), where dB = B^-1 Delta
-    is the simple with images n+1-v over B^-1 (equally, the inverse of B
-    reversed) and tau(dB) is B^-1 reversed.  `flips` counts the Delta^-1
-    already collected to the right of the run.
-    """
-    positive = []
-    for k in reversed(run):
-        f = by_letter.get(-k)
-        if f is None:
-            f = by_letter[-k] = _letter_simple(n, -k)
-        positive.append(f)
-    e, factors = _normalize_factors(n, positive)
-    flips += e
-    simples = []
-    for b in factors:
-        flips += 1
-        simples.append(_inverse(b)[::-1] if flips & 1 else _inverse(b[::-1]))
-    return flips, simples
-
-
 def normal_form(w: BraidWord) -> GarsideNormalForm:
     """The left-canonical form of the element represented by w."""
     n = w.strand_count
     if n < 2:
         return GarsideNormalForm(n, 0, ())
     letters = w.letters
-    # A maximal run of negative letters as long as Delta has crossings
-    # enters whole (_negative_run): its letter simples, appended while
-    # walking it, are replaced when the run ends.  In B_3 none does.
-    long_run = n * (n - 1) // 2 if n > 3 else math.inf
-    by_letter: dict[int, tuple[int, ...]] = {}
-    # Walking right to left, `flips` counts the Delta^-1 collected so far:
-    # moving them to the front conjugates each simple by tau (the index
-    # flip sigma_i -> sigma_{n-i}) once per Delta^-1 to its right, and tau
-    # is an involution, so parity suffices.
-    flips = run = 0
+    identity, delta = list(range(1, n + 1)), list(range(n, 0, -1))
+    # Walking right to left, `flips` counts the Delta^-1 of the closed
+    # negative chunks: moving them to the front conjugates everything to
+    # their left by tau (the index flip sigma_i -> sigma_{n-i}) once per
+    # Delta^-1, and tau is an involution, so parity suffices.  The open
+    # chunk is a positive simple Q, or for a negative chunk Q^-1 it holds
+    # Delta Q^-1; each letter either joins it or closes it.  The first
+    # chunk opens with the sign of the last letter, which then joins it.
+    flips = 0
+    negative = bool(letters) and letters[-1] < 0
+    chunk = delta[:] if negative else identity[:]
     simples: list[tuple[int, ...]] = []
-    for j in range(len(letters) - 1, -1, -1):
-        k = letters[j]
-        if k < 0:
-            run += 1
-            if flips & 1:
-                k = -n - k
-            flips += 1
-        else:
-            if run >= long_run:
-                whole = letters[j + 1 : j + 1 + run]
-                flips, simples[-run:] = _negative_run(n, whole, flips - run, by_letter)
-            run = 0
+    for k in reversed(letters):
+        if k > 0:
+            if negative:
+                simples.append(tuple(chunk))
+                flips += 1
+                negative, chunk = False, identity[:]
             if flips & 1:
                 k = n - k
-        f = by_letter.get(k)
-        if f is None:
-            f = by_letter[k] = _letter_simple(n, k)
-        simples.append(f)
-    if run >= long_run:
-        flips, simples[-run:] = _negative_run(n, letters[:run], flips - run, by_letter)
+            # sigma_k Q stays simple unless sigma_k starts Q
+            if chunk[k - 1] > chunk[k]:
+                simples.append(tuple(chunk))
+                chunk = identity[:]
+        else:
+            # Delta (Q sigma_c)^-1 = sigma_{n-c}^-1 Delta Q^-1: strip the
+            # crossing k = n - c (c flipped by this chunk's tau parity)
+            k = -k if flips & 1 else n + k
+            if not negative or chunk[k - 1] < chunk[k]:
+                simples.append(tuple(chunk))
+                if negative:
+                    flips += 1
+                    k = n - k
+                negative, chunk = True, delta[:]
+        chunk[k - 1], chunk[k] = chunk[k], chunk[k - 1]
+    simples.append(tuple(chunk))
+    flips += negative
     simples.reverse()
     lead, factors = _normalize_factors(n, simples)
     return GarsideNormalForm(n, lead - flips, tuple(factors))

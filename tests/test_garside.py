@@ -9,7 +9,6 @@ from spherebraid.garside import (
     PermutationBraid,
     equal_Bn,
     inversion_count,
-    is_left_weighted,
     normal_form,
 )
 from spherebraid.selftest import random_word, rewrite_equivalent
@@ -49,6 +48,14 @@ def _ref_inverse(p):
     for i, v in enumerate(p):
         inv[v - 1] = i + 1
     return tuple(inv)
+
+
+def is_left_weighted(nf):
+    """Each factor's starting set lies in the previous factor's finishing set."""
+    return all(
+        not _ref_descents(b) & ~_ref_descents(_ref_inverse(a))
+        for a, b in zip(nf.factors, nf.factors[1:])
+    )
 
 
 def _ref_left_weight_pair(a, b):
@@ -148,6 +155,16 @@ class TestNormalForm:
             for _ in range(150):
                 w = random_word(n, 60, rng)
                 assert normal_form(w) == _reference_normal_form(w), w.to_text()
+            # about 85 % of the letters of one sign: long same-sign runs
+            # that fill chunks, close them and open the next
+            for sign in (1, -1):
+                for _ in range(75):
+                    letters = tuple(
+                        (sign if rng.random() < 0.85 else -sign) * rng.randint(1, n - 1)
+                        for _ in range(rng.randint(0, 60))
+                    )
+                    w = BraidWord(n, letters)
+                    assert normal_form(w) == _reference_normal_form(w), w.to_text()
 
     @pytest.mark.parametrize("n", [16, 24])
     def test_matches_fixed_point_sweep_on_delta_heavy_words(self, n):
@@ -159,6 +176,8 @@ class TestNormalForm:
             alpha0_n,
             named_element("alpha2", n) ** (n - 2),
             x * y * x.inverse(),
+            y,
+            mirror(y),
             x.inverse(),
             (x * x).inverse(),
             y.inverse(),
@@ -176,36 +195,55 @@ class TestNormalForm:
             assert normal_form(w) == normal_form(BraidWord(n, (n - i,)))
 
     def test_matches_fixed_point_sweep_around_the_whole_run_length(self):
-        # negative runs one letter short of Delta's crossing count, equal
-        # to it, one past it and twice it, between short positive runs
+        # runs of one sign one letter short of Delta's crossing count, equal
+        # to it, one past it and twice it, between short runs of the other
+        # sign: negative long runs, then positive ones
         rng = random.Random(4242)
-        for n in range(3, 9):
-            crossings = n * (n - 1) // 2
-            for _ in range(110):
-                letters = []
-                for length in rng.sample([crossings - 1, crossings, crossings + 1, 2 * crossings], 3):
-                    letters += [rng.randint(1, n - 1) for _ in range(rng.randint(1, 3))]
-                    letters += [-rng.randint(1, n - 1) for _ in range(length)]
-                w = BraidWord(n, tuple(letters))
-                assert normal_form(w) == _reference_normal_form(w), w.to_text()
+        for sign in (-1, 1):
+            for n in range(3, 9):
+                crossings = n * (n - 1) // 2
+                for _ in range(110):
+                    letters = []
+                    for length in rng.sample([crossings - 1, crossings, crossings + 1, 2 * crossings], 3):
+                        letters += [-sign * rng.randint(1, n - 1) for _ in range(rng.randint(1, 3))]
+                        letters += [sign * rng.randint(1, n - 1) for _ in range(length)]
+                    w = BraidWord(n, tuple(letters))
+                    assert normal_form(w) == _reference_normal_form(w), w.to_text()
 
     def test_complement_identities_on_every_simple_of_b4(self):
-        # a whole negative run enters as complements dB = B^-1 Delta, taken
-        # as the inverse of B reversed, and tau(dB) as B^-1 reversed
+        # a negative chunk Q^-1 is held as Delta Q^-1, which starts at
+        # Delta; sigma_c^-1 joins it by stripping sigma_{n-c} from the
+        # front, since Delta (Q sigma_c)^-1 = sigma_{n-c}^-1 Delta Q^-1, and
+        # joins exactly when that crossing starts Delta Q^-1.  Under an odd
+        # count of Delta^-1 to its right the chunk's letters are tau-flipped.
         from itertools import permutations
 
         n = 4
         delta = (4, 3, 2, 1)
         tau = lambda p: tuple(n + 1 - p[n - j] for j in range(1, n + 1))
+        sigma = {}
+        for c in range(1, n):
+            s = list(range(1, n + 1))
+            s[c - 1], s[c] = s[c], s[c - 1]
+            sigma[c] = tuple(s)
         simples = list(permutations(range(1, n + 1)))
         assert len(simples) == 24
-        for b in simples:
-            b_inv = garside._inverse(b)
-            complement = garside._inverse(b[::-1])
-            assert complement == tuple(n + 1 - v for v in b_inv)
-            assert _ref_compose(b, complement) == delta
-            assert inversion_count(b) + inversion_count(complement) == 6
-            assert tau(complement) == b_inv[::-1]
+        for q in simples:
+            letters = PermutationBraid(n, Permutation(q)).word().letters
+            for parity in (0, 1):
+                chunk = list(delta)
+                for c in letters:
+                    k = c if parity else n - c
+                    assert chunk[k - 1] > chunk[k]
+                    chunk[k - 1], chunk[k] = chunk[k], chunk[k - 1]
+                flipped = tau(q) if parity else q
+                assert tuple(chunk) == _ref_compose(delta, _ref_inverse(flipped))
+                # the join test is exact: sigma_c^-1 joins iff Q sigma_c is simple
+                for c in range(1, n):
+                    k = n - c
+                    joins = chunk[k - 1] > chunk[k]
+                    longer = _ref_compose(flipped, sigma[c])
+                    assert joins == (inversion_count(longer) == inversion_count(flipped) + 1)
 
     @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n), st.integers(0, 2**30))))
     @settings(max_examples=60, deadline=None)
