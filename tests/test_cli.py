@@ -172,6 +172,11 @@ class TestVerifyCommand:
         ("torsion", 3, 12): "cb831ccd6f9ad78f2b9272b756991489e45abac56b1b64eec6399c67f6b1ed24",
         ("background", 3, 12): "5f37b6c4241cb60c88f77cd375965c6023805011764d3fc42507c3741e9e07b5",
         ("odd-obstruction", 3, 13): "f248195ed7a5f1a0877f8f017c33ba7b5bbd26b6cd423dc75975ba2bfe8ad85d",
+        # the certify and background n-grids of the benchmark
+        ("q8", 13, 24): "9c02635a054f36d4fe045dd73f11e912e14d03d2438a3114d8ec67a28ec3a138",
+        ("dicyclic", 13, 24): "0ce7b5991949cbe239f5f948f9c49ca06d66d302839376089d2a287c18642416",
+        ("torsion", 13, 24): "f502f1084c270eb98804d7bc302c77113f6006b0164a58dd2da1dfc2bb6fabb7",
+        ("background", 13, 22): "13400b6753c8ec2065507749cd8c4617ae11979dbf36e8415461ffb0631c34a0",
     }
 
     def test_machine_output_matches_pinned_digests(self, runner):
