@@ -20,7 +20,6 @@ from .freegroup import (
 )
 from .garside import (
     GarsideNormalForm,
-    PermutationBraid,
     equal_Bn,
     normal_form,
 )

@@ -125,14 +125,14 @@ def main():
 @click.pass_context
 def verify(ctx, claim, n, n_from, n_to, fmt, max_cosets, max_endo_letters, out):
     """Run a verification plan over one n or a range, emitting certificates."""
-    minimum = 2 if claim == "background" else 3
-    values = _n_range(n, n_from, n_to, minimum)
-    if claim == "odd-obstruction":
+    plan = theorems.PLANS[claim]
+    values = _n_range(n, n_from, n_to, plan.minimum)
+    if plan.odd:
         values = [v for v in values if v % 2 == 1]
         if not values:
-            raise click.UsageError("odd-obstruction needs at least one odd n in the range")
+            raise click.UsageError(f"{claim} needs at least one odd n in the range")
     config = RunConfig("verify", claim, tuple(values), fmt, max_cosets, max_endo_letters)
-    certs = [theorems.PLANS[claim].run(m, max_cosets, max_endo_letters) for m in values]
+    certs = [plan.run(m, max_cosets, max_endo_letters) for m in values]
 
     if fmt == "machine":
         doc = {

@@ -36,10 +36,6 @@ Representation choices:
     three bits next to each crossing it moves; its results are memoized
     in one lru_cache of SLIDE_MEMO_SIZE entries, which bounds the memory
     the engine keeps between calls.
-
-The canonical positive word of a simple factor, when one is needed, is
-rebuilt by repeatedly stripping the lowest starting descent; the choice
-does not affect the normal form.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import BraidWord, Permutation, StrandCountMismatchError
+from .words import BraidWord, StrandCountMismatchError
 
 # Entries of the pair-slide memo.  Short mixed-sign words on few strands
 # enter about one simple per letter and repeat nearly every pair, so the
@@ -55,12 +51,6 @@ from .words import BraidWord, Permutation, StrandCountMismatchError
 # pairs rarely repeat, and the bound keeps them from growing it without
 # limit.
 SLIDE_MEMO_SIZE = 1 << 16
-
-
-def inversion_count(p: tuple[int, ...]) -> int:
-    """Word length of the permutation braid with permutation p."""
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
 def _descents(p: tuple[int, ...]) -> int:
@@ -121,34 +111,6 @@ def _slide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], tup
 
 
 @dataclass(frozen=True)
-class PermutationBraid:
-    """A simple factor: the positive braid determined by its permutation."""
-
-    strand_count: int
-    permutation: Permutation
-
-    def __post_init__(self):
-        if len(self.permutation.images) != self.strand_count:
-            raise ValueError("permutation size does not match strand count")
-
-    def letter_length(self) -> int:
-        return inversion_count(self.permutation.images)
-
-    def word(self) -> BraidWord:
-        """The canonical positive word: strip the lowest starting descent until trivial."""
-        p = self.permutation.images
-        letters: list[int] = []
-        while need := _descents(p):
-            i = (need & -need).bit_length()
-            letters.append(i)
-            # strip sigma_i from the left: p <- sigma_i * p
-            lp = list(p)
-            lp[i - 1], lp[i] = lp[i], lp[i - 1]
-            p = tuple(lp)
-        return BraidWord(self.strand_count, tuple(letters))
-
-
-@dataclass(frozen=True)
 class GarsideNormalForm:
     """Delta power plus left-weighted simple factors; the canonical form of a braid."""
 
@@ -162,37 +124,11 @@ class GarsideNormalForm:
             if f == identity or f == identity[::-1]:
                 raise ValueError("normal-form factors must be neither trivial nor Delta")
 
-    def exponent_sum(self) -> int:
-        n = self.strand_count
-        return self.delta_power * (n * (n - 1) // 2) + sum(
-            inversion_count(f) for f in self.factors
-        )
-
-    def to_word(self) -> BraidWord:
-        """Some braid word representing this element (Delta letters first)."""
-        n = self.strand_count
-        half = _half_twist_letters(n)
-        letters: list[int] = []
-        if self.delta_power >= 0:
-            letters.extend(half * self.delta_power)
-        else:
-            letters.extend([-k for k in reversed(half)] * (-self.delta_power))
-        for f in self.factors:
-            letters.extend(PermutationBraid(n, Permutation(f)).word().letters)
-        return BraidWord(n, tuple(letters))
-
     def as_dict(self) -> dict:
         return {
             "delta_power": self.delta_power,
             "factors": [list(f) for f in self.factors],
         }
-
-
-def _half_twist_letters(n: int) -> list[int]:
-    letters: list[int] = []
-    for top in range(n - 1, 0, -1):
-        letters.extend(range(1, top + 1))
-    return letters
 
 
 def _normalize_factors(n: int, simples: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:

@@ -7,14 +7,16 @@ deductions, and merging coincidences through a union-find with path
 compression.  A cap on the number of live cosets guarantees
 termination; when the cap is hit the result is Overflow, never a wrong
 table.  On success the cosets are exactly the group elements, and the
-full multiplication table is rebuilt by tracing representative words,
-which downstream checks (element orders, involutions, derived
-subgroups) consume.
+result is the order with the generators' action on them, checked
+against every relator: O(order * generators) entries.  The full
+multiplication table, which the element-order, involution and
+derived-subgroup checks read, is built from that action on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class PresentationError(ValueError):
@@ -48,16 +50,30 @@ class Overflow:
 
 @dataclass(frozen=True)
 class CayleyTable:
-    """Multiplication table of a finite group; element 0 is the identity.
+    """A finite group as its generators' action; element 0 is the identity.
 
-    table[a][b] is the index of the product a*b (a acting first, then b,
-    matching word order).  generator_images maps the presentation's
-    generators to element indices.
+    action[a][c] is the element a*g for column c = 2i (g the generator
+    i+1) and a*g^-1 for column c = 2i+1.  table[a][b] is the index of the
+    product a*b (a acting first, then b, matching word order).
     """
 
     order: int
-    table: tuple[tuple[int, ...], ...]
-    generator_images: tuple[int, ...]
+    action: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        # right multiplication by b permutes the elements: right[b][a] = a*b.
+        # Closing the generator columns from the identity, x*(b*g) is
+        # (x*b)*g, so right[b*g] follows from right[b] and column g.
+        right = {0: tuple(range(self.order))}
+        frontier = [0]
+        while frontier:
+            b = frontier.pop()
+            for c, e in enumerate(self.action[b]):
+                if e not in right:
+                    right[e] = tuple(self.action[x][c] for x in right[b])
+                    frontier.append(e)
+        return tuple(zip(*(right[b] for b in range(self.order))))
 
     def inverse(self, a: int) -> int:
         return self.table[a].index(0)
@@ -71,13 +87,6 @@ class CayleyTable:
 
     def involution_count(self) -> int:
         return sum(1 for a in range(1, self.order) if self.table[a][a] == 0)
-
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "table": [v for row in self.table for v in row],
-            "generator_images": list(self.generator_images),
-        }
 
 
 def presentation_library(name: str, n: int = 0) -> FinitePresentation:
@@ -203,10 +212,11 @@ class _OverflowSignal(Exception):
 
 
 def todd_coxeter(p: FinitePresentation, max_cosets: int) -> CayleyTable | Overflow:
-    """Enumerate the cosets of the trivial subgroup; the table is the group.
+    """Enumerate the cosets of the trivial subgroup; the cosets are the group.
 
-    Returns Overflow when more than max_cosets cosets would be live at
-    once.
+    Returns the order and the generators' action on the cosets, checked
+    against every relator and reaching every coset from the identity;
+    Overflow when more than max_cosets cosets would be live at once.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
@@ -234,7 +244,9 @@ def todd_coxeter(p: FinitePresentation, max_cosets: int) -> CayleyTable | Overfl
     index = {k: i for i, k in enumerate(live)}
     order = len(live)
     # compact generator action and verify completeness / relator closure
-    action = [[index[enum.rep(enum.table[k][c])] for c in range(enum.ncols)] for k in live]
+    action = tuple(
+        tuple(index[enum.rep(enum.table[k][c])] for c in range(enum.ncols)) for k in live
+    )
     for i in range(order):
         for rel in relators:
             acc = i
@@ -243,34 +255,16 @@ def todd_coxeter(p: FinitePresentation, max_cosets: int) -> CayleyTable | Overfl
             if acc != i:
                 raise RuntimeError("coset table failed relator verification")
 
-    # representative word per element via breadth-first search from the identity
-    reps: list[tuple[int, ...] | None] = [None] * order
-    reps[0] = ()
+    reached = {0}
     frontier = [0]
     while frontier:
-        nxt = []
-        for a in frontier:
-            for g in range(p.generator_count):
-                for letter in (g + 1, -(g + 1)):
-                    b = action[a][enum.col(letter)]
-                    if reps[b] is None:
-                        reps[b] = reps[a] + (letter,)
-                        nxt.append(b)
-        frontier = nxt
-    if any(r is None for r in reps):
+        for b in action[frontier.pop()]:
+            if b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    if len(reached) != order:
         raise RuntimeError("coset table is not transitive over the identity coset")
-
-    table = []
-    for a in range(order):
-        row = []
-        for b in range(order):
-            acc = a
-            for k in reps[b]:
-                acc = action[acc][enum.col(k)]
-            row.append(acc)
-        table.append(tuple(row))
-    gen_images = tuple(action[0][enum.col(g + 1)] for g in range(p.generator_count))
-    return CayleyTable(order, tuple(table), gen_images)
+    return CayleyTable(order, action)
 
 
 def subgroup_closure(t: CayleyTable, elements) -> tuple[int, ...]:

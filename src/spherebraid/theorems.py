@@ -87,8 +87,7 @@ def verify_q8(
     REFUTED-realization (certified non-existence) when that argument
     holds, REFUTED otherwise.
     """
-    if n < 3:
-        raise ValueError(f"verify_q8 needs n >= 3, got n = {n}")
+    PLANS["q8"].check_n(n)
     claim = "q8-subgroup"
     if n % 2 == 1:
         obstruction = verify_odd_obstruction(n)
@@ -213,8 +212,7 @@ def verify_q8(
 
 def verify_odd_obstruction(n: int) -> VerificationCertificate:
     """The non-existence of a quaternion subgroup for odd n, as a VERIFIED claim."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"verify_odd_obstruction needs odd n >= 3, got n = {n}")
+    PLANS["odd-obstruction"].check_n(n)
     a1 = named_element("alpha1", n)
     half = (n - 1) // 2
     modulus = 2 * (n - 1)
@@ -282,8 +280,7 @@ def verify_dicyclic(
     max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> VerificationCertificate:
     """The cycle word and the half twist generate a dicyclic group of order 4n."""
-    if n < 3:
-        raise ValueError(f"verify_dicyclic needs n >= 3, got n = {n}")
+    PLANS["dicyclic"].check_n(n)
     claim = "dicyclic-subgroup"
 
     def body() -> VerificationCertificate:
@@ -404,8 +401,7 @@ def verify_torsion_table(
     max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> VerificationCertificate:
     """Orders of the three canonical torsion elements: 2n, 2(n-1), 2(n-2)."""
-    if n < 3:
-        raise ValueError(f"verify_torsion_table needs n >= 3, got n = {n}")
+    PLANS["torsion"].check_n(n)
     claim = "torsion-orders"
 
     def body() -> VerificationCertificate:
@@ -437,8 +433,7 @@ def verify_background(
     max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> VerificationCertificate:
     """The finite sphere braid groups and the half-twist conjugation identities."""
-    if n < 2:
-        raise ValueError(f"verify_background needs n >= 2, got n = {n}")
+    PLANS["background"].check_n(n)
     claim = "background"
 
     def body() -> VerificationCertificate:
@@ -536,10 +531,18 @@ def verify_background(
 
 
 class Plan(NamedTuple):
-    """A verification plan: the claim its certificates carry and how to run it."""
+    """A verification plan: the claim its certificates carry, how to run it, and its n."""
 
     claim: str
     run: Callable[[int, int, int | None], VerificationCertificate]  # (n, max_cosets, max_image_letters)
+    minimum: int = 3
+    odd: bool = False  # n must be odd
+
+    def check_n(self, n: int) -> None:
+        """Raise ValueError unless the plan runs at n."""
+        if n < self.minimum or (self.odd and n % 2 == 0):
+            parity = "odd " if self.odd else ""
+            raise ValueError(f"{self.claim} needs {parity}n >= {self.minimum}, got n = {n}")
 
 
 # Keyed by the CLI claim name.  Entries look their plan up when called, so a
@@ -547,9 +550,11 @@ class Plan(NamedTuple):
 PLANS = {
     "q8": Plan("q8-subgroup", lambda n, c, m: verify_q8(n, c, m)),
     "dicyclic": Plan("dicyclic-subgroup", lambda n, c, m: verify_dicyclic(n, c, m)),
-    "odd-obstruction": Plan("odd-obstruction", lambda n, c, m: verify_odd_obstruction(n)),
+    "odd-obstruction": Plan(
+        "odd-obstruction", lambda n, c, m: verify_odd_obstruction(n), odd=True
+    ),
     "torsion": Plan("torsion-orders", lambda n, c, m: verify_torsion_table(n, c, m)),
-    "background": Plan("background", lambda n, c, m: verify_background(n, c, m)),
+    "background": Plan("background", lambda n, c, m: verify_background(n, c, m), minimum=2),
 }
 
 

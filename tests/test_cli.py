@@ -100,8 +100,14 @@ class TestVerifyCommand:
         assert result.exit_code == 2
 
     def test_below_minimum_n(self, runner):
-        result = runner.invoke(main, ["verify", "--claim", "q8", "--n", "2"])
+        for claim, plan in theorems.PLANS.items():
+            below = str(plan.minimum - 1)
+            result = runner.invoke(main, ["verify", "--claim", claim, "--n", below])
+            assert result.exit_code == 2, claim
+            assert f"n = {below} is below the minimum {plan.minimum}" in result.output, claim
+        result = runner.invoke(main, ["verify", "--claim", "odd-obstruction", "--n", "4"])
         assert result.exit_code == 2
+        assert "odd-obstruction needs at least one odd n in the range" in result.output
 
     def test_odd_obstruction_range_filters_even(self, runner):
         result = runner.invoke(

@@ -4,17 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherebraid import freegroup, garside
-from spherebraid.garside import (
-    GarsideNormalForm,
-    PermutationBraid,
-    equal_Bn,
-    inversion_count,
-    normal_form,
-)
+from spherebraid.garside import GarsideNormalForm, equal_Bn, normal_form
 from spherebraid.selftest import random_word, rewrite_equivalent
 from spherebraid.words import (
     BraidWord,
-    Permutation,
     StrandCountMismatchError,
     exponent_sum,
     mirror,
@@ -48,6 +41,38 @@ def _ref_inverse(p):
     for i, v in enumerate(p):
         inv[v - 1] = i + 1
     return tuple(inv)
+
+
+def inversion_count(p):
+    """Word length of the permutation braid with permutation p."""
+    n = len(p)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
+def simple_word(p):
+    """The canonical positive word of the simple p: strip the lowest starting descent."""
+    letters = []
+    while need := _ref_descents(p):
+        i = (need & -need).bit_length()
+        letters.append(i)
+        # strip sigma_i from the left: p <- sigma_i * p
+        lp = list(p)
+        lp[i - 1], lp[i] = lp[i], lp[i - 1]
+        p = tuple(lp)
+    return BraidWord(len(p), tuple(letters))
+
+
+def nf_exponent_sum(nf):
+    n = nf.strand_count
+    return nf.delta_power * (n * (n - 1) // 2) + sum(inversion_count(f) for f in nf.factors)
+
+
+def nf_word(nf):
+    """A braid word for the normal form: the Delta power, then each factor's word."""
+    w = named_element("half_twist", nf.strand_count) ** nf.delta_power
+    for f in nf.factors:
+        w = w * simple_word(f)
+    return w
 
 
 def is_left_weighted(nf):
@@ -229,7 +254,7 @@ class TestNormalForm:
         simples = list(permutations(range(1, n + 1)))
         assert len(simples) == 24
         for q in simples:
-            letters = PermutationBraid(n, Permutation(q)).word().letters
+            letters = simple_word(q).letters
             for parity in (0, 1):
                 chunk = list(delta)
                 for c in letters:
@@ -258,14 +283,14 @@ class TestNormalForm:
     def test_exponent_sum_recoverable(self, data):
         n, letters = data
         w = BraidWord(n, tuple(letters))
-        assert normal_form(w).exponent_sum() == exponent_sum(w)
+        assert nf_exponent_sum(normal_form(w)) == exponent_sum(w)
 
     @given(st.integers(3, 5).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 15))))
     @settings(max_examples=40, deadline=None)
     def test_to_word_represents_same_element(self, data):
         n, letters = data
         w = BraidWord(n, tuple(letters))
-        assert freegroup.eq_Bn(normal_form(w).to_word(), w)
+        assert freegroup.eq_Bn(nf_word(normal_form(w)), w)
 
 
 class TestEqualBn:
@@ -331,15 +356,16 @@ class TestConjugateByHalfTwist:
 
 
 class TestPermutationBraid:
+    """The reference words of simple factors that the tests above build on."""
+
     def test_word_reconstruction(self):
-        pb = PermutationBraid(4, Permutation((4, 3, 2, 1)))
-        word = pb.word()
-        assert len(word) == pb.letter_length() == 6
+        word = simple_word((4, 3, 2, 1))
+        assert len(word) == inversion_count((4, 3, 2, 1)) == 6
         # the canonical word of the reversal is the half twist element
         assert equal_Bn(word, named_element("half_twist", 4))
 
     def test_identity_word_empty(self):
-        assert PermutationBraid(4, Permutation((1, 2, 3, 4))).word().letters == ()
+        assert simple_word((1, 2, 3, 4)).letters == ()
 
     def test_inversion_count(self):
         assert inversion_count((2, 3, 1)) == 2

@@ -1,7 +1,6 @@
 import pytest
 
 from spherebraid.presentations import (
-    CayleyTable,
     FinitePresentation,
     Overflow,
     PresentationError,
@@ -19,6 +18,35 @@ Z4Z2 = FinitePresentation(2, ((1, 1, 1, 1), (2, 2), (1, 2, -1, -2)))
 Z2CUBED = FinitePresentation(
     3, ((1, 1), (2, 2), (3, 3), (1, 2, -1, -2), (1, 3, -1, -3), (2, 3, -2, -3))
 )
+
+
+def traced_table(t):
+    """Reference multiplication table: a*b by tracing a word for b from a.
+
+    One representative word per element, found breadth-first from the
+    identity through the generator action, is traced from every element.
+    """
+    reps = [None] * t.order
+    reps[0] = ()
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for c, b in enumerate(t.action[a]):
+                if reps[b] is None:
+                    reps[b] = reps[a] + (c,)
+                    nxt.append(b)
+        frontier = nxt
+    table = []
+    for a in range(t.order):
+        row = []
+        for b in range(t.order):
+            acc = a
+            for c in reps[b]:
+                acc = t.action[acc][c]
+            row.append(acc)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 class TestPresentationLibrary:
@@ -93,9 +121,17 @@ class TestToddCoxeter:
                 for a in range(t.order):
                     acc = a
                     for k in rel:
-                        g = t.generator_images[abs(k) - 1]
+                        g = t.action[0][2 * (abs(k) - 1)]
                         acc = t.table[acc][g if k > 0 else t.inverse(g)]
                     assert acc == a
+
+    def test_table_matches_representative_word_trace(self):
+        groups = [presentation_library("q8"), D4, Z8, Z4Z2, Z2CUBED]
+        groups += [presentation_library("sphere_braid", n) for n in (2, 3)]
+        groups += [presentation_library("dicyclic", n) for n in range(2, 9)]
+        for p in groups:
+            t = todd_coxeter(p, 10000)
+            assert t.table == traced_table(t), p
 
     def test_rows_and_columns_are_permutations(self):
         t = todd_coxeter(presentation_library("dicyclic", 3), 100)
@@ -187,13 +223,5 @@ class TestSubgroupHelpers:
 
     def test_subgroup_closure(self):
         t = todd_coxeter(presentation_library("q8"), 100)
-        g = t.generator_images[0]
+        g = t.action[0][0]
         assert len(subgroup_closure(t, [g])) == 4
-
-    def test_table_serialization(self):
-        t = todd_coxeter(presentation_library("dicyclic", 2), 100)
-        doc = t.as_dict()
-        assert doc["order"] == 8
-        assert len(doc["table"]) == 64  # row-major
-        assert doc["table"][: t.order] == list(t.table[0])
-        assert len(doc["generator_images"]) == 2

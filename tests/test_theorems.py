@@ -110,8 +110,9 @@ class TestVerifyOddObstruction:
             assert o2.data["residues"] == expected
 
     def test_even_n_rejected(self):
-        with pytest.raises(ValueError):
-            verify_odd_obstruction(4)
+        for n in (2, 4):
+            with pytest.raises(ValueError):
+                verify_odd_obstruction(n)
 
     def test_cites_only_a5(self):
         assert verify_odd_obstruction(7).cited_axiom_ids() == ("A5",)
@@ -325,6 +326,18 @@ class TestPlanTable:
         assert cli.CLAIMS == tuple(PLANS) == (
             "q8", "dicyclic", "odd-obstruction", "torsion", "background"
         )
+        # the CLI reads each plan's domain, and the plan itself rejects n outside it
+        domains = {claim: (plan.minimum, plan.odd) for claim, plan in PLANS.items()}
+        assert domains == {
+            "q8": (3, False),
+            "dicyclic": (3, False),
+            "odd-obstruction": (3, True),
+            "torsion": (3, False),
+            "background": (2, False),
+        }
+        for plan in PLANS.values():
+            with pytest.raises(ValueError):
+                plan.run(plan.minimum - 1, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
 
     def test_entries_look_the_plan_up_when_called(self, monkeypatch):
         calls = []
