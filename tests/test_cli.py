@@ -1,10 +1,13 @@
+import hashlib
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
 
 from spherebraid import theorems
 from spherebraid.cli import main, parse_word
+from spherebraid.words import BraidWord, named_element, permutation
 
 
 @pytest.fixture
@@ -186,8 +189,6 @@ class TestVerifyCommand:
     }
 
     def test_machine_output_matches_pinned_digests(self, runner):
-        import hashlib
-
         for (claim, lo, hi), digest in self.PINNED_MACHINE_DIGESTS.items():
             args = ["verify", "--claim", claim, "--from", str(lo), "--to", str(hi)]
             result = runner.invoke(main, [*args, "--format", "machine"])
@@ -224,6 +225,63 @@ class TestActCommand:
             main, ["act", "--n", "6", "--word", word, "--max-endo-letters", "10"]
         )
         assert result.exit_code == 3
+
+    @staticmethod
+    def _sphere_words(n):
+        """A seeded word set at n: random words, named elements and their conjugates."""
+        rng = random.Random(8000 + n)
+        alphabet = [k for k in range(-(n - 1), n) if k != 0]
+        words = [
+            BraidWord(n, tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 10))))
+            for _ in range(10)
+        ]
+        names = ("surface_relator", "full_twist", "half_twist", "alpha0", "alpha1")
+        words += [named_element(name, n) for name in names]
+        g = words[1]
+        for name in ("surface_relator", "full_twist"):
+            words.append(g * named_element(name, n) * g.inverse())
+        return words
+
+    # sha256 of `act --target sphere` over `_sphere_words(n)`, the outputs
+    # concatenated in order, per n and format.
+    PINNED_SPHERE_DIGESTS = {
+        (3, "machine"): "b95f728615ece1d82a5f05776f22441f8a536fc68f8e15c299cebcef4fb342a0",
+        (3, "text"): "b9c684406e247d44530d564d5483ad8fb5a461b7c902d48209ad08f7e11a9fd4",
+        (4, "machine"): "72c1206f84bb7d951256662f5552576c7d05a85bc1d95e7a19d5278d019df71c",
+        (4, "text"): "fb8a4d097550493edf10b70c5ffba402a15c6c225c22a5ebc3bae7311af7a431",
+        (5, "machine"): "978c5ce0e79d2f9281c9fff5af3c40dbfab66565f2d64ce74e8ceb6d55a839c7",
+        (5, "text"): "e1b033f0a19a0eba4d863d7c4a92b5b60bf82a7c8922e5517c94bbe0c2b04b60",
+        (6, "machine"): "a91c0084c92413f77194e0f0778daef357fac8c4469aa766f040d17d55346e00",
+        (6, "text"): "c180cf46bd5f72d2e5e75741c13d6c4bc4ef7c3828c6327d124418264cddcfe0",
+        (7, "machine"): "df1429bf454d6d866ed76a8b58aa79d88d1dbf132490985198d49ab66d95922a",
+        (7, "text"): "d62226d620116bc093982daa55425a812ddc6ede1c58a77dcee33f6c617d1691",
+        (8, "machine"): "4c59e96cc85d9acfaed70c5f122d7a3e147b16c31715cf7aa819cb55362a7aed",
+        (8, "text"): "9f66bc76b22f47548c7901d5e47566af5e048f5c7acb06be832a9996b1ba5873",
+    }
+
+    def test_sphere_action_matches_pinned_digests(self, runner):
+        for (n, fmt), digest in self.PINNED_SPHERE_DIGESTS.items():
+            words = self._sphere_words(n)
+            # the set covers images of x_j for j < n that are conjugates of
+            # (x_1..x_{n-1})^-1 rather than of a generator
+            assert any(permutation(w)(j) == n for w in words for j in range(1, n))
+            out = []
+            for w in words:
+                args = ["act", "--n", str(n), "--word", w.to_text(), "--target", "sphere"]
+                result = runner.invoke(main, [*args, "--format", fmt])
+                assert result.exit_code == 0, (n, w.to_text())
+                out.append(result.output)
+            assert hashlib.sha256("".join(out).encode()).hexdigest() == digest, (n, fmt)
+        assert {n for n, _ in self.PINNED_SPHERE_DIGESTS} == set(range(3, 9))
+
+    def test_sphere_budget_exit_3(self, runner):
+        # the disk images fit in 11 letters; a sphere image has 12
+        args = ["act", "--n", "5", "--word", "-3 -3 -4 -2 -3 -2 2", "--target", "sphere"]
+        result = runner.invoke(main, [*args, "--max-endo-letters", "11"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "budget exhausted: endomorphism image exceeded 11 letters\n"
+        assert runner.invoke(main, [*args, "--max-endo-letters", "12"]).exit_code == 0
 
 
 class TestSelftestCommand:
