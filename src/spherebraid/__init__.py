@@ -16,7 +16,6 @@ from .freegroup import (
     FreeWord,
     artin_disk_endo,
     eq_Bn,
-    reduce,
 )
 from .garside import (
     GarsideNormalForm,

@@ -107,16 +107,6 @@ class FreeWord:
         return " ".join(str(k) for k in self.letters)
 
 
-def reduce(letters, rank: int) -> FreeWord:
-    """Free reduction of a raw letter list; the result is independent of cancellation order."""
-    out: list[int] = []
-    for k in letters:
-        if k == 0 or abs(k) > rank:
-            raise ValueError(f"letter {k} out of range for rank {rank}")
-        _extend(out, [k], [-k])
-    return FreeWord(rank, tuple(out))
-
-
 @dataclass(frozen=True)
 class EndoOnBasis:
     """An endomorphism of a free group, given by the images of the basis generators."""

@@ -14,10 +14,18 @@ relator above, for instance, acts by conjugation.  Triviality of the
 *outer* action is therefore the decidable notion, and by axiom A1 it
 characterizes membership in the central pair {1, Delta^2}.
 
+The action stays in the conjugator form of the disk engine: x_j maps to
+S_j x_p S_j^-1, with S_j the disk conjugator of x_j after the
+substitution.  sphere_endo expands these images (for `act` and the
+self-test); acts_trivially never does.  Under the identity permutation
+the reduced image of x_j is C_j x_j C_j^-1, C_j being S_j without its
+trailing x_j^+-1, and since the centraliser of x_j in the free group is
+<x_j>, the action is inner iff one word c strips to every C_j.
+
 No procedure here distinguishes 1 from Delta^2 on its own.  The two
 disambiguation rules -- relator_trivializes (exact, at the B_n level)
 and square_rule (via the uniqueness of the involution, axioms A1-A3) --
-each leave an auditable certificate step, and torsion_order chains them
+each back an auditable certificate step, and torsion_order chains them
 with cheap invariants to pin exact element orders.
 """
 
@@ -55,6 +63,25 @@ def _both_engines_equal(lhs: BraidWord, rhs: BraidWord, budget) -> bool:
             f"[{lhs.to_text()}] vs [{rhs.to_text()}] in B_{lhs.strand_count}"
         )
     return g
+
+
+def _exact_step(step_id, statement, pairs, budget, depends=()) -> ProofStep:
+    """One exact-Bn step covering the listed word identities, both engines."""
+    n = pairs[0][0].strand_count
+    ok = all(_both_engines_equal(lhs, rhs, budget) for lhs, rhs in pairs)
+    return ProofStep(
+        id=step_id,
+        statement=statement,
+        method="exact-Bn",
+        ok=ok,
+        depends_on=tuple(depends),
+        data={
+            "n": n,
+            "pairs": [[lhs.to_text(), rhs.to_text()] for lhs, rhs in pairs],
+            "engines": ["garside", "artin"],
+            "equal": ok,
+        },
+    )
 
 
 AXIOMS: dict[str, AxiomId] = {
@@ -105,6 +132,57 @@ class CenterDecision(Enum):
     InCenterSet = "InCenterSet"
 
 
+def _check_image(letters: int, max_image_letters: int | None) -> None:
+    if max_image_letters is not None and letters > max_image_letters:
+        raise BudgetExceededError(f"endomorphism image exceeded {max_image_letters} letters")
+
+
+def _sphere_conjugators(w: BraidWord, max_image_letters: int | None) -> list[tuple[list[int], int]]:
+    """(S_j, p) for j < n, where the disk image of x_j is W_j x_p W_j^-1.
+
+    S_j is W_j with x_n := (x_1..x_{n-1})^-1 substituted, reduced one
+    piece at a time; x_p itself is left as it is.
+    """
+    n = w.strand_count
+    closure = list(range(-(n - 1), 0))  # (x_1 .. x_{n-1})^-1
+    substitute = {n: (closure, _inv(closure)), -n: (_inv(closure), closure)}
+    out = []
+    for W, p, W_inv in _artin_images(n, w.letters, max_image_letters)[: n - 1]:
+        S: list[int] = []
+        start, end = 0, len(W)
+        for t in [t for t, k in enumerate(W) if k == n or k == -n]:
+            _extend(S, W[start:t], W_inv[end - t : end - start])
+            _extend(S, *substitute[W[t]])
+            start = t + 1
+        _extend(S, W[start:], W_inv[: end - start])
+        out.append((S, p))
+    return out
+
+
+def _strip(word: list[int], j: int) -> list[int]:
+    """The word without its trailing letters x_j^+-1."""
+    m = len(word)
+    while m and (word[m - 1] == j or word[m - 1] == -j):
+        m -= 1
+    return word[:m]
+
+
+def _common_conjugator(conjugators: list[list[int]]) -> tuple[int, ...] | None:
+    """The reduced c with c x_j c^-1 = C_j x_j C_j^-1 for every j, or None.
+
+    C_j (entry j - 1) is reduced and does not end in x_j^+-1.  In a free
+    group of rank >= 2 the centraliser of x_j is <x_j>, so c conjugates
+    x_j correctly iff c = C_j x_j^m, that is iff stripping the trailing
+    x_j^+-1 from c leaves C_j.  c ends in a power of at most one
+    generator, so it equals every other C_j and is the longest of them.
+    (In rank 1 any C_1 x_1^m will do, and C_1 is returned.)
+    """
+    c = max(conjugators, key=len)
+    if all(_strip(c, j) == C for j, C in enumerate(conjugators, start=1)):
+        return tuple(c)
+    return None
+
+
 def sphere_endo(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> EndoOnBasis:
     """Action of w on the rank-(n-1) free group of the n-punctured sphere.
 
@@ -115,31 +193,14 @@ def sphere_endo(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
     n = w.strand_count
     if n < 3:
         raise ValueError(f"the sphere action needs n >= 3, got n = {n}")
-    disk = _artin_images(n, w.letters, max_image_letters)
     closure = list(range(-(n - 1), 0))  # (x_1 .. x_{n-1})^-1
-    closure_inv = list(range(1, n))
-    substitute = {n: (closure, closure_inv), -n: (closure_inv, closure)}
     images = []
-    for W, p, W_inv in disk[: n - 1]:
-        # the disk image is W x_p W^-1, so x_n is substituted in W and x_p only
-        if p != n and n not in W and -n not in W:
-            out = (*W, p, *W_inv)  # already reduced
-        else:
-            # S is W with x_n substituted, reduced one piece at a time
-            S: list[int] = []
-            start, end = 0, len(W)
-            for t in [t for t, k in enumerate(W) if k == n or k == -n]:
-                _extend(S, W[start:t], W_inv[end - t : end - start])
-                _extend(S, *substitute[W[t]])
-                start = t + 1
-            _extend(S, W[start:], W_inv[: end - start])
-            out = S[:]
-            _extend(out, *substitute.get(p, ([p], [-p])))
-            _extend(out, _inv(S), S)
-        if max_image_letters is not None and len(out) > max_image_letters:
-            raise BudgetExceededError(
-                f"endomorphism image exceeded {max_image_letters} letters"
-            )
+    for S, p in _sphere_conjugators(w, max_image_letters):
+        # the image S x_p S^-1, with x_n substituted in x_p too
+        out = S[:]
+        _extend(out, *((closure, _inv(closure)) if p == n else ([p], [-p])))
+        _extend(out, _inv(S), S)
+        _check_image(len(out), max_image_letters)
         images.append(FreeWord(n - 1, tuple(out)))
     return EndoOnBasis(n - 1, tuple(images))
 
@@ -147,49 +208,20 @@ def sphere_endo(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
 def inner_conjugator(e: EndoOnBasis) -> tuple[int, ...] | None:
     """The reduced word c with e = (g -> c g c^-1), or None if e is not inner.
 
-    The image of x_1 under a conjugation is a reduced word u x_1 u^-1,
-    which pins the conjugator down to c = u x_1^k; the exponent k is read
-    off the image of x_2 and the full candidate is then verified against
-    every generator, so a non-None answer is a checked equality.
+    An inner e maps x_j to the reduced word C_j x_j C_j^-1, so each image
+    must have odd length, x_j in the middle and the inverse of its first
+    half C_j as its second half; the C_j then share one conjugator (see
+    `_common_conjugator`).
     """
-    imgs = [list(img.letters) for img in e.images]
-    w1 = imgs[0]
-    if len(w1) % 2 != 1:
-        return None
-    half = len(w1) // 2
-    if w1[half] != 1:
-        return None
-    u = w1[:half]
-    if w1 != u + [1] + _inv(u):
-        return None
-    if len(imgs) == 1:
-        return tuple(u)
-    # psi_j = u^-1 e(x_j) u; conjugating by the empty word changes nothing
-    psi = imgs
-    if u:
-        u_inv = _inv(u)
-        psi = []
-        for img in imgs:
-            conj = u_inv[:]
-            _extend(conj, img, _inv(img))
-            _extend(conj, u, u_inv)
-            psi.append(conj)
-    if psi[0] != [1]:
-        return None
-    # psi_j must be x_1^k x_j x_1^-k for one k shared by all j >= 2
-    p2 = psi[1]
-    if len(p2) % 2 != 1:
-        return None
-    k = len(p2) // 2
-    if k and p2[0] not in (1, -1):
-        return None
-    sign = 1 if not k or p2[0] == 1 else -1
-    for j, pj in enumerate(psi[1:], start=2):
-        expected = [sign] * k + [j] + [-sign] * k
-        if pj != expected:
+    conjugators = []
+    for j, img in enumerate(e.images, start=1):
+        letters = list(img.letters)
+        half = len(letters) // 2
+        C = letters[:half]
+        if len(letters) % 2 == 0 or letters[half] != j or letters[half + 1 :] != _inv(C):
             return None
-    _extend(u, [sign] * k, [-sign] * k)
-    return tuple(u)
+        conjugators.append(C)
+    return _common_conjugator(conjugators)
 
 
 def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> CenterDecision:
@@ -197,14 +229,19 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
 
     By axiom A1 this means exactly w in {1, Delta^2} in B_n(S^2).  A word
     with a nontrivial strand permutation moves a puncture class and is
-    rejected without computing the action.
+    rejected without computing the action.  Otherwise x_j maps to
+    S_j x_j S_j^-1, whose reduced form is C_j x_j C_j^-1 with C_j the
+    substituted disk conjugator S_j stripped of trailing x_j^+-1; every
+    image is held to the budget before the C_j are compared.
     """
     if w.strand_count < 3:
         raise ValueError(f"acts_trivially needs n >= 3, got n = {w.strand_count}")
     if not permutation(w).is_identity():
         return CenterDecision.NotInCenterSet
-    e = sphere_endo(w, max_image_letters)
-    if inner_conjugator(e) is None:
+    sphere = _sphere_conjugators(w, max_image_letters)
+    conjugators = [_strip(S, j) for j, (S, _) in enumerate(sphere, start=1)]
+    _check_image(2 * max(map(len, conjugators)) + 1, max_image_letters)
+    if _common_conjugator(conjugators) is None:
         return CenterDecision.NotInCenterSet
     return CenterDecision.InCenterSet
 
@@ -218,34 +255,13 @@ def eq_mod_center(w: BraidWord, v: BraidWord, max_image_letters: int | None = DE
     return acts_trivially(w * v.inverse(), max_image_letters) is CenterDecision.InCenterSet
 
 
-def relator_trivializes(w: BraidWord) -> tuple[bool, ProofStep]:
+def relator_trivializes(w: BraidWord) -> bool:
     """Exact test that w is, as a B_n element, the surface relator or trivial.
 
-    Either way w = 1 in B_n(S^2); the step is exact and cites no axioms.
+    Either way w = 1 in B_n(S^2); the test is exact and rests on no axiom.
     """
     n = w.strand_count
-    relator = named_element("surface_relator", n)
-    empty = BraidWord(n)
-    matched = None
-    if garside.equal_Bn(w, relator):
-        matched = "surface-relator"
-    elif garside.equal_Bn(w, empty):
-        matched = "identity"
-    step = ProofStep(
-        id="relator",
-        statement=f"the word [{w.to_text()}] equals "
-        + (
-            f"the defining sphere relator of B_{n} in B_{n}, hence is trivial in B_{n}(S^2)"
-            if matched == "surface-relator"
-            else f"the empty word in B_{n}"
-            if matched == "identity"
-            else f"neither the sphere relator nor the empty word in B_{n}"
-        ),
-        method="relator",
-        ok=matched is not None,
-        data={"n": n, "word": w.to_text(), "matched": matched},
-    )
-    return matched is not None, step
+    return garside.equal_Bn(w, named_element("surface_relator", n)) or garside.equal_Bn(w, BraidWord(n))
 
 
 def square_rule(v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> ProofStep | None:
@@ -279,24 +295,15 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
     n = w.strand_count
     power = w**k
     delta2 = named_element("full_twist", n)
-    if _both_engines_equal(power, delta2, max_image_letters):
-        return (
-            [
-                ProofStep(
-                    id=f"{prefix}root",
-                    statement=f"[{w.to_text()}]^{k} equals the full-twist word already in B_{n} "
-                    f"(normal forms and free-group actions both agree)",
-                    method="exact-Bn",
-                    data={
-                        "n": n,
-                        "pairs": [[power.to_text(), delta2.to_text()]],
-                        "engines": ["garside", "artin"],
-                        "equal": True,
-                    },
-                )
-            ],
-            False,
-        )
+    exact = _exact_step(
+        f"{prefix}root",
+        f"[{w.to_text()}]^{k} equals the full-twist word already in B_{n} "
+        f"(normal forms and free-group actions both agree)",
+        [(power, delta2)],
+        max_image_letters,
+    )
+    if exact.ok:
+        return [exact], False
     # Not a disk identity: certify on the sphere.  Consistency first.
     consistent = eq_mod_center(power, delta2, max_image_letters)
     steps = [
@@ -365,7 +372,8 @@ def torsion_order(
     plus the order of Delta^2 (A3); lower bounds chain the cheap
     invariants in the fixed order permutation, then abelianization.
     Steps that only the torsion classification can close cite A5 and are
-    flagged axiom-backed consistency.
+    flagged axiom-backed consistency.  An odd claimed order that the
+    invariants do not refute is INCONCLUSIVE.
     """
     n = w.strand_count
     if n < 3:
@@ -417,25 +425,8 @@ def torsion_order(
         return make_certificate(claim, n, Verdict.REFUTED, steps)
 
     if claimed % 2 != 0:
-        # Odd claimed orders never arise from the canonical roots handled
-        # here; certify only when the invariants already pin the order and
-        # the power is visibly central, resolving 1 vs Delta^2 by A5.
-        if lower != claimed or acts_trivially(w**claimed, max_image_letters) is not CenterDecision.InCenterSet:
-            return make_certificate(claim, n, Verdict.INCONCLUSIVE, [inv_step])
-        steps = [
-            inv_step,
-            ProofStep(
-                id=f"{pre}odd",
-                statement=f"axiom-backed consistency: w^{claimed} lies in {{1, Delta^2}}, the "
-                f"invariants force the order to be a multiple of {claimed}, and the torsion "
-                f"classification resolves w^{claimed} = 1",
-                method="axiom",
-                depends_on=(f"{pre}inv",),
-                axioms=("A1", "A5"),
-                data={"n": n, "word": w.to_text(), "claimed": claimed, "flag": "axiom-backed consistency"},
-            ),
-        ]
-        return make_certificate(claim, n, Verdict.VERIFIED, steps)
+        # only a root identity w^(claimed/2) = Delta^2 pins an order here
+        return make_certificate(claim, n, Verdict.INCONCLUSIVE, [inv_step])
 
     k = claimed // 2
     root_steps, a5_backed = _root_identity_steps(w, k, pre, max_image_letters)

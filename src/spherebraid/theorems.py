@@ -27,7 +27,7 @@ from .sphere import (
     DEFAULT_MAX_IMAGE_LETTERS,
     CenterDecision,
     EngineDisagreementError,  # re-exported
-    _both_engines_equal,
+    _exact_step,
     acts_trivially,
     square_rule,
     torsion_order,
@@ -35,25 +35,6 @@ from .sphere import (
 from .words import BraidWord, mirror, named_element, permutation, xi
 
 DEFAULT_MAX_COSETS = 10_000
-
-
-def _exact_step(step_id, statement, pairs, budget, depends=()) -> ProofStep:
-    """One exact-Bn step covering the listed word identities, both engines."""
-    n = pairs[0][0].strand_count
-    ok = all(_both_engines_equal(lhs, rhs, budget) for lhs, rhs in pairs)
-    return ProofStep(
-        id=step_id,
-        statement=statement,
-        method="exact-Bn",
-        ok=ok,
-        depends_on=tuple(depends),
-        data={
-            "n": n,
-            "pairs": [[lhs.to_text(), rhs.to_text()] for lhs, rhs in pairs],
-            "engines": ["garside", "artin"],
-            "equal": ok,
-        },
-    )
 
 
 def _budget_certificate(claim: str, n: int, reason: str) -> VerificationCertificate:
@@ -309,7 +290,7 @@ def verify_dicyclic(
         product = a * mirror(a)
         relator = named_element("surface_relator", n)
         letter_identical = product.letters == relator.letters
-        triv, rel_step = sphere.relator_trivializes(product)
+        triv = sphere.relator_trivializes(product)
         d3b = ProofStep(
             id="d3b",
             statement=f"the cycle word times its mirror is letter for letter the defining "

@@ -10,7 +10,6 @@ from spherebraid.freegroup import (
     _artin_images,
     artin_disk_endo,
     eq_Bn,
-    reduce,
 )
 from spherebraid.selftest import random_word, rewrite_equivalent
 from spherebraid.words import BraidWord, named_element, permutation
@@ -26,18 +25,18 @@ def braid_letters(n, max_len=25):
 
 
 class TestReduce:
-    def test_inverse_pair(self):
-        assert reduce([1, -1], 2).letters == ()
+    def test_inverse_pair(self, free_reduce):
+        assert free_reduce([1, -1], 2).letters == ()
 
-    def test_nested_cancellation(self):
-        assert reduce([1, 2, -2, -1, 3], 3).letters == (3,)
+    def test_nested_cancellation(self, free_reduce):
+        assert free_reduce([1, 2, -2, -1, 3], 3).letters == (3,)
 
-    def test_already_reduced(self):
-        assert reduce([1, 2, 1], 2).letters == (1, 2, 1)
+    def test_already_reduced(self, free_reduce):
+        assert free_reduce([1, 2, 1], 2).letters == (1, 2, 1)
 
-    def test_out_of_range(self):
+    def test_out_of_range(self, free_reduce):
         with pytest.raises(ValueError, match=r"^letter 3 out of range for rank 2$"):
-            reduce([3], 2)
+            free_reduce([3], 2)
 
     def test_freeword_rejects_unreduced(self):
         with pytest.raises(ValueError, match=r"^word \(1, -1\) is not freely reduced$"):
