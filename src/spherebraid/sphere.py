@@ -6,21 +6,15 @@ The n-strand sphere braid group is the quotient of B_n by the relation
 
 Its elements act on the fundamental group of the n-punctured sphere,
 a free group of rank n-1 obtained from the disk generators x_1..x_n by
-killing the product x_1..x_n.  sphere_endo computes a representative of
-that action: the disk action followed by the substitution
-x_n := (x_1..x_{n-1})^-1.  Because the basepoint is lost on the sphere,
+killing the product x_1..x_n.  A representative of that action is the
+disk action in conjugator form, x_j -> S_j x_p S_j^-1, with
+x_n := (x_1..x_{n-1})^-1 substituted in S_j; sphere_endo expands it for
+`act` and the self-test.  Because the basepoint is lost on the sphere,
 the representative is canonical only up to inner automorphisms; the
 relator above, for instance, acts by conjugation.  Triviality of the
 *outer* action is therefore the decidable notion, and by axiom A1 it
-characterizes membership in the central pair {1, Delta^2}.
-
-The action stays in the conjugator form of the disk engine: x_j maps to
-S_j x_p S_j^-1, with S_j the disk conjugator of x_j after the
-substitution.  sphere_endo expands these images (for `act` and the
-self-test); acts_trivially never does.  Under the identity permutation
-the reduced image of x_j is C_j x_j C_j^-1, C_j being S_j without its
-trailing x_j^+-1, and since the centraliser of x_j in the free group is
-<x_j>, the action is inner iff one word c strips to every C_j.
+characterizes membership in the central pair {1, Delta^2}, which
+acts_trivially decides by comparing the conjugators unexpanded.
 
 No procedure here distinguishes 1 from Delta^2 on its own.  The two
 disambiguation rules -- relator_trivializes (exact, at the B_n level)
@@ -40,7 +34,6 @@ from .freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _artin_images
 from .words import (
     BraidWord,
     StrandCountMismatchError,
-    exponent_sum,
     named_element,
     permutation,
     xi,
@@ -138,16 +131,16 @@ def _check_image(letters: int, max_image_letters: int | None) -> None:
 
 
 def _sphere_conjugators(w: BraidWord, max_image_letters: int | None) -> list[tuple[list[int], int]]:
-    """(S_j, p) for j < n, where the disk image of x_j is W_j x_p W_j^-1.
-
-    S_j is W_j with x_n := (x_1..x_{n-1})^-1 substituted, reduced one
-    piece at a time; x_p itself is left as it is.
-    """
+    """(S_j, p) for j < n: the conjugator W_j of the disk image W_j x_p W_j^-1
+    of x_j, with x_n := (x_1..x_{n-1})^-1 substituted and reduced."""
     n = w.strand_count
     closure = list(range(-(n - 1), 0))  # (x_1 .. x_{n-1})^-1
     substitute = {n: (closure, _inv(closure)), -n: (_inv(closure), closure)}
     out = []
     for W, p, W_inv in _artin_images(n, w.letters, max_image_letters)[: n - 1]:
+        if n not in W and -n not in W:
+            out.append((W, p))  # shared with the engine, which never changes it
+            continue
         S: list[int] = []
         start, end = 0, len(W)
         for t in [t for t, k in enumerate(W) if k == n or k == -n]:
@@ -170,12 +163,10 @@ def _strip(word: list[int], j: int) -> list[int]:
 def _common_conjugator(conjugators: list[list[int]]) -> tuple[int, ...] | None:
     """The reduced c with c x_j c^-1 = C_j x_j C_j^-1 for every j, or None.
 
-    C_j (entry j - 1) is reduced and does not end in x_j^+-1.  In a free
-    group of rank >= 2 the centraliser of x_j is <x_j>, so c conjugates
-    x_j correctly iff c = C_j x_j^m, that is iff stripping the trailing
-    x_j^+-1 from c leaves C_j.  c ends in a power of at most one
-    generator, so it equals every other C_j and is the longest of them.
-    (In rank 1 any C_1 x_1^m will do, and C_1 is returned.)
+    Each C_j is reduced and does not end in x_j^+-1.  In rank >= 2 the
+    centraliser of x_j is <x_j>, so c fits x_j iff c = C_j x_j^m, that is
+    iff c stripped of its trailing x_j^+-1 is C_j; and c ends in a power
+    of at most one generator, so it is the longest C_j.
     """
     c = max(conjugators, key=len)
     if all(_strip(c, j) == C for j, C in enumerate(conjugators, start=1)):
@@ -196,7 +187,6 @@ def sphere_endo(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
     closure = list(range(-(n - 1), 0))  # (x_1 .. x_{n-1})^-1
     images = []
     for S, p in _sphere_conjugators(w, max_image_letters):
-        # the image S x_p S^-1, with x_n substituted in x_p too
         out = S[:]
         _extend(out, *((closure, _inv(closure)) if p == n else ([p], [-p])))
         _extend(out, _inv(S), S)
@@ -208,19 +198,13 @@ def sphere_endo(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
 def inner_conjugator(e: EndoOnBasis) -> tuple[int, ...] | None:
     """The reduced word c with e = (g -> c g c^-1), or None if e is not inner.
 
-    An inner e maps x_j to the reduced word C_j x_j C_j^-1, so each image
-    must have odd length, x_j in the middle and the inverse of its first
-    half C_j as its second half; the C_j then share one conjugator (see
-    `_common_conjugator`).
+    An inner e maps x_j to the reduced word C_j x_j C_j^-1, so C_j is the
+    first half of the image of x_j.
     """
-    conjugators = []
-    for j, img in enumerate(e.images, start=1):
-        letters = list(img.letters)
-        half = len(letters) // 2
-        C = letters[:half]
-        if len(letters) % 2 == 0 or letters[half] != j or letters[half + 1 :] != _inv(C):
+    conjugators = [list(img.letters[: len(img) // 2]) for img in e.images]
+    for j, (img, C) in enumerate(zip(e.images, conjugators), start=1):
+        if img.letters != (*C, j, *_inv(C)):
             return None
-        conjugators.append(C)
     return _common_conjugator(conjugators)
 
 
@@ -229,17 +213,15 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
 
     By axiom A1 this means exactly w in {1, Delta^2} in B_n(S^2).  A word
     with a nontrivial strand permutation moves a puncture class and is
-    rejected without computing the action.  Otherwise x_j maps to
-    S_j x_j S_j^-1, whose reduced form is C_j x_j C_j^-1 with C_j the
-    substituted disk conjugator S_j stripped of trailing x_j^+-1; every
-    image is held to the budget before the C_j are compared.
+    rejected without computing the action.  Otherwise p = j, and every
+    image C_j x_j C_j^-1 (C_j: S_j without trailing x_j^+-1) is held to
+    the budget before the C_j are compared.
     """
     if w.strand_count < 3:
         raise ValueError(f"acts_trivially needs n >= 3, got n = {w.strand_count}")
     if not permutation(w).is_identity():
         return CenterDecision.NotInCenterSet
-    sphere = _sphere_conjugators(w, max_image_letters)
-    conjugators = [_strip(S, j) for j, (S, _) in enumerate(sphere, start=1)]
+    conjugators = [_strip(S, p) for S, p in _sphere_conjugators(w, max_image_letters)]
     _check_image(2 * max(map(len, conjugators)) + 1, max_image_letters)
     if _common_conjugator(conjugators) is None:
         return CenterDecision.NotInCenterSet
@@ -425,7 +407,6 @@ def torsion_order(
         return make_certificate(claim, n, Verdict.REFUTED, steps)
 
     if claimed % 2 != 0:
-        # only a root identity w^(claimed/2) = Delta^2 pins an order here
         return make_certificate(claim, n, Verdict.INCONCLUSIVE, [inv_step])
 
     k = claimed // 2

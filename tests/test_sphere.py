@@ -83,7 +83,8 @@ def _inner_test_words(n, rng):
     words += [delta2, relator]
     for _ in range(200):
         g = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 10))))
-        pure = BraidWord(n, tuple(k for _ in range(rng.randint(1, 4)) for k in [rng.choice(alphabet)] * 2))
+        squares = [rng.choice(alphabet) for _ in range(rng.randint(1, 4))]
+        pure = BraidWord(n, tuple(k for k in squares for _ in range(2)))
         words += [g, pure, g * relator * g.inverse(), g * delta2 * g.inverse(), g * pure * g.inverse()]
     return words
 
