@@ -58,7 +58,7 @@ def _both_engines_equal(lhs: BraidWord, rhs: BraidWord, budget) -> bool:
     return g
 
 
-def _exact_step(step_id, statement, pairs, budget, depends=()) -> ProofStep:
+def _exact_step(step_id, statement, pairs, budget) -> ProofStep:
     """One exact-Bn step covering the listed word identities, both engines."""
     n = pairs[0][0].strand_count
     ok = all(_both_engines_equal(lhs, rhs, budget) for lhs, rhs in pairs)
@@ -67,7 +67,6 @@ def _exact_step(step_id, statement, pairs, budget, depends=()) -> ProofStep:
         statement=statement,
         method="exact-Bn",
         ok=ok,
-        depends_on=tuple(depends),
         data={
             "n": n,
             "pairs": [[lhs.to_text(), rhs.to_text()] for lhs, rhs in pairs],
