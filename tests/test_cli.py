@@ -195,6 +195,27 @@ class TestVerifyCommand:
             assert result.exit_code == 0, claim
             assert hashlib.sha256(result.output.encode()).hexdigest() == digest, claim
 
+    # sha256 of `verify --format machine` for runs that hit a budget: each
+    # exits 3, and its budget-abort certificates sit among complete ones
+    # (q8) or stand alone (torsion, background).
+    PINNED_BUDGET_DIGESTS = {
+        ("torsion", "--n", "24", "--max-endo-letters", "50"):
+            "80110f20028dbd906831ef3a11223742c0c331cdfc59806a17fcfd1988921405",
+        ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "40"):
+            "e7797e5939aa15e248855f133ee780241a15e132971fdb6cf65e90f047dd2680",
+        ("background", "--n", "3", "--max-cosets", "5"):
+            "074271f43eb60a4a3742cc9d1518669eed1922f4bd521b40f82a26b591994656",
+    }
+
+    def test_budget_output_matches_pinned_digests(self, runner):
+        for (claim, *args), digest in self.PINNED_BUDGET_DIGESTS.items():
+            result = runner.invoke(
+                main, ["verify", "--claim", claim, *args, "--format", "machine"]
+            )
+            assert result.exit_code == 3, claim
+            assert result.stderr == "", claim
+            assert hashlib.sha256(result.output.encode()).hexdigest() == digest, claim
+
     def test_out_file(self, runner, tmp_path):
         target = tmp_path / "report.json"
         result = runner.invoke(
@@ -291,6 +312,15 @@ class TestSelftestCommand:
         )
         assert result.exit_code == 0
         assert "selftest PASS" in result.output
+
+    def test_default_machine_run_matches_pinned_digest(self, runner):
+        # the relation loop sends each sphere relator through both
+        # acts_trivially and sphere_endo
+        result = runner.invoke(main, ["selftest", "--format", "machine"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == (
+            "f1ea0781a04b94f5e262e39da8061471d3890b276c7086608b6edda8f4732f98"
+        )
 
 
 class TestConsoleEntryPoint:
