@@ -35,6 +35,7 @@ METHODS = (
     "axiom",
     "arithmetic",
     "coset-enumeration",
+    "budget",
 )
 
 

@@ -19,11 +19,24 @@ permuted generator, so the engine keeps each image as its conjugator W
 One braid letter then costs one free cancellation, at the junction of two
 reduced words (`_junction`); everything else is list slicing and
 concatenation.
+
+The disk action is memoized: `_artin_images` keeps its last three
+results, keyed on (strand_count, letters, budget).  The root identities
+behind the dicyclic and torsion certificates compare several words with
+one full twist, so one plan asks for the same action more than once;
+three is the smallest size that catches every repeat within a plan (at
+n = 3..30, 48 and 64; two misses torsion repeats).  The budget is part
+of the key, so a result is never returned under another budget, and a
+call over its budget raises BudgetExceededError, which is not cached.
+Every verification plan clears the memo when it starts and when it
+ends, so a plan never reuses another's work and holds no images after.
+Results are shared: callers read them and never change a stored list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .words import StrandCountMismatchError
 
@@ -161,7 +174,8 @@ def _conjugated(u: list[int], u_inv: list[int], v, budget: int | None):
     return u, r, C_inv
 
 
-def _artin_images(strand_count: int, letters, budget: int | None = None) -> list[tuple]:
+@lru_cache(maxsize=3)
+def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | None = None) -> list[tuple]:
     """Images of x_1..x_n under the word's action, in conjugator form.
 
     Entry j - 1 is (W, p, W^-1) for the image W x_p W^-1 of x_j, with W
@@ -169,6 +183,11 @@ def _artin_images(strand_count: int, letters, budget: int | None = None) -> list
     image of j.  Builds the composite right-to-left so each braid letter
     touches only two images.  No stored list is ever changed, so the
     identity images can share one empty list.
+
+    Memoized on (strand_count, letters, budget), the last three calls:
+    the fewest that catch every repeated word within one verification
+    plan.  A result, its entries and their lists are shared with every
+    later caller of the same key, so no caller may change them either.
     """
     empty: list[int] = []
     imgs: list[tuple] = [(empty, j, empty) for j in range(1, strand_count + 1)]

@@ -131,13 +131,6 @@ class _Enumeration:
         self.live = 1
         self.queue: list[int] = []
 
-    def col(self, letter: int) -> int:
-        g = abs(letter) - 1
-        return 2 * g if letter > 0 else 2 * g + 1
-
-    def inv_col(self, c: int) -> int:
-        return c ^ 1
-
     def rep(self, k: int) -> int:
         root = k
         while self.p[root] != root:
@@ -154,7 +147,7 @@ class _Enumeration:
         if self.live > self.max_cosets:
             raise _OverflowSignal
         self.table[alpha][c] = beta
-        self.table[beta][self.inv_col(c)] = alpha
+        self.table[beta][c ^ 1] = alpha
 
     def merge(self, a: int, b: int):
         a, b = self.rep(a), self.rep(b)
@@ -172,39 +165,40 @@ class _Enumeration:
                 f = self.table[e][c]
                 if f is None:
                     continue
-                self.table[f][self.inv_col(c)] = None
+                self.table[f][c ^ 1] = None
                 e1, f1 = self.rep(e), self.rep(f)
                 if self.table[e1][c] is not None:
                     self.merge(f1, self.table[e1][c])
-                elif self.table[f1][self.inv_col(c)] is not None:
-                    self.merge(e1, self.table[f1][self.inv_col(c)])
+                elif self.table[f1][c ^ 1] is not None:
+                    self.merge(e1, self.table[f1][c ^ 1])
                 else:
                     self.table[e1][c] = f1
-                    self.table[f1][self.inv_col(c)] = e1
+                    self.table[f1][c ^ 1] = e1
 
-    def scan_and_fill(self, alpha: int, word: tuple[int, ...]):
+    def scan_and_fill(self, alpha: int, cols: tuple[int, ...], inv_cols: tuple[int, ...]):
+        """Scan a relator from alpha, given as its columns and their inverse columns."""
+        table = self.table
         f, b = alpha, alpha
-        i, j = 0, len(word) - 1
+        i, j = 0, len(cols) - 1
         while True:
-            while i <= j and self.table[f][self.col(word[i])] is not None:
-                f = self.table[f][self.col(word[i])]
+            while i <= j and (e := table[f][cols[i]]) is not None:
+                f = e
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and self.table[b][self.inv_col(self.col(word[j]))] is not None:
-                b = self.table[b][self.inv_col(self.col(word[j]))]
+            while j >= i and (e := table[b][inv_cols[j]]) is not None:
+                b = e
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
-                c = self.col(word[i])
-                self.table[f][c] = b
-                self.table[b][self.inv_col(c)] = f
+                table[f][cols[i]] = b
+                table[b][inv_cols[i]] = f
                 return
-            self.define(f, self.col(word[i]))
+            self.define(f, cols[i])
 
 
 class _OverflowSignal(Exception):
@@ -220,7 +214,10 @@ def todd_coxeter(p: FinitePresentation, max_cosets: int) -> CayleyTable | Overfl
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    relators = [rel for rel in p.relators if rel]
+    # each relator as table columns, converted once: 2i for the generator
+    # i+1 and 2i+1 for its inverse, whose column is c ^ 1
+    relators = [tuple(2 * abs(k) - 2 + (k < 0) for k in rel) for rel in p.relators if rel]
+    scans = [(cols, tuple(c ^ 1 for c in cols)) for cols in relators]
     enum = _Enumeration(p.generator_count, max_cosets)
     try:
         alpha = 0
@@ -228,8 +225,8 @@ def todd_coxeter(p: FinitePresentation, max_cosets: int) -> CayleyTable | Overfl
             if enum.p[alpha] != alpha:
                 alpha += 1
                 continue
-            for rel in relators:
-                enum.scan_and_fill(alpha, rel)
+            for cols, inv_cols in scans:
+                enum.scan_and_fill(alpha, cols, inv_cols)
                 if enum.p[alpha] != alpha:
                     break
             if enum.p[alpha] == alpha:
@@ -248,10 +245,10 @@ def todd_coxeter(p: FinitePresentation, max_cosets: int) -> CayleyTable | Overfl
         tuple(index[enum.rep(enum.table[k][c])] for c in range(enum.ncols)) for k in live
     )
     for i in range(order):
-        for rel in relators:
+        for cols in relators:
             acc = i
-            for k in rel:
-                acc = action[acc][enum.col(k)]
+            for c in cols:
+                acc = action[acc][c]
             if acc != i:
                 raise RuntimeError("coset table failed relator verification")
 

@@ -11,7 +11,9 @@ in the quotient (y^2 = Delta^2, the relator elimination), so the trusted
 base of every step is as small as possible.
 
 Plans return INCONCLUSIVE certificates instead of raising when a
-configured budget (coset cap, endomorphism letter cap) runs out.
+configured budget (coset cap, endomorphism letter cap) runs out.  Each
+plan that computes Artin actions starts and ends with an empty disk-action
+memo (`freegroup._artin_images`), so it reuses only its own work.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import presentations, sphere
 from .certificates import ProofStep, Verdict, VerificationCertificate, make_certificate
-from .freegroup import BudgetExceededError
+from .freegroup import BudgetExceededError, _artin_images
 from .presentations import Overflow, presentation_library, todd_coxeter
 from .sphere import (
     DEFAULT_MAX_IMAGE_LETTERS,
@@ -41,7 +43,7 @@ def _budget_certificate(claim: str, n: int, reason: str) -> VerificationCertific
     step = ProofStep(
         id="budget",
         statement=f"computation aborted: {reason}",
-        method="arithmetic",
+        method="budget",
         ok=False,
         data={"n": n, "reason": reason},
     )
@@ -49,10 +51,13 @@ def _budget_certificate(claim: str, n: int, reason: str) -> VerificationCertific
 
 
 def _run_plan(claim: str, n: int, body) -> VerificationCertificate:
+    _artin_images.cache_clear()
     try:
         return body()
     except BudgetExceededError as exc:
         return _budget_certificate(claim, n, str(exc))
+    finally:
+        _artin_images.cache_clear()
 
 
 def verify_q8(

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from spherebraid.freegroup import EndoOnBasis, FreeWord, _extend
+from spherebraid.freegroup import EndoOnBasis, FreeWord, _artin_images, _extend
 
 
 def reduce(letters, rank: int) -> FreeWord:
@@ -34,3 +36,27 @@ def free_reduce():
 @pytest.fixture(scope="session")
 def compose_endos():
     return compose
+
+
+@pytest.fixture
+def artin_body_calls():
+    """((strand_count, letters, budget), result) for each call into the body
+    under the `_artin_images` memo, that is for each action computed, not
+    served from the memo; result is None for a call that raised.  The memo
+    starts empty and is emptied again afterwards."""
+    body = _artin_images.__wrapped__.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is body:
+            key = (frame.f_locals["strand_count"], frame.f_locals["letters"], frame.f_locals["budget"])
+            calls.append((key, arg))
+
+    _artin_images.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+        _artin_images.cache_clear()

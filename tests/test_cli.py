@@ -197,14 +197,15 @@ class TestVerifyCommand:
 
     # sha256 of `verify --format machine` for runs that hit a budget: each
     # exits 3, and its budget-abort certificates sit among complete ones
-    # (q8) or stand alone (torsion, background).
+    # (q8) or stand alone (torsion, background).  A budget-abort step has
+    # method "budget"; it had "arithmetic" when these were first pinned.
     PINNED_BUDGET_DIGESTS = {
         ("torsion", "--n", "24", "--max-endo-letters", "50"):
-            "80110f20028dbd906831ef3a11223742c0c331cdfc59806a17fcfd1988921405",
+            "e594bfc0ca672f494571f03e79395ca99d1d5d47cd53ceee5e0887cf1f908909",
         ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "40"):
-            "e7797e5939aa15e248855f133ee780241a15e132971fdb6cf65e90f047dd2680",
+            "8ac831ad9e07ece2a23d452db28382b9d51f29ffb05716d179f03d16141dedf4",
         ("background", "--n", "3", "--max-cosets", "5"):
-            "074271f43eb60a4a3742cc9d1518669eed1922f4bd521b40f82a26b591994656",
+            "cbf4fb71c7750445b443c441b20cc705f7d22db4d206bfa6630195190e93ead1",
     }
 
     def test_budget_output_matches_pinned_digests(self, runner):

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
+
+from spherebraid.cli import main
 
 from spherebraid.freegroup import (
     BudgetExceededError,
@@ -11,7 +14,9 @@ from spherebraid.freegroup import (
     artin_disk_endo,
     eq_Bn,
 )
-from spherebraid.selftest import random_word, rewrite_equivalent
+from spherebraid.selftest import random_word, rewrite_equivalent, run_cross_oracle
+from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS
+from spherebraid.theorems import DEFAULT_MAX_COSETS, PLANS
 from spherebraid.words import BraidWord, named_element, permutation
 
 
@@ -237,3 +242,33 @@ class TestEqBn:
 
         with pytest.raises(StrandCountMismatchError):
             eq_Bn(BraidWord(3, (1,)), BraidWord(4, (1,)))
+
+
+class TestArtinMemo:
+    def test_budget_is_part_of_the_key(self):
+        w = named_element("full_twist", 8)
+        _artin_images.cache_clear()
+        imgs = _artin_images(8, w.letters, DEFAULT_MAX_IMAGE_LETTERS)
+        assert _artin_images(8, w.letters, DEFAULT_MAX_IMAGE_LETTERS) is imgs
+        longest = max(2 * len(W) + 1 for W, _, _ in imgs)
+        for _ in range(2):  # a raise is not cached
+            with pytest.raises(BudgetExceededError):
+                _artin_images(8, w.letters, longest - 1)
+        assert _artin_images(8, w.letters, DEFAULT_MAX_IMAGE_LETTERS) is imgs
+
+    def test_no_caller_changes_a_shared_result(self, artin_body_calls):
+        for plan in PLANS.values():
+            for n in range(3, 9):
+                if n % 2 or not plan.odd:
+                    plan.run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
+        runner = CliRunner()
+        for n, word in ((3, "1 2 2 1"), (5, "1 2 -3 4 4 -1"), (6, named_element("alpha1", 6).to_text())):
+            for target in ("disk", "sphere", "sphere", "disk"):
+                args = ["act", "--n", str(n), "--word", word, "--target", target]
+                assert runner.invoke(main, args).exit_code == 0
+        # the relation loop sends each relator to acts_trivially, then to sphere_endo
+        assert run_cross_oracle(ns=(), relation_ns=range(3, 9)).relations_ok
+        computed = [(key, result) for key, result in artin_body_calls if result is not None]
+        assert len(computed) > 100
+        for key, result in computed:
+            assert result == _artin_images.__wrapped__(*key), key

@@ -4,6 +4,7 @@ import pytest
 
 from spherebraid import cli, garside, theorems
 from spherebraid.certificates import Verdict, to_json
+from spherebraid.freegroup import _artin_images
 from spherebraid.presentations import presentation_library, todd_coxeter
 from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, torsion_order
 from spherebraid.theorems import (
@@ -362,3 +363,59 @@ class TestEngineDisagreement:
         with pytest.raises(EngineDisagreementError) as excinfo:
             torsion_order(named_element("alpha0", 4), 8)
         assert any(entry.name == "_root_identity_steps" for entry in excinfo.traceback)
+
+    def test_disagreement_empties_the_artin_memo(self, lying_garside, artin_body_calls):
+        with pytest.raises(EngineDisagreementError):
+            verify_q8(4)
+        assert artin_body_calls
+        assert _artin_images.cache_info().currsize == 0
+
+
+def _runs_at(plan, n):
+    try:
+        plan.check_n(n)
+    except ValueError:
+        return False
+    return True
+
+
+# every plan at small n, where each branch of each plan runs, and at the
+# largest n of the benchmark's certify grid
+MEMO_GRID = [
+    (claim, n) for n in [*range(3, 13), 24] for claim, plan in PLANS.items() if _runs_at(plan, n)
+]
+
+
+class TestArtinMemo:
+    """The disk-action memo computes each action once per plan and lives only in it."""
+
+    def test_no_plan_computes_an_action_twice(self, artin_body_calls):
+        for claim, n in MEMO_GRID:
+            artin_body_calls.clear()
+            PLANS[claim].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
+            keys = [key for key, _ in artin_body_calls]
+            assert len(keys) == len(set(keys)), (claim, n)
+            assert _artin_images.cache_info().currsize == 0, (claim, n)
+
+    def test_a_plan_reuses_no_earlier_work(self, artin_body_calls):
+        # the memo holds the plan's own first actions when its replay
+        # starts, and the replay still computes every action
+        for claim, n in (("q8", 6), ("dicyclic", 8), ("torsion", 7), ("background", 5)):
+            artin_body_calls.clear()
+            cert = PLANS[claim].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
+            first = [key for key, _ in artin_body_calls]
+            for key in reversed(first[:3]):
+                _artin_images(*key)
+            artin_body_calls.clear()
+            assert replay_certificate(cert)
+            assert [key for key, _ in artin_body_calls] == first, (claim, n)
+
+    def test_budget_abort_empties_the_memo(self, artin_body_calls):
+        cert = verify_torsion_table(24, max_image_letters=100)
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        (step,) = cert.steps
+        assert (step.id, step.method, step.ok) == ("budget", "budget", False)
+        # the engine raised after computing actions that fit the budget
+        *fitted, (_, raised) = artin_body_calls
+        assert fitted and raised is None
+        assert _artin_images.cache_info().currsize == 0
