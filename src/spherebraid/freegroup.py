@@ -28,9 +28,10 @@ three is the smallest size that catches every repeat within a plan (at
 n = 3..30, 48 and 64; two misses torsion repeats).  The budget is part
 of the key, so a result is never returned under another budget, and a
 call over its budget raises BudgetExceededError, which is not cached.
-Every verification plan clears the memo when it starts and when it
-ends, so a plan never reuses another's work and holds no images after.
-Results are shared: callers read them and never change a stored list.
+`theorems._run_plan` empties the memo when a plan starts and when it
+ends, so a plan never reuses another's work and leaves no images
+behind; outside plans the memo holds at most three image sets.  Results
+are shared: callers read them and never change a stored list.
 """
 
 from __future__ import annotations

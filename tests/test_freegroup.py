@@ -5,7 +5,6 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from spherebraid.cli import main
-
 from spherebraid.freegroup import (
     BudgetExceededError,
     EndoOnBasis,
