@@ -206,6 +206,13 @@ class TestVerifyCommand:
             "8ac831ad9e07ece2a23d452db28382b9d51f29ffb05716d179f03d16141dedf4",
         ("background", "--n", "3", "--max-cosets", "5"):
             "cbf4fb71c7750445b443c441b20cc705f7d22db4d206bfa6630195190e93ead1",
+        # a coset cap hit in each plan that enumerates cosets
+        ("q8", "--n", "4", "--max-cosets", "5"):
+            "e08e73daebf2de4ad69e0c517bcc9be24660890717e4ffdc47394c69e15c0857",
+        ("dicyclic", "--n", "6", "--max-cosets", "5"):
+            "eaa5dc99f2ea900ac33af4003c151b8ff5e4a7d02580db196b146f7d958cf558",
+        ("background", "--n", "2", "--max-cosets", "1"):
+            "19d59216f16a701d21790fe6a3e5870673aa14e3cc99656614a0d5fb124c03af",
     }
 
     def test_budget_output_matches_pinned_digests(self, runner):
@@ -216,6 +223,17 @@ class TestVerifyCommand:
             assert result.exit_code == 3, claim
             assert result.stderr == "", claim
             assert hashlib.sha256(result.output.encode()).hexdigest() == digest, claim
+
+    def test_odd_q8_enumerates_no_cosets(self, runner):
+        # the odd branch certifies non-existence without coset enumeration,
+        # so even a cap of one coset completes
+        args = ["verify", "--claim", "q8", "--n", "5", "--max-cosets", "1", "--format", "machine"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert hashlib.sha256(result.output.encode()).hexdigest() == (
+            "72691b69748517b171b2527774d60f7a2349e5c3198f3cbe1ae0639b139ef301"
+        )
 
     def test_out_file(self, runner, tmp_path):
         target = tmp_path / "report.json"
