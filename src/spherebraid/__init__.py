@@ -9,7 +9,7 @@ realization of the quaternion and dicyclic groups inside B_n(S^2).
 
 __version__ = "0.1.0"
 
-from .certificates import AxiomId, ProofStep, Verdict, VerificationCertificate
+from .certificates import AXIOMS, AxiomId, ProofStep, Verdict, VerificationCertificate
 from .freegroup import (
     BudgetExceededError,
     EndoOnBasis,
@@ -30,7 +30,6 @@ from .presentations import (
     todd_coxeter,
 )
 from .sphere import (
-    AXIOMS,
     CenterDecision,
     acts_trivially,
     eq_mod_center,

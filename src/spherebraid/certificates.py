@@ -3,9 +3,9 @@
 A certificate is a topologically ordered DAG of steps.  Each step is
 either exact (decided by an equality engine or direct computation) or
 axiom-backed, in which case it names the classical statements it rests
-on.  The axiom ledger of a certificate is exactly the union of the
-axioms cited by its steps, so a reader can see at a glance what has to
-be trusted beyond the computations.
+on, from the catalog AXIOMS.  The axiom ledger of a certificate is
+exactly the union of the axioms cited by its steps, so a reader can see
+at a glance what has to be trusted beyond the computations.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class Verdict(str, Enum):
     # certificate proves there is none.  Distinct from REFUTED so that the
     # exit status of a run can treat it as the expected outcome.
     REFUTED_REALIZATION = "REFUTED-realization"
-    NOT_APPLICABLE = "NOT_APPLICABLE"
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
@@ -46,6 +45,42 @@ class AxiomId:
     id: str
     statement: str
     source: str
+
+
+AXIOMS: dict[str, AxiomId] = {
+    "A1": AxiomId(
+        "A1",
+        "For n >= 3 the kernel of the outer action of the n-strand sphere braid "
+        "group on the fundamental group of the n-punctured sphere is exactly "
+        "{1, Delta^2}.",
+        "classical surface mapping class group theory (Magnus; Gillette-Van Buskirk)",
+    ),
+    "A2": AxiomId(
+        "A2",
+        "For n >= 3 the full twist Delta^2 is the unique element of order 2 in the "
+        "n-strand sphere braid group.",
+        "classical sphere braid group theory (Fadell-Van Buskirk; Gillette-Van Buskirk)",
+    ),
+    "A3": AxiomId(
+        "A3",
+        "For n >= 3 the full twist Delta^2 generates the centre of the n-strand "
+        "sphere braid group and has order exactly 2.",
+        "classical sphere braid group theory (Gillette-Van Buskirk)",
+    ),
+    "A4": AxiomId(
+        "A4",
+        "The action of the n-strand braid group of the disk on the free group of "
+        "rank n is faithful.",
+        "Artin (1925/1947)",
+    ),
+    "A5": AxiomId(
+        "A5",
+        "Every torsion element of the n-strand sphere braid group (n >= 3) is a "
+        "conjugate of a power of one of the canonical roots of the full twist, of "
+        "orders 2n, 2(n-1) and 2(n-2) respectively.",
+        "Murasugi (1982), Seifert fibre spaces and braid groups",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -123,14 +158,12 @@ def make_certificate(
     flags: dict | None = None,
 ) -> VerificationCertificate:
     """Assemble a certificate, deriving the axiom ledger from the steps."""
-    from .sphere import AXIOMS
-
     steps = tuple(steps)
     cited = sorted({a for step in steps for a in step.axioms})
     ledger = tuple(AXIOMS[a] for a in cited)
     return VerificationCertificate(claim, n, verdict, steps, flags or {}, ledger)
 
 
-def to_json(obj, indent: int | None = 2) -> str:
-    """Deterministic JSON: sorted keys, fixed layout, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=indent) + "\n"
+def to_json(obj) -> str:
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -2,15 +2,14 @@
 
 Exit codes: 0 when every claim reaches its expected verdict class
 (VERIFIED, or REFUTED-realization for the odd quaternion cases), 1 when
-a claim is refuted or not applicable, 3 when a budget ran out
-(INCONCLUSIVE), 2 on usage or internal errors.  Reports go to stdout,
-diagnostics to stderr; nothing is written to disk unless --out is given.
+a claim is refuted, 3 when a budget ran out (INCONCLUSIVE), 2 on usage
+or internal errors.  Reports go to stdout, diagnostics to stderr;
+nothing is written to disk unless --out is given.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -28,34 +27,6 @@ EXIT_INCONCLUSIVE = 3
 CLAIMS = tuple(theorems.PLANS)
 
 _EXPECTED = {Verdict.VERIFIED, Verdict.REFUTED_REALIZATION}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one verify run."""
-
-    command: str
-    claim: str
-    n_values: tuple[int, ...]
-    output_format: str
-    max_cosets: int
-    max_endo_letters: int
-
-    def __post_init__(self):
-        if not self.n_values:
-            raise click.UsageError("the n-range is empty")
-        if self.max_cosets < 1 or self.max_endo_letters < 1:
-            raise click.UsageError("budgets must be positive")
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "claim": self.claim,
-            "n_values": list(self.n_values),
-            "format": self.output_format,
-            "max_cosets": self.max_cosets,
-            "max_endo_letters": self.max_endo_letters,
-        }
 
 
 def parse_word(text: str, n: int) -> BraidWord:
@@ -117,9 +88,17 @@ def main():
 @click.option("--from", "n_from", type=int, default=None)
 @click.option("--to", "n_to", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(("text", "machine")), default="text")
-@click.option("--max-cosets", type=int, default=theorems.DEFAULT_MAX_COSETS, show_default=True)
 @click.option(
-    "--max-endo-letters", type=int, default=theorems.DEFAULT_MAX_IMAGE_LETTERS, show_default=True
+    "--max-cosets",
+    type=click.IntRange(min=1),
+    default=theorems.DEFAULT_MAX_COSETS,
+    show_default=True,
+)
+@click.option(
+    "--max-endo-letters",
+    type=click.IntRange(min=1),
+    default=theorems.DEFAULT_MAX_IMAGE_LETTERS,
+    show_default=True,
 )
 @click.option("--out", type=click.File("w"), default=None)
 @click.pass_context
@@ -131,13 +110,19 @@ def verify(ctx, claim, n, n_from, n_to, fmt, max_cosets, max_endo_letters, out):
         values = [v for v in values if v % 2 == 1]
         if not values:
             raise click.UsageError(f"{claim} needs at least one odd n in the range")
-    config = RunConfig("verify", claim, tuple(values), fmt, max_cosets, max_endo_letters)
     certs = [plan.run(m, max_cosets, max_endo_letters) for m in values]
 
     if fmt == "machine":
         doc = {
             "tool_version": __version__,
-            "config": config.as_dict(),
+            "config": {
+                "command": "verify",
+                "claim": claim,
+                "n_values": values,
+                "format": fmt,
+                "max_cosets": max_cosets,
+                "max_endo_letters": max_endo_letters,
+            },
             "certificates": [c.as_dict() for c in certs],
         }
         _emit(to_json(doc), out)
@@ -180,7 +165,10 @@ def normal_form_cmd(n, word_text, fmt, out):
 @click.option("--word", "word_text", type=str, required=True)
 @click.option("--target", type=click.Choice(("disk", "sphere")), default="disk", show_default=True)
 @click.option(
-    "--max-endo-letters", type=int, default=theorems.DEFAULT_MAX_IMAGE_LETTERS, show_default=True
+    "--max-endo-letters",
+    type=click.IntRange(min=1),
+    default=theorems.DEFAULT_MAX_IMAGE_LETTERS,
+    show_default=True,
 )
 @click.option("--format", "fmt", type=click.Choice(("text", "machine")), default="text")
 @click.option("--out", type=click.File("w"), default=None)
@@ -223,8 +211,8 @@ def act(ctx, n, word_text, target, max_endo_letters, fmt, out):
 @main.command()
 @click.option("--from", "n_from", type=int, default=3, show_default=True)
 @click.option("--to", "n_to", type=int, default=7, show_default=True)
-@click.option("--pairs", type=int, default=1000, show_default=True)
-@click.option("--max-len", type=int, default=40, show_default=True)
+@click.option("--pairs", type=click.IntRange(min=0), default=1000, show_default=True)
+@click.option("--max-len", type=click.IntRange(min=0), default=40, show_default=True)
 @click.option("--seed", type=int, default=20240801, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(("text", "machine")), default="text")
 @click.option("--out", type=click.File("w"), default=None)

@@ -298,7 +298,3 @@ def is_cyclic_subgroup(t: CayleyTable, elements) -> bool:
         len(elems) == t.element_order(a) and set(subgroup_closure(t, [a])) == elems
         for a in elems
     )
-
-
-def abelianization_order(t: CayleyTable) -> int:
-    return t.order // len(derived_subgroup(t))

@@ -21,6 +21,10 @@ from .sphere import DEFAULT_MAX_IMAGE_LETTERS, CenterDecision, acts_trivially, s
 from .presentations import presentation_library
 from .words import BraidWord
 
+EQUIVALENT_FRACTION = 0.3  # share of the pairs made equivalent on purpose
+REWRITE_MOVES = 12  # random moves per equivalent rewrite
+RELATION_NS = range(3, 9)  # n at which the sphere relations are checked
+
 
 def random_word(n: int, max_len: int, rng: random.Random) -> BraidWord:
     length = rng.randint(0, max_len)
@@ -30,11 +34,11 @@ def random_word(n: int, max_len: int, rng: random.Random) -> BraidWord:
     return BraidWord(n, letters)
 
 
-def rewrite_equivalent(w: BraidWord, rng: random.Random, moves: int = 12) -> BraidWord:
+def rewrite_equivalent(w: BraidWord, rng: random.Random) -> BraidWord:
     """A different word for the same braid group element."""
     n = w.strand_count
     letters = list(w.letters)
-    for _ in range(moves):
+    for _ in range(REWRITE_MOVES):
         kind = rng.randrange(4)
         if kind == 0:
             # insert a free inverse pair
@@ -101,9 +105,6 @@ def run_cross_oracle(
     pairs: int = 1000,
     max_len: int = 40,
     seed: int = 20240801,
-    equivalent_fraction: float = 0.3,
-    relation_ns=range(3, 9),
-    max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> SelftestReport:
     report = SelftestReport()
     for n in ns:
@@ -111,12 +112,12 @@ def run_cross_oracle(
         equal_count = 0
         for k in range(pairs):
             w = random_word(n, max_len, rng)
-            if rng.random() < equivalent_fraction:
+            if rng.random() < EQUIVALENT_FRACTION:
                 v = rewrite_equivalent(w, rng)
             else:
                 v = random_word(n, max_len, rng)
             g = garside.equal_Bn(w, v)
-            a = freegroup.eq_Bn(w, v, max_image_letters)
+            a = freegroup.eq_Bn(w, v, DEFAULT_MAX_IMAGE_LETTERS)
             if g != a:
                 report.mismatches.append(
                     {"n": n, "w": w.to_text(), "v": v.to_text(), "garside": g, "artin": a}
@@ -125,17 +126,17 @@ def run_cross_oracle(
                 equal_count += 1
         report.pairs_per_n[n] = pairs
         report.equal_pairs_per_n[n] = equal_count
-    for n in relation_ns:
+    for n in RELATION_NS:
         pres = presentation_library("sphere_braid", n)
         for rel in pres.relators:
             word = BraidWord(n, rel)
-            if acts_trivially(word, max_image_letters) is not CenterDecision.InCenterSet:
+            if acts_trivially(word, DEFAULT_MAX_IMAGE_LETTERS) is not CenterDecision.InCenterSet:
                 report.relations_ok = False
             # relators that already hold in B_n (the two braid families)
             # must act as the exact identity endomorphism; the surface
             # relator is trivial only up to conjugation
             if garside.equal_Bn(word, BraidWord(n)):
-                if not sphere_endo(word, max_image_letters).is_identity():
+                if not sphere_endo(word, DEFAULT_MAX_IMAGE_LETTERS).is_identity():
                     report.relations_ok = False
         report.relations_checked[n] = len(pres.relators)
     return report

@@ -25,11 +25,12 @@ with cheap invariants to pin exact element orders.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from enum import Enum
 import math
 
 from . import freegroup, garside
-from .certificates import AxiomId, ProofStep, Verdict, VerificationCertificate, make_certificate
+from .certificates import ProofStep, Verdict, VerificationCertificate, make_certificate
 from .freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _artin_images, _extend, _inv
 from .words import (
     BraidWord,
@@ -74,42 +75,6 @@ def _exact_step(step_id, statement, pairs, budget) -> ProofStep:
             "equal": ok,
         },
     )
-
-
-AXIOMS: dict[str, AxiomId] = {
-    "A1": AxiomId(
-        "A1",
-        "For n >= 3 the kernel of the outer action of the n-strand sphere braid "
-        "group on the fundamental group of the n-punctured sphere is exactly "
-        "{1, Delta^2}.",
-        "classical surface mapping class group theory (Magnus; Gillette-Van Buskirk)",
-    ),
-    "A2": AxiomId(
-        "A2",
-        "For n >= 3 the full twist Delta^2 is the unique element of order 2 in the "
-        "n-strand sphere braid group.",
-        "classical sphere braid group theory (Fadell-Van Buskirk; Gillette-Van Buskirk)",
-    ),
-    "A3": AxiomId(
-        "A3",
-        "For n >= 3 the full twist Delta^2 generates the centre of the n-strand "
-        "sphere braid group and has order exactly 2.",
-        "classical sphere braid group theory (Gillette-Van Buskirk)",
-    ),
-    "A4": AxiomId(
-        "A4",
-        "The action of the n-strand braid group of the disk on the free group of "
-        "rank n is faithful.",
-        "Artin (1925/1947)",
-    ),
-    "A5": AxiomId(
-        "A5",
-        "Every torsion element of the n-strand sphere braid group (n >= 3) is a "
-        "conjugate of a power of one of the canonical roots of the full twist, of "
-        "orders 2n, 2(n-1) and 2(n-2) respectively.",
-        "Murasugi (1982), Seifert fibre spaces and braid groups",
-    ),
-}
 
 
 class CenterDecision(Enum):
@@ -315,14 +280,12 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
         sq = square_rule(half_word, max_image_letters)
         if sq is not None:
             steps.append(
-                ProofStep(
+                replace(
+                    sq,
                     id=f"{prefix}root",
                     statement=sq.statement
                     + f"; in particular [{w.to_text()}]^{k} = Delta^2 in B_{n}(S^2)",
-                    method="square-rule",
                     depends_on=(f"{prefix}modc",),
-                    axioms=sq.axioms,
-                    data=sq.data,
                 )
             )
             return steps, False

@@ -10,10 +10,11 @@ sphere-level reasoning appears only where the identity genuinely lives
 in the quotient (y^2 = Delta^2, the relator elimination), so the trusted
 base of every step is as small as possible.
 
-Plans return INCONCLUSIVE certificates instead of raising when a
-configured budget (coset cap, endomorphism letter cap) runs out.  Each
-plan that computes Artin actions starts and ends with an empty disk-action
-memo (`freegroup._artin_images`), so it reuses only its own work.
+Every plan runs through `_run_plan`, which checks n, makes the certificate
+and returns it INCONCLUSIVE instead of raising when a configured budget
+(coset cap, endomorphism letter cap) runs out.  Each plan starts and ends
+with an empty disk-action memo (`freegroup._artin_images`), so it reuses
+only its own work.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple
 from . import presentations, sphere
 from .certificates import ProofStep, Verdict, VerificationCertificate, make_certificate
 from .freegroup import BudgetExceededError, _artin_images
-from .presentations import Overflow, presentation_library, todd_coxeter
+from .presentations import CayleyTable, Overflow, presentation_library, todd_coxeter
 from .sphere import (
     DEFAULT_MAX_IMAGE_LETTERS,
     CenterDecision,
@@ -34,30 +35,56 @@ from .sphere import (
     square_rule,
     torsion_order,
 )
-from .words import BraidWord, mirror, named_element, permutation, xi
+from .words import BraidWord, Permutation, mirror, named_element, permutation, xi
 
 DEFAULT_MAX_COSETS = 10_000
 
 
-def _budget_certificate(claim: str, n: int, reason: str) -> VerificationCertificate:
-    step = ProofStep(
-        id="budget",
-        statement=f"computation aborted: {reason}",
-        method="budget",
-        ok=False,
-        data={"n": n, "reason": reason},
-    )
-    return make_certificate(claim, n, Verdict.INCONCLUSIVE, [step])
+def _run_plan(key: str, n: int, body: Callable[[], tuple]) -> VerificationCertificate:
+    """Certify the (verdict, steps, flags) that the body of PLANS[key] returns at n.
 
-
-def _run_plan(claim: str, n: int, body) -> VerificationCertificate:
+    A budget that runs out anywhere in the body gives the one-step
+    INCONCLUSIVE certificate naming the reason.
+    """
+    plan = PLANS[key]
+    plan.check_n(n)
     _artin_images.cache_clear()
     try:
-        return body()
+        verdict, steps, flags = body()
     except BudgetExceededError as exc:
-        return _budget_certificate(claim, n, str(exc))
+        reason = str(exc)
+        step = ProofStep(
+            id="budget",
+            statement=f"computation aborted: {reason}",
+            method="budget",
+            ok=False,
+            data={"n": n, "reason": reason},
+        )
+        verdict, steps, flags = Verdict.INCONCLUSIVE, [step], None
     finally:
         _artin_images.cache_clear()
+    return make_certificate(plan.claim, n, verdict, steps, flags)
+
+
+def _verdict(steps: list[ProofStep]) -> Verdict:
+    return Verdict.VERIFIED if all(s.ok for s in steps) else Verdict.REFUTED
+
+
+def _enumerate(name: str, n: int, max_cosets: int, where: str = "") -> CayleyTable:
+    """The library presentation's group; raises BudgetExceededError at the coset cap."""
+    tc = todd_coxeter(presentation_library(name, n), max_cosets)
+    if isinstance(tc, Overflow):
+        raise BudgetExceededError(f"coset cap {max_cosets} hit{where}")
+    return tc
+
+
+def _powers(g: Permutation, count: int) -> list[list[int]]:
+    """The images of g^0, .., g^(count-1)."""
+    powers, p = [], Permutation.identity(len(g.images))
+    for _ in range(count):
+        powers.append(list(p.images))
+        p = p * g
+    return powers
 
 
 def verify_q8(
@@ -73,18 +100,14 @@ def verify_q8(
     REFUTED-realization (certified non-existence) when that argument
     holds, REFUTED otherwise.
     """
-    PLANS["q8"].check_n(n)
-    claim = "q8-subgroup"
-    if n % 2 == 1:
-        obstruction = verify_odd_obstruction(n)
-        verdict = (
-            Verdict.REFUTED_REALIZATION
-            if obstruction.verdict is Verdict.VERIFIED
-            else Verdict.REFUTED
-        )
-        return make_certificate(claim, n, verdict, obstruction.steps, {"in_commutator": False})
 
-    def body() -> VerificationCertificate:
+    def body() -> tuple:
+        if n % 2 == 1:
+            steps = _odd_obstruction_steps(n)
+            verdict = _verdict(steps)
+            if verdict is Verdict.VERIFIED:
+                verdict = Verdict.REFUTED_REALIZATION
+            return verdict, steps, {"in_commutator": False}
         x = named_element("half_twist", n)
         y = named_element("bipolar_twist", n)
         delta2 = named_element("full_twist", n)
@@ -123,11 +146,7 @@ def verify_q8(
             data={"n": n},
         )
         perm_y = permutation(y)
-        perms_x = []
-        acc = BraidWord(n)
-        for _ in range(4):
-            perms_x.append(list(permutation(acc).images))
-            acc = acc * x
+        perms_x = _powers(permutation(x), 4)
         separated = list(perm_y.images) not in perms_x
         s5 = ProofStep(
             id="s5",
@@ -138,9 +157,7 @@ def verify_q8(
             depends_on=("s4",),
             data={"n": n, "perm_y": list(perm_y.images), "perms_x_powers": perms_x},
         )
-        tc = todd_coxeter(presentation_library("q8"), max_cosets)
-        if isinstance(tc, Overflow):
-            return _budget_certificate(claim, n, f"coset cap {max_cosets} hit on q8")
+        tc = _enumerate("q8", 0, max_cosets, " on q8")
         s6 = ProofStep(
             id="s6",
             statement=f"x and y satisfy the quaternion relations (s1, s2, s3), so the "
@@ -190,15 +207,22 @@ def verify_q8(
                 data={"n": n, "xi_x": [xi_x.value, xi_x.modulus]},
             )
         steps.append(s7)
-        verdict = Verdict.VERIFIED if all(s.ok for s in steps) else Verdict.REFUTED
-        return make_certificate(claim, n, verdict, steps, {"in_commutator": in_commutator})
+        return _verdict(steps), steps, {"in_commutator": in_commutator}
 
-    return _run_plan(claim, n, body)
+    return _run_plan("q8", n, body)
 
 
 def verify_odd_obstruction(n: int) -> VerificationCertificate:
     """The non-existence of a quaternion subgroup for odd n, as a VERIFIED claim."""
-    PLANS["odd-obstruction"].check_n(n)
+
+    def body() -> tuple:
+        steps = _odd_obstruction_steps(n)
+        return _verdict(steps), steps, None
+
+    return _run_plan("odd-obstruction", n, body)
+
+
+def _odd_obstruction_steps(n: int) -> list[ProofStep]:
     a1 = named_element("alpha1", n)
     half = (n - 1) // 2
     modulus = 2 * (n - 1)
@@ -251,9 +275,7 @@ def verify_odd_obstruction(n: int) -> VerificationCertificate:
         depends_on=("o1", "o2", "o3"),
         data={"n": n},
     )
-    steps = [o1, o2, o3, o4]
-    verdict = Verdict.VERIFIED if all(s.ok for s in steps) else Verdict.REFUTED
-    return make_certificate("odd-obstruction", n, verdict, steps)
+    return [o1, o2, o3, o4]
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -266,10 +288,8 @@ def verify_dicyclic(
     max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> VerificationCertificate:
     """The cycle word and the half twist generate a dicyclic group of order 4n."""
-    PLANS["dicyclic"].check_n(n)
-    claim = "dicyclic-subgroup"
 
-    def body() -> VerificationCertificate:
+    def body() -> tuple:
         a = named_element("alpha0", n)
         x = named_element("half_twist", n)
         delta2 = named_element("full_twist", n)
@@ -322,11 +342,7 @@ def verify_dicyclic(
             axioms=("A3",),
             data={"n": n, "permutation": list(perm_a.images), "order": 2 * n},
         )
-        cycle_powers = []
-        p = permutation(BraidWord(n))
-        for _ in range(n):
-            cycle_powers.append(list(p.images))
-            p = p * perm_a
+        cycle_powers = _powers(perm_a, n)
         perm_x = permutation(x)
         separated = list(perm_x.images) not in cycle_powers
         d5 = ProofStep(
@@ -339,9 +355,7 @@ def verify_dicyclic(
             depends_on=("d4",),
             data={"n": n, "perm_x": list(perm_x.images), "cycle_powers": cycle_powers},
         )
-        tc = todd_coxeter(presentation_library("dicyclic", n), max_cosets)
-        if isinstance(tc, Overflow):
-            return _budget_certificate(claim, n, f"coset cap {max_cosets} hit on dicyclic({n})")
+        tc = _enumerate("dicyclic", n, max_cosets, f" on dicyclic({n})")
         d6 = ProofStep(
             id="d6",
             statement=f"a and x satisfy the dicyclic relations (d1, d2, d3b), so the subgroup "
@@ -372,12 +386,9 @@ def verify_dicyclic(
                     data={"n": n},
                 )
             )
-        verdict = Verdict.VERIFIED if all(s.ok for s in steps) else Verdict.REFUTED
-        return make_certificate(
-            claim, n, verdict, steps, {"generalized_quaternion": gen_quat, "order": 4 * n}
-        )
+        return _verdict(steps), steps, {"generalized_quaternion": gen_quat, "order": 4 * n}
 
-    return _run_plan(claim, n, body)
+    return _run_plan("dicyclic", n, body)
 
 
 def verify_torsion_table(
@@ -386,10 +397,8 @@ def verify_torsion_table(
     max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> VerificationCertificate:
     """Orders of the three canonical torsion elements: 2n, 2(n-1), 2(n-2)."""
-    PLANS["torsion"].check_n(n)
-    claim = "torsion-orders"
 
-    def body() -> VerificationCertificate:
+    def body() -> tuple:
         steps: list[ProofStep] = []
         a5_backed: list[str] = []
         orders: dict[str, int] = {}
@@ -405,11 +414,9 @@ def verify_torsion_table(
                 a5_backed.append(name)
             steps.extend(sub.steps)
         verdict = Verdict.VERIFIED if all_ok else Verdict.INCONCLUSIVE
-        return make_certificate(
-            claim, n, verdict, steps, {"orders": orders, "a5_backed": a5_backed}
-        )
+        return verdict, steps, {"orders": orders, "a5_backed": a5_backed}
 
-    return _run_plan(claim, n, body)
+    return _run_plan("torsion", n, body)
 
 
 def verify_background(
@@ -418,15 +425,11 @@ def verify_background(
     max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> VerificationCertificate:
     """The finite sphere braid groups and the half-twist conjugation identities."""
-    PLANS["background"].check_n(n)
-    claim = "background"
 
-    def body() -> VerificationCertificate:
+    def body() -> tuple:
         steps: list[ProofStep] = []
         if n == 2:
-            tc = todd_coxeter(presentation_library("sphere_braid", 2), max_cosets)
-            if isinstance(tc, Overflow):
-                return _budget_certificate(claim, n, f"coset cap {max_cosets} hit")
+            tc = _enumerate("sphere_braid", 2, max_cosets)
             steps.append(
                 ProofStep(
                     id="b1",
@@ -442,16 +445,13 @@ def verify_background(
                     },
                 )
             )
-            verdict = Verdict.VERIFIED if all(s.ok for s in steps) else Verdict.REFUTED
-            return make_certificate(claim, n, verdict, steps)
+            return _verdict(steps), steps, None
 
         if n == 3:
-            tc = todd_coxeter(presentation_library("sphere_braid", 3), max_cosets)
-            if isinstance(tc, Overflow):
-                return _budget_certificate(claim, n, f"coset cap {max_cosets} hit")
+            tc = _enumerate("sphere_braid", 3, max_cosets)
             der = presentations.derived_subgroup(tc)
             cyclic = presentations.is_cyclic_subgroup(tc, der)
-            ab_order = presentations.abelianization_order(tc)
+            ab_order = tc.order // len(der)
             involutions = tc.involution_count()
             steps.append(
                 ProofStep(
@@ -509,10 +509,9 @@ def verify_background(
                 max_image_letters,
             )
         )
-        verdict = Verdict.VERIFIED if all(s.ok for s in steps) else Verdict.REFUTED
-        return make_certificate(claim, n, verdict, steps)
+        return _verdict(steps), steps, None
 
-    return _run_plan(claim, n, body)
+    return _run_plan("background", n, body)
 
 
 class Plan(NamedTuple):

@@ -5,7 +5,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from spherebraid import theorems
+from spherebraid import cli, theorems
 from spherebraid.cli import main, parse_word
 from spherebraid.words import BraidWord, named_element, permutation
 
@@ -340,6 +340,41 @@ class TestSelftestCommand:
         assert hashlib.sha256(result.output.encode()).hexdigest() == (
             "f1ea0781a04b94f5e262e39da8061471d3890b276c7086608b6edda8f4732f98"
         )
+
+
+class TestOptionRanges:
+    """Numeric options are checked where they are declared: budgets >= 1, counts >= 0."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--claim", "q8", "--n", "4", "--max-endo-letters", "0"],
+            ["act", "--n", "4", "--word", "", "--max-endo-letters", "0"],
+            ["act", "--n", "4", "--word", "1 2", "--max-endo-letters", "-5"],
+            ["selftest", "--pairs", "-1"],
+            ["selftest", "--max-len", "-1"],
+        ],
+        ids=["verify-letters-0", "act-empty-word-0", "act-letters-neg", "pairs-neg", "max-len-neg"],
+    )
+    def test_out_of_range_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Invalid value for '--" in result.stderr
+
+    def test_run_reports_the_range(self, capsys):
+        assert cli.run(["selftest", "--pairs", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Invalid value for '--pairs': -1 is not in the range x>=0.\n"
+        )
+
+    def test_zero_counts_are_allowed(self, runner):
+        args = ["selftest", "--from", "3", "--to", "3", "--pairs", "0", "--max-len", "0"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output.startswith("n=3: 0 pairs")
 
 
 class TestConsoleEntryPoint:

@@ -4,7 +4,6 @@ from spherebraid.presentations import (
     FinitePresentation,
     Overflow,
     PresentationError,
-    abelianization_order,
     derived_subgroup,
     is_cyclic_subgroup,
     presentation_library,
@@ -213,13 +212,13 @@ class TestSubgroupHelpers:
         der = derived_subgroup(t)
         assert len(der) == 3
         assert is_cyclic_subgroup(t, der)
-        assert abelianization_order(t) == 4
+        assert t.order // len(der) == 4  # the abelianization
 
     def test_q8_derived_is_center(self):
         t = todd_coxeter(presentation_library("q8"), 100)
         der = derived_subgroup(t)
         assert len(der) == 2
-        assert abelianization_order(t) == 4
+        assert t.order // len(der) == 4  # the abelianization
 
     def test_subgroup_closure(self):
         t = todd_coxeter(presentation_library("q8"), 100)

@@ -3,12 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherebraid.certificates import Verdict
+from spherebraid.certificates import AXIOMS, Verdict
 from spherebraid.freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _extend, _inv
 from spherebraid.presentations import presentation_library
 from spherebraid.selftest import random_word
 from spherebraid.sphere import (
-    AXIOMS,
     CenterDecision,
     acts_trivially,
     eq_mod_center,
