@@ -224,6 +224,32 @@ class TestVerifyCommand:
             assert result.stderr == "", claim
             assert hashlib.sha256(result.output.encode()).hexdigest() == digest, claim
 
+    # sha256 of `verify --format text`, the one report that lists each
+    # certificate's cited axioms; the last two runs hit a budget and exit 3.
+    PINNED_TEXT_DIGESTS = {
+        ("q8", "--from", "3", "--to", "12"):
+            (0, "62335b4e648d611bdcabdff2af6773fdd9a1c6bc5242c567f3a8a0f02debeaa3"),
+        ("dicyclic", "--from", "3", "--to", "12"):
+            (0, "f7deaf09426fc20d9cb54d1bfe55d8e51f5afc19b4b2b96cede72818c093c77c"),
+        ("torsion", "--from", "3", "--to", "12"):
+            (0, "d650bae54b839cc90875e7b261e90d2ccbba9ad138ee59e357eed1219a50ea3a"),
+        ("background", "--from", "2", "--to", "12"):
+            (0, "70e4969f671ddbc6a524538eb30c57eebf5a4934b1dfbfe5e55d9a16863bd64d"),
+        ("odd-obstruction", "--from", "3", "--to", "13"):
+            (0, "cb4b009dfcc2404b3fe835caffb5512735109c4370c37b58be729cf28a0f82b2"),
+        ("torsion", "--n", "24", "--max-endo-letters", "50"):
+            (3, "e83ccc289d7e486dedb284feef7c5ab302549ca329e280d70620f493d73e7460"),
+        ("q8", "--n", "4", "--max-cosets", "5"):
+            (3, "436205eb68bcbd6c5740e464d8b223c71c513afa32a5f8e36c940a69fa8893b6"),
+    }
+
+    def test_text_output_matches_pinned_digests(self, runner):
+        for (claim, *args), (code, digest) in self.PINNED_TEXT_DIGESTS.items():
+            result = runner.invoke(main, ["verify", "--claim", claim, *args, "--format", "text"])
+            assert result.exit_code == code, claim
+            assert result.stderr == "", claim
+            assert hashlib.sha256(result.output.encode()).hexdigest() == digest, claim
+
     def test_odd_q8_enumerates_no_cosets(self, runner):
         # the odd branch certifies non-existence without coset enumeration,
         # so even a cap of one coset completes
@@ -265,6 +291,16 @@ class TestActCommand:
             main, ["act", "--n", "6", "--word", word, "--max-endo-letters", "10"]
         )
         assert result.exit_code == 3
+
+    def test_budget_exit_3_through_run(self, capsys):
+        word = " ".join(["1 2 3 4 5"] * 40)
+        assert cli.run(["act", "--n", "6", "--word", word, "--max-endo-letters", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "budget exhausted: endomorphism image exceeded 10 letters; "
+            "raise the budget to continue\n"
+        )
 
     @staticmethod
     def _sphere_words(n):
@@ -340,6 +376,27 @@ class TestSelftestCommand:
         assert hashlib.sha256(result.output.encode()).hexdigest() == (
             "f1ea0781a04b94f5e262e39da8061471d3890b276c7086608b6edda8f4732f98"
         )
+
+
+    # a pair of 120-letter words at n = 3 whose disk action outgrows the
+    # default image budget
+    BUDGET_ARGS = ["selftest", "--from", "3", "--to", "3", "--pairs", "5", "--max-len", "120"]
+    BUDGET_MESSAGE = (
+        "budget exhausted: endomorphism image exceeded 1000000 letters; "
+        "raise the budget to continue\n"
+    )
+
+    def test_budget_exit_3(self, runner):
+        result = runner.invoke(main, self.BUDGET_ARGS)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == self.BUDGET_MESSAGE
+
+    def test_budget_exit_3_through_run(self, capsys):
+        assert cli.run(self.BUDGET_ARGS) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.BUDGET_MESSAGE
 
 
 class TestOptionRanges:
