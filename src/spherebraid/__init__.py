@@ -25,12 +25,10 @@ from .garside import (
 from .presentations import (
     CayleyTable,
     FinitePresentation,
-    Overflow,
     presentation_library,
     todd_coxeter,
 )
 from .sphere import (
-    CenterDecision,
     acts_trivially,
     eq_mod_center,
     relator_trivializes,

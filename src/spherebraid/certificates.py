@@ -96,6 +96,8 @@ class ProofStep:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown step method {self.method!r}")
+        if not set(self.axioms) <= AXIOMS.keys():
+            raise ValueError(f"unknown axiom in {self.axioms!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -116,9 +118,10 @@ class VerificationCertificate:
     verdict: Verdict
     steps: tuple[ProofStep, ...]
     flags: dict = field(default_factory=dict)
-    axiom_ledger: tuple[AxiomId, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.steps, tuple):
+            object.__setattr__(self, "steps", tuple(self.steps))
         seen: set[str] = set()
         for step in self.steps:
             for dep in step.depends_on:
@@ -127,14 +130,16 @@ class VerificationCertificate:
                         f"step {step.id} depends on {dep}, which does not precede it"
                     )
             seen.add(step.id)
-        cited = sorted({a for step in self.steps for a in step.axioms})
-        if [ax.id for ax in self.axiom_ledger] != cited:
-            raise ValueError("axiom ledger must equal the union of step axioms")
         if self.verdict is Verdict.VERIFIED and not all(s.ok for s in self.steps):
             raise ValueError("a VERIFIED certificate cannot contain a failed step")
 
+    @property
+    def axiom_ledger(self) -> tuple[AxiomId, ...]:
+        """The axioms cited by the steps, in id order."""
+        return tuple(AXIOMS[a] for a in self.cited_axiom_ids())
+
     def cited_axiom_ids(self) -> tuple[str, ...]:
-        return tuple(ax.id for ax in self.axiom_ledger)
+        return tuple(sorted({a for step in self.steps for a in step.axioms}))
 
     def as_dict(self) -> dict:
         return {
@@ -148,20 +153,6 @@ class VerificationCertificate:
                 for a in self.axiom_ledger
             ],
         }
-
-
-def make_certificate(
-    claim: str,
-    n: int,
-    verdict: Verdict,
-    steps,
-    flags: dict | None = None,
-) -> VerificationCertificate:
-    """Assemble a certificate, deriving the axiom ledger from the steps."""
-    steps = tuple(steps)
-    cited = sorted({a for step in steps for a in step.axioms})
-    ledger = tuple(AXIOMS[a] for a in cited)
-    return VerificationCertificate(claim, n, verdict, steps, flags or {}, ledger)
 
 
 def to_json(obj) -> str:

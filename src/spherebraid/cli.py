@@ -76,7 +76,18 @@ def _certificate_text(cert) -> str:
     return "\n".join(lines) + "\n"
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group: a budget that runs out in any command exits 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BudgetExceededError as exc:
+            click.echo(f"budget exhausted: {exc}", err=True)
+            ctx.exit(EXIT_INCONCLUSIVE)
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__)
 def main():
     """Certified computations in sphere braid groups."""
@@ -172,22 +183,16 @@ def normal_form_cmd(n, word_text, fmt, out):
 )
 @click.option("--format", "fmt", type=click.Choice(("text", "machine")), default="text")
 @click.option("--out", type=click.File("w"), default=None)
-@click.pass_context
-def act(ctx, n, word_text, target, max_endo_letters, fmt, out):
+def act(n, word_text, target, max_endo_letters, fmt, out):
     """Images of the free-group generators under a word's action."""
     if n < 2 or (target == "sphere" and n < 3):
         raise click.UsageError("act needs n >= 2 (n >= 3 for the sphere action)")
     w = parse_word(word_text, n)
-    try:
-        endo = (
-            artin_disk_endo(w, max_endo_letters)
-            if target == "disk"
-            else sphere.sphere_endo(w, max_endo_letters)
-        )
-    except BudgetExceededError as exc:
-        click.echo(f"budget exhausted: {exc}", err=True)
-        ctx.exit(EXIT_INCONCLUSIVE)
-        return
+    endo = (
+        artin_disk_endo(w, max_endo_letters)
+        if target == "disk"
+        else sphere.sphere_endo(w, max_endo_letters)
+    )
     images = [img.to_text() for img in endo.images]
     if fmt == "machine":
         doc = {
@@ -221,14 +226,7 @@ def selftest(ctx, n_from, n_to, pairs, max_len, seed, fmt, out):
     """Cross-oracle agreement of the two exact engines on random pairs."""
     if n_from < 3 or n_to < n_from:
         raise click.UsageError("need 3 <= from <= to")
-    try:
-        report = run_cross_oracle(
-            ns=range(n_from, n_to + 1), pairs=pairs, max_len=max_len, seed=seed
-        )
-    except BudgetExceededError as exc:
-        click.echo(f"budget exhausted: {exc}", err=True)
-        ctx.exit(EXIT_INCONCLUSIVE)
-        return
+    report = run_cross_oracle(ns=range(n_from, n_to + 1), pairs=pairs, max_len=max_len, seed=seed)
     if fmt == "machine":
         doc = {
             "tool_version": __version__,
@@ -271,9 +269,6 @@ def run(argv=None) -> int:
     except click.UsageError as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return EXIT_INTERNAL
-    except BudgetExceededError as exc:
-        click.echo(f"budget exhausted: {exc}", err=True)
-        return EXIT_INCONCLUSIVE
     except Exception as exc:  # pragma: no cover - defensive
         click.echo(f"internal error: {exc}", err=True)
         return EXIT_INTERNAL

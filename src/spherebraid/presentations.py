@@ -5,9 +5,9 @@ presented group with the HLT strategy: walk every relator from every
 live coset, defining new cosets to fill gaps, closing scans into
 deductions, and merging coincidences through a union-find with path
 compression.  A cap on the number of live cosets guarantees
-termination; when the cap is hit the result is Overflow, never a wrong
-table.  On success the cosets are exactly the group elements, and the
-result is the order with the generators' action on them, checked
+termination; hitting it raises BudgetExceededError, never returns a
+wrong table.  On success the cosets are exactly the group elements, and
+the result is the order with the generators' action on them, checked
 against every relator: O(order * generators) entries.  The full
 multiplication table, which the element-order, involution and
 derived-subgroup checks read, is built from that action on first use.
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+from .freegroup import BudgetExceededError
 
 
 class PresentationError(ValueError):
@@ -39,13 +41,6 @@ class FinitePresentation:
                     raise PresentationError(
                         f"relator letter {k} out of range for {self.generator_count} generators"
                     )
-
-
-@dataclass(frozen=True)
-class Overflow:
-    """The live-coset cap was exceeded before the enumeration closed."""
-
-    max_cosets: int
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,7 @@ class _Enumeration:
         self.p.append(beta)
         self.live += 1
         if self.live > self.max_cosets:
-            raise _OverflowSignal
+            raise BudgetExceededError(f"coset cap {self.max_cosets} hit")
         self.table[alpha][c] = beta
         self.table[beta][c ^ 1] = alpha
 
@@ -201,16 +196,13 @@ class _Enumeration:
             self.define(f, cols[i])
 
 
-class _OverflowSignal(Exception):
-    pass
-
-
-def todd_coxeter(p: FinitePresentation, max_cosets: int) -> CayleyTable | Overflow:
+def todd_coxeter(p: FinitePresentation, max_cosets: int) -> CayleyTable:
     """Enumerate the cosets of the trivial subgroup; the cosets are the group.
 
     Returns the order and the generators' action on the cosets, checked
-    against every relator and reaching every coset from the identity;
-    Overflow when more than max_cosets cosets would be live at once.
+    against every relator and reaching every coset from the identity.
+    Raises BudgetExceededError when more than max_cosets cosets would be
+    live at once.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
@@ -219,23 +211,20 @@ def todd_coxeter(p: FinitePresentation, max_cosets: int) -> CayleyTable | Overfl
     relators = [tuple(2 * abs(k) - 2 + (k < 0) for k in rel) for rel in p.relators if rel]
     scans = [(cols, tuple(c ^ 1 for c in cols)) for cols in relators]
     enum = _Enumeration(p.generator_count, max_cosets)
-    try:
-        alpha = 0
-        while alpha < len(enum.table):
-            if enum.p[alpha] != alpha:
-                alpha += 1
-                continue
-            for cols, inv_cols in scans:
-                enum.scan_and_fill(alpha, cols, inv_cols)
-                if enum.p[alpha] != alpha:
-                    break
-            if enum.p[alpha] == alpha:
-                for c in range(enum.ncols):
-                    if enum.table[alpha][c] is None:
-                        enum.define(alpha, c)
+    alpha = 0
+    while alpha < len(enum.table):
+        if enum.p[alpha] != alpha:
             alpha += 1
-    except _OverflowSignal:
-        return Overflow(max_cosets)
+            continue
+        for cols, inv_cols in scans:
+            enum.scan_and_fill(alpha, cols, inv_cols)
+            if enum.p[alpha] != alpha:
+                break
+        if enum.p[alpha] == alpha:
+            for c in range(enum.ncols):
+                if enum.table[alpha][c] is None:
+                    enum.define(alpha, c)
+        alpha += 1
 
     live = [k for k in range(len(enum.table)) if enum.p[k] == k]
     index = {k: i for i, k in enumerate(live)}

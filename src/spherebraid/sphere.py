@@ -26,11 +26,10 @@ with cheap invariants to pin exact element orders.
 from __future__ import annotations
 
 from dataclasses import replace
-from enum import Enum
 import math
 
 from . import freegroup, garside
-from .certificates import ProofStep, Verdict, VerificationCertificate, make_certificate
+from .certificates import ProofStep, Verdict, VerificationCertificate
 from .freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _artin_images, _extend, _inv
 from .words import (
     BraidWord,
@@ -75,18 +74,6 @@ def _exact_step(step_id, statement, pairs, budget) -> ProofStep:
             "equal": ok,
         },
     )
-
-
-class CenterDecision(Enum):
-    """Whether a word lies in the central pair {1, Delta^2} of B_n(S^2).
-
-    InCenterSet never distinguishes 1 from Delta^2 by itself; route all
-    disambiguation through square_rule, relator_trivializes or exact
-    identities in B_n.
-    """
-
-    NotInCenterSet = "NotInCenterSet"
-    InCenterSet = "InCenterSet"
 
 
 def _check_image(letters: int, max_image_letters: int | None) -> None:
@@ -172,24 +159,23 @@ def inner_conjugator(e: EndoOnBasis) -> tuple[int, ...] | None:
     return _common_conjugator(conjugators)
 
 
-def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> CenterDecision:
-    """InCenterSet iff w acts trivially on the punctured sphere (outer action).
+def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> bool:
+    """True iff w acts trivially on the punctured sphere (outer action).
 
-    By axiom A1 this means exactly w in {1, Delta^2} in B_n(S^2).  A word
-    with a nontrivial strand permutation moves a puncture class and is
-    rejected without computing the action.  Otherwise p = j, and every
-    image C_j x_j C_j^-1 (C_j: S_j without trailing x_j^+-1) is held to
-    the budget before the C_j are compared.
+    By axiom A1 this means exactly w in {1, Delta^2} in B_n(S^2).  The test
+    never tells 1 from Delta^2; only square_rule, relator_trivializes or an
+    exact identity in B_n can.  A word with a nontrivial strand permutation
+    moves a puncture class and is rejected without computing the action.
+    Otherwise p = j, and every image C_j x_j C_j^-1 (C_j: S_j without
+    trailing x_j^+-1) is held to the budget before the C_j are compared.
     """
     if w.strand_count < 3:
         raise ValueError(f"acts_trivially needs n >= 3, got n = {w.strand_count}")
     if not permutation(w).is_identity():
-        return CenterDecision.NotInCenterSet
+        return False
     conjugators = [_strip(S, p) for S, p in _sphere_conjugators(w, max_image_letters)]
     _check_image(2 * max(map(len, conjugators)) + 1, max_image_letters)
-    if _common_conjugator(conjugators) is None:
-        return CenterDecision.NotInCenterSet
-    return CenterDecision.InCenterSet
+    return _common_conjugator(conjugators) is not None
 
 
 def eq_mod_center(w: BraidWord, v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> bool:
@@ -198,7 +184,7 @@ def eq_mod_center(w: BraidWord, v: BraidWord, max_image_letters: int | None = DE
         raise StrandCountMismatchError(
             f"cannot compare words on {w.strand_count} and {v.strand_count} strands"
         )
-    return acts_trivially(w * v.inverse(), max_image_letters) is CenterDecision.InCenterSet
+    return acts_trivially(w * v.inverse(), max_image_letters)
 
 
 def relator_trivializes(w: BraidWord) -> bool:
@@ -222,7 +208,7 @@ def square_rule(v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
         raise ValueError(f"square_rule needs n >= 3, got n = {v.strand_count}")
     if permutation(v).is_identity():
         return None
-    if acts_trivially(v * v, max_image_letters) is not CenterDecision.InCenterSet:
+    if not acts_trivially(v * v, max_image_letters):
         return None
     return ProofStep(
         id="square-rule",
@@ -236,8 +222,8 @@ def square_rule(v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
     )
 
 
-def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -> tuple[list[ProofStep], bool]:
-    """Certify w^k = Delta^2 in B_n(S^2); returns (steps, a5_backed)."""
+def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -> list[ProofStep]:
+    """Certify w^k = Delta^2 in B_n(S^2)."""
     n = w.strand_count
     power = w**k
     delta2 = named_element("full_twist", n)
@@ -249,7 +235,7 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
         max_image_letters,
     )
     if exact.ok:
-        return [exact], False
+        return [exact]
     # Not a disk identity: certify on the sphere.  Consistency first.
     consistent = eq_mod_center(power, delta2, max_image_letters)
     steps = [
@@ -264,7 +250,7 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
         )
     ]
     if not consistent:
-        return steps, False
+        return steps
     # Disambiguate 1 vs Delta^2 with the square rule when a square root of
     # w^k is available as a word: w^(k/2) for even k, or the literal half of
     # the letter sequence when it happens to repeat.
@@ -288,7 +274,7 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
                     depends_on=(f"{prefix}modc",),
                 )
             )
-            return steps, False
+            return steps
     # Last resort: the classification of torsion elements pins the order.
     steps.append(
         ProofStep(
@@ -301,7 +287,7 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
             data={"n": n, "word": w.to_text(), "power": k, "flag": "axiom-backed consistency"},
         )
     )
-    return steps, True
+    return steps
 
 
 def torsion_order(
@@ -366,15 +352,15 @@ def torsion_order(
                 data={"n": n, "word": w.to_text(), "claimed": claimed, "witness": witness},
             ),
         ]
-        return make_certificate(claim, n, Verdict.REFUTED, steps)
+        return VerificationCertificate(claim, n, Verdict.REFUTED, steps)
 
     if claimed % 2 != 0:
-        return make_certificate(claim, n, Verdict.INCONCLUSIVE, [inv_step])
+        return VerificationCertificate(claim, n, Verdict.INCONCLUSIVE, [inv_step])
 
     k = claimed // 2
-    root_steps, a5_backed = _root_identity_steps(w, k, pre, max_image_letters)
+    root_steps = _root_identity_steps(w, k, pre, max_image_letters)
     if not root_steps[-1].ok:
-        return make_certificate(claim, n, Verdict.INCONCLUSIVE, [inv_step] + root_steps)
+        return VerificationCertificate(claim, n, Verdict.INCONCLUSIVE, [inv_step] + root_steps)
     root_id = root_steps[-1].id
 
     upper_step = ProofStep(
@@ -395,7 +381,7 @@ def torsion_order(
     improper = [d for d in candidates if d != claimed]
     not_dividing_k = [d for d in improper if k % d != 0]
     if not_dividing_k:
-        return make_certificate(
+        return VerificationCertificate(
             claim, n, Verdict.INCONCLUSIVE, [inv_step] + root_steps + [upper_step]
         )
     if improper:
@@ -418,5 +404,5 @@ def torsion_order(
         data={"n": n, "word": w.to_text(), "claimed": claimed, "candidates": candidates},
     )
     steps = [inv_step] + root_steps + [upper_step, pin_step]
-    flags = {"a5_backed": a5_backed}
-    return make_certificate(claim, n, Verdict.VERIFIED, steps, flags)
+    flags = {"a5_backed": any("A5" in s.axioms for s in root_steps)}
+    return VerificationCertificate(claim, n, Verdict.VERIFIED, steps, flags)

@@ -23,13 +23,11 @@ from dataclasses import replace
 from typing import Callable, NamedTuple
 
 from . import presentations, sphere
-from .certificates import ProofStep, Verdict, VerificationCertificate, make_certificate
+from .certificates import ProofStep, Verdict, VerificationCertificate
 from .freegroup import BudgetExceededError, _artin_images
-from .presentations import CayleyTable, Overflow, presentation_library, todd_coxeter
+from .presentations import CayleyTable, presentation_library, todd_coxeter
 from .sphere import (
     DEFAULT_MAX_IMAGE_LETTERS,
-    CenterDecision,
-    EngineDisagreementError,  # re-exported
     _exact_step,
     acts_trivially,
     square_rule,
@@ -63,7 +61,7 @@ def _run_plan(key: str, n: int, body: Callable[[], tuple]) -> VerificationCertif
         verdict, steps, flags = Verdict.INCONCLUSIVE, [step], None
     finally:
         _artin_images.cache_clear()
-    return make_certificate(plan.claim, n, verdict, steps, flags)
+    return VerificationCertificate(plan.claim, n, verdict, steps, flags or {})
 
 
 def _verdict(steps: list[ProofStep]) -> Verdict:
@@ -71,11 +69,11 @@ def _verdict(steps: list[ProofStep]) -> Verdict:
 
 
 def _enumerate(name: str, n: int, max_cosets: int, where: str = "") -> CayleyTable:
-    """The library presentation's group; raises BudgetExceededError at the coset cap."""
-    tc = todd_coxeter(presentation_library(name, n), max_cosets)
-    if isinstance(tc, Overflow):
-        raise BudgetExceededError(f"coset cap {max_cosets} hit{where}")
-    return tc
+    """The library presentation's group; at the coset cap the budget reason ends in `where`."""
+    try:
+        return todd_coxeter(presentation_library(name, n), max_cosets)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"{exc}{where}") from None
 
 
 def _powers(g: Permutation, count: int) -> list[list[int]]:
@@ -481,8 +479,7 @@ def verify_background(
 
         pres = presentation_library("sphere_braid", n)
         relations_ok = all(
-            acts_trivially(BraidWord(n, rel), max_image_letters) is CenterDecision.InCenterSet
-            for rel in pres.relators
+            acts_trivially(BraidWord(n, rel), max_image_letters) for rel in pres.relators
         )
         steps.append(
             ProofStep(

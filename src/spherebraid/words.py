@@ -191,6 +191,11 @@ def _run(lo: int, hi: int) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
+def _half_twist(m: int) -> tuple[int, ...]:
+    """Letters (sigma_1 .. sigma_{m-1})(sigma_1 .. sigma_{m-2}) .. sigma_1."""
+    return tuple(i for top in range(m - 1, 0, -1) for i in range(1, top + 1))
+
+
 NAMED_ELEMENTS = (
     "alpha0",
     "alpha1",
@@ -229,19 +234,12 @@ def named_element(name: str, n: int) -> BraidWord:
     if name == "full_twist":
         return BraidWord(n, _run(1, n - 1) * n)
     if name == "half_twist":
-        letters: tuple[int, ...] = ()
-        for top in range(n - 1, 0, -1):
-            letters += _run(1, top)
-        return BraidWord(n, letters)
+        return BraidWord(n, _half_twist(n))
     if name == "bipolar_twist":
         if n < 4 or n % 2 != 0:
             raise ValueError(f"bipolar_twist needs even n >= 4, got n = {n}")
         m = n // 2
-        letters = ()
-        for top in range(m - 1, 0, -1):
-            letters += _run(1, top)
-        for start in range(2 * m - 1, m, -1):
-            letters += tuple(-i for i in _run(start, 2 * m - 1))
-        return BraidWord(n, letters)
+        negative = tuple(-i for start in range(n - 1, m, -1) for i in range(start, n))
+        return BraidWord(n, _half_twist(m) + negative)
     # surface_relator
     return BraidWord(n, _run(1, n - 2) + (n - 1, n - 1) + tuple(range(n - 2, 0, -1)))

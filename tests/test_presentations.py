@@ -1,8 +1,8 @@
 import pytest
 
+from spherebraid.freegroup import BudgetExceededError
 from spherebraid.presentations import (
     FinitePresentation,
-    Overflow,
     PresentationError,
     derived_subgroup,
     is_cyclic_subgroup,
@@ -86,8 +86,8 @@ class TestToddCoxeter:
         assert t.order == 12
 
     def test_sphere_braid_4_overflows(self):
-        result = todd_coxeter(presentation_library("sphere_braid", 4), 2000)
-        assert isinstance(result, Overflow)
+        with pytest.raises(BudgetExceededError, match="coset cap 2000 hit"):
+            todd_coxeter(presentation_library("sphere_braid", 4), 2000)
 
     def test_sphere_braid_2(self):
         assert todd_coxeter(presentation_library("sphere_braid", 2), 100).order == 2

@@ -8,7 +8,6 @@ from spherebraid.freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _e
 from spherebraid.presentations import presentation_library
 from spherebraid.selftest import random_word
 from spherebraid.sphere import (
-    CenterDecision,
     acts_trivially,
     eq_mod_center,
     inner_conjugator,
@@ -151,8 +150,7 @@ class TestInnerConjugator:
                 expected = _reference_inner_conjugator(e)
                 assert inner_conjugator(e) == expected, (n, w.to_text())
                 identity = permutation(w).is_identity()
-                decision = acts_trivially(w)
-                assert (decision is CenterDecision.InCenterSet) == (identity and expected is not None)
+                assert acts_trivially(w) is (identity and expected is not None)
                 if expected is not None:
                     tally["inner"] += 1
                 elif identity:
@@ -165,19 +163,19 @@ class TestInnerConjugator:
 class TestActsTrivially:
     def test_full_twist_in_center_set(self):
         for n in range(3, 9):
-            assert acts_trivially(named_element("full_twist", n)) is CenterDecision.InCenterSet
+            assert acts_trivially(named_element("full_twist", n)) is True
 
     def test_single_generator_not(self):
-        assert acts_trivially(BraidWord(4, (1,))) is CenterDecision.NotInCenterSet
+        assert acts_trivially(BraidWord(4, (1,))) is False
 
     def test_bipolar_square_in_center_set(self):
         y = named_element("bipolar_twist", 4)
-        assert acts_trivially(y * y) is CenterDecision.InCenterSet
+        assert acts_trivially(y * y) is True
 
     def test_all_defining_relations_trivial(self):
         for n in range(3, 9):
             for rel in presentation_library("sphere_braid", n).relators:
-                assert acts_trivially(BraidWord(n, rel)) is CenterDecision.InCenterSet
+                assert acts_trivially(BraidWord(n, rel)) is True
 
     # pure words whose disk images fit in P - 1 letters, P the longest
     # sphere image, so the sphere budget is the one that runs out; True
@@ -199,9 +197,8 @@ class TestActsTrivially:
             with pytest.raises(BudgetExceededError) as excinfo:
                 acts_trivially(w, longest - 1)
             assert str(excinfo.value) == f"endomorphism image exceeded {longest - 1} letters"
-            expected = CenterDecision.InCenterSet if inner else CenterDecision.NotInCenterSet
-            assert acts_trivially(w, longest) is expected
-            assert acts_trivially(w, longest + 1) is expected
+            assert acts_trivially(w, longest) is inner
+            assert acts_trivially(w, longest + 1) is inner
 
     @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n))))
     @settings(max_examples=60, deadline=None)
@@ -209,7 +206,7 @@ class TestActsTrivially:
         n, letters = data
         w = BraidWord(n, tuple(letters))
         if not permutation(w).is_identity():
-            assert acts_trivially(w) is CenterDecision.NotInCenterSet
+            assert acts_trivially(w) is False
 
     @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 10), braid_letters(n, 10))))
     @settings(max_examples=50, deadline=None)
@@ -222,7 +219,7 @@ class TestActsTrivially:
         h = BraidWord(n, tuple(lh))
         rel = named_element("surface_relator", n)
         w = g * rel * g.inverse() * h * rel.inverse() * h.inverse()
-        assert acts_trivially(w) is CenterDecision.InCenterSet
+        assert acts_trivially(w) is True
 
     @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 12))))
     @settings(max_examples=50, deadline=None)
@@ -230,7 +227,7 @@ class TestActsTrivially:
         n, lg = data
         g = BraidWord(n, tuple(lg))
         w = g * named_element("full_twist", n) * g.inverse()
-        assert acts_trivially(w) is CenterDecision.InCenterSet
+        assert acts_trivially(w) is True
 
 
 class TestEqModCenter:
@@ -308,7 +305,7 @@ class TestSquareRule:
         step = square_rule(v)
         if step is not None:
             assert not permutation(v).is_identity()
-            assert acts_trivially(v * v) is CenterDecision.InCenterSet
+            assert acts_trivially(v * v) is True
 
 
 class TestTorsionOrder:

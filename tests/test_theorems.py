@@ -3,14 +3,13 @@ import copy
 import pytest
 
 from spherebraid import cli, garside, theorems
-from spherebraid.certificates import Verdict, to_json
+from spherebraid.certificates import ProofStep, Verdict, to_json
 from spherebraid.freegroup import _artin_images
 from spherebraid.presentations import presentation_library, todd_coxeter
-from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, torsion_order
+from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, EngineDisagreementError, torsion_order
 from spherebraid.theorems import (
     DEFAULT_MAX_COSETS,
     PLANS,
-    EngineDisagreementError,
     replay_certificate,
     verify_background,
     verify_dicyclic,
@@ -240,6 +239,10 @@ class TestCertificateHygiene:
         for cert in (verify_q8(4), verify_dicyclic(8), verify_torsion_table(7)):
             cited = sorted({a for s in cert.steps for a in s.axioms})
             assert list(cert.cited_axiom_ids()) == cited
+
+    def test_step_rejects_unknown_axiom(self):
+        with pytest.raises(ValueError, match="unknown axiom"):
+            ProofStep("s", "a statement", "axiom", axioms=("A9",))
 
 
 # one certificate per plan branch: q8 in and out of the commutator subgroup
