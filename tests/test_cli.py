@@ -186,6 +186,10 @@ class TestVerifyCommand:
         ("dicyclic", 13, 24): "0ce7b5991949cbe239f5f948f9c49ca06d66d302839376089d2a287c18642416",
         ("torsion", 13, 24): "f502f1084c270eb98804d7bc302c77113f6006b0164a58dd2da1dfc2bb6fabb7",
         ("background", 13, 22): "13400b6753c8ec2065507749cd8c4617ae11979dbf36e8415461ffb0631c34a0",
+        # torsion past the benchmark grid, where its root words are longest
+        ("torsion", 25, 32): "7ec3ecedc3e7a1e8ce4cd03676467757b4a1b8ab58483652cf6086a968e61c70",
+        ("torsion", 48, 48): "1adfb6246f9d0add5134555e4b7823025d03ffe37142e9b9e108f9c4c91fcb70",
+        ("torsion", 64, 64): "77ab7db63ec7c72c2248a2e7e88dc4412eb5aa6d89947218090e4c08e0a75cca",
     }
 
     def test_machine_output_matches_pinned_digests(self, runner):

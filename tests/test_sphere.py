@@ -247,6 +247,25 @@ class TestEqModCenter:
         for n in (3, 4, 5):
             assert eq_mod_center(named_element("full_twist", n), BraidWord(n))
 
+    def test_matches_product_definition(self):
+        # the definition: w v^-1 acts trivially on the punctured sphere
+        def by_product(w, v):
+            return acts_trivially(w * v.inverse())
+
+        rng = random.Random(13)
+        for n in range(3, 9):
+            alphabet = [k for k in range(-(n - 1), n) if k != 0]
+            delta2 = named_element("full_twist", n)
+            relator = named_element("surface_relator", n)
+            for _ in range(6):
+                g = random_word(n, 8, rng)
+                squares = [rng.choice(alphabet) for _ in range(rng.randint(1, 4))]
+                pure = BraidWord(n, tuple(k for k in squares for _ in range(2)))
+                central = (BraidWord(n), delta2, delta2.inverse(), g * delta2 * g.inverse(), relator)
+                for v in (*central, pure, random_word(n, 10, rng)):
+                    for w in (random_word(n, 10, rng), v * delta2, g * v * g.inverse()):
+                        assert eq_mod_center(w, v) == by_product(w, v), (n, w.to_text(), v.to_text())
+
     def test_equivalence_relation_on_samples(self):
         rng = random.Random(11)
         for n in (3, 4, 5):

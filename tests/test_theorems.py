@@ -414,7 +414,7 @@ class TestArtinMemo:
             assert [key for key, _ in artin_body_calls] == first, (claim, n)
 
     def test_budget_abort_empties_the_memo(self, artin_body_calls):
-        cert = verify_torsion_table(24, max_image_letters=100)
+        cert = verify_background(16, max_image_letters=30)
         assert cert.verdict is Verdict.INCONCLUSIVE
         (step,) = cert.steps
         assert (step.id, step.method, step.ok) == ("budget", "budget", False)
