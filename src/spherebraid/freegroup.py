@@ -20,17 +20,18 @@ One braid letter then costs one free cancellation, at the junction of two
 reduced words (`_junction`); everything else is list slicing and
 concatenation.
 
-The disk action is memoized: `_artin_images` keeps its last three
+The disk action is memoized: `_artin_images` keeps its last two
 results, keyed on (strand_count, letters, budget).  The root identities
 behind the dicyclic and torsion certificates compare several words with
 one full twist, so one plan asks for the same action more than once;
-three is the smallest size that catches every repeat within a plan (at
-n = 3..30, 48 and 64; two misses torsion repeats).  The budget is part
+two is the smallest size that catches every repeat within a plan (at
+n = 3..30, 48 and 64; one misses dicyclic and torsion repeats of the
+full twist).  The budget is part
 of the key, so a result is never returned under another budget, and a
 call over its budget raises BudgetExceededError, which is not cached.
 `theorems._run_plan` empties the memo when a plan starts and when it
 ends, so a plan never reuses another's work and leaves no images
-behind; outside plans the memo holds at most three image sets.  Results
+behind; outside plans the memo holds at most two image sets.  Results
 are shared: callers read them and never change a stored list.
 """
 
@@ -175,7 +176,7 @@ def _conjugated(u: list[int], u_inv: list[int], v, budget: int | None):
     return u, r, C_inv
 
 
-@lru_cache(maxsize=3)
+@lru_cache(maxsize=2)
 def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | None = None) -> list[tuple]:
     """Images of x_1..x_n under the word's action, in conjugator form.
 
@@ -185,7 +186,7 @@ def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | Non
     touches only two images.  No stored list is ever changed, so the
     identity images can share one empty list.
 
-    Memoized on (strand_count, letters, budget), the last three calls:
+    Memoized on (strand_count, letters, budget), the last two calls:
     the fewest that catch every repeated word within one verification
     plan.  A result, its entries and their lists are shared with every
     later caller of the same key, so no caller may change them either.

@@ -179,11 +179,20 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
 
 
 def eq_mod_center(w: BraidWord, v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> bool:
-    """True iff w = v or w = Delta^2 v in B_n(S^2) (axiom A1)."""
+    """True iff w = v or w = Delta^2 v in B_n(S^2) (axiom A1).
+
+    That is, iff w v^-1 acts trivially.  The outer action is a
+    homomorphism, so when v itself acts trivially, w v^-1 acts as w does,
+    and the test reads the actions of w and v (memoized when a plan has
+    just compared them) instead of computing the longer w v^-1.
+    """
     if w.strand_count != v.strand_count:
         raise StrandCountMismatchError(
             f"cannot compare words on {w.strand_count} and {v.strand_count} strands"
         )
+    if acts_trivially(v, max_image_letters):
+        # the outer action is a homomorphism, so w v^-1 acts as w does
+        return acts_trivially(w, max_image_letters)
     return acts_trivially(w * v.inverse(), max_image_letters)
 
 

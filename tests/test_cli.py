@@ -96,6 +96,16 @@ class TestVerifyCommand:
         assert result.exit_code == 3
         assert "INCONCLUSIVE" in result.output
 
+    def test_torsion_fits_a_budget_its_exact_step_fits(self, runner):
+        # the mod-center step reads the actions the exact step computed,
+        # so it needs no longer image than they do
+        args = ["verify", "--claim", "torsion", "--n", "24", "--max-endo-letters", "100"]
+        result = runner.invoke(main, [*args, "--format", "machine"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        (cert,) = json.loads(result.output)["certificates"]
+        assert cert["verdict"] == "VERIFIED"
+
     def test_n_and_range_conflict(self, runner):
         result = runner.invoke(
             main, ["verify", "--claim", "q8", "--n", "4", "--from", "3", "--to", "5"]

@@ -413,6 +413,17 @@ class TestArtinMemo:
             assert replay_certificate(cert)
             assert [key for key, _ in artin_body_calls] == first, (claim, n)
 
+    def test_mod_center_computes_no_new_action(self, artin_body_calls):
+        # the exact step computes the actions of w^k and Delta^2 for the
+        # root it cannot close; the mod-center step and the square rule
+        # read them from the memo, so no action is longer than Delta^2
+        for n in [*range(3, 13), 24]:
+            artin_body_calls.clear()
+            PLANS["torsion"].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
+            lengths = [len(letters) for (_, letters, _), _ in artin_body_calls]
+            assert len(lengths) == 3, n
+            assert max(lengths) <= n * (n - 1), n
+
     def test_budget_abort_empties_the_memo(self, artin_body_calls):
         cert = verify_background(16, max_image_letters=30)
         assert cert.verdict is Verdict.INCONCLUSIVE
