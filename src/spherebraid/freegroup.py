@@ -26,9 +26,9 @@ behind the dicyclic and torsion certificates compare several words with
 one full twist, so one plan asks for the same action more than once;
 two is the smallest size that catches every repeat within a plan (at
 n = 3..30, 48 and 64; one misses dicyclic and torsion repeats of the
-full twist).  The budget is part
-of the key, so a result is never returned under another budget, and a
-call over its budget raises BudgetExceededError, which is not cached.
+full twist).  The budget is part of the key, so a result is never
+returned under another budget, and a call over its budget raises
+BudgetExceededError, which is not cached.
 `theorems._run_plan` empties the memo when a plan starts and when it
 ends, so a plan never reuses another's work and leaves no images
 behind; outside plans the memo holds at most two image sets.  Results

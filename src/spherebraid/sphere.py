@@ -191,7 +191,6 @@ def eq_mod_center(w: BraidWord, v: BraidWord, max_image_letters: int | None = DE
             f"cannot compare words on {w.strand_count} and {v.strand_count} strands"
         )
     if acts_trivially(v, max_image_letters):
-        # the outer action is a homomorphism, so w v^-1 acts as w does
         return acts_trivially(w, max_image_letters)
     return acts_trivially(w * v.inverse(), max_image_letters)
 
