@@ -15,6 +15,31 @@ def runner():
     return CliRunner()
 
 
+def _seeded_words(n):
+    """A seeded word set at n >= 2: random words, the half and full twists and their conjugates."""
+    rng = random.Random(9000 + n)
+    alphabet = [k for k in range(-(n - 1), n) if k != 0]
+    words = [
+        BraidWord(n, tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 12))))
+        for _ in range(10)
+    ]
+    g = words[1]
+    for name in ("half_twist", "full_twist"):
+        words += [named_element(name, n), g * named_element(name, n) * g.inverse()]
+    return words
+
+
+def _word_outputs_digest(runner, args, n, fmt):
+    """sha256 of a word command's stdout over `_seeded_words(n)`, concatenated in order."""
+    out = []
+    for w in _seeded_words(n):
+        result = runner.invoke(main, [*args, "--n", str(n), "--word", w.to_text(), "--format", fmt])
+        assert result.exit_code == 0, (args, n, w.to_text())
+        assert result.stderr == "", (args, n, w.to_text())
+        out.append(result.stdout)
+    return hashlib.sha256("".join(out).encode()).hexdigest()
+
+
 class TestParseWord:
     def test_basic(self):
         w = parse_word("1 2 -3", 4)
@@ -48,6 +73,26 @@ class TestNormalFormCommand:
     def test_bad_word_usage_error(self, runner):
         result = runner.invoke(main, ["normal-form", "--n", "4", "--word", "9"])
         assert result.exit_code == 2
+
+    # sha256 of `normal-form` over `_seeded_words(n)`, per n and format.
+    PINNED_DIGESTS = {
+        (2, "machine"): "304ce918edfe69b4c3ac18d3d98a084d8008022ee33fc0ecb2f3b45225d042f0",
+        (2, "text"): "7f1240e977b927f68213f17c564ded691f3c3c23c8532e5a3ebbcbccbd24326b",
+        (3, "machine"): "3821ff7d6f89cdad7062d21d90d05a873eb118906b19b4affce10687d799726f",
+        (3, "text"): "5786281a0edf6e300e09179aeffb6943f247a3e7b6198da68118eea536378155",
+        (4, "machine"): "c803ed463761ea129f6961bf293d0bb212294ece37f87cb99d64ca79150c5066",
+        (4, "text"): "57da511d2d9a5efe4a1e851b6e65d7e3c4c38a18eb61edef3364b8fbf272d94f",
+        (5, "machine"): "8c1146a51bab74f8a401bb616acdfcd280486aec0a6055e87554978f88c8fef3",
+        (5, "text"): "fd5fa73d7205c8f105cd33b327c34ec77a7e1637fc4135506b5990b5c2863b5e",
+        (6, "machine"): "ef2074bf34bc9fb05dd0e57862851443cd3dd60fdd20a55108681257d0b8aa7c",
+        (6, "text"): "2d1eb8ec3223a20344769bcfe83c7f4731486e45118415fd9b690defde917ac4",
+        (7, "machine"): "6581ab826a4b689178aeaa9a6a5b6fef7abd275bcdaeaed79cfe536954a80c80",
+        (7, "text"): "4322e1f24015bba8ab4aeae2b7d8ec4eb93e79bfbca4fc8b85f87f2230bf0e78",
+    }
+
+    def test_outputs_match_pinned_digests(self, runner):
+        for (n, fmt), digest in self.PINNED_DIGESTS.items():
+            assert _word_outputs_digest(runner, ["normal-form"], n, fmt) == digest, (n, fmt)
 
 
 class TestVerifyCommand:
@@ -299,6 +344,27 @@ class TestActCommand:
         assert result.exit_code == 0
         assert result.output.splitlines() == ["x1 -> 1", "x2 -> 1 2 -1"]
 
+    # sha256 of `act --target disk` over `_seeded_words(n)`, per n and format.
+    PINNED_DISK_DIGESTS = {
+        (2, "machine"): "3f20959864bc6deeb9f84e431db5c5abb2e180c751be7b1239c722989ed5f7a3",
+        (2, "text"): "40d3488a14c10214811c540e96c0926ba02b4f30b258bca00a1270abf06208ad",
+        (3, "machine"): "d3aea21bc5cb693bced39cb387ce542eb0b0e82de0b59af0d01ae7fcd21264fd",
+        (3, "text"): "b46fadd7397fb8653f7c2e7f04e235144fc9b2a21c0fb6fb4c9c0b1be4918edf",
+        (4, "machine"): "b52ca52ec2f60641930997ef3f092089f6edf47d708ef3ebd0b058746c6b72b4",
+        (4, "text"): "9bd67cf37272178470d6549ffe4f5313c887c038bbda1bec47a2b4d1f225d4ee",
+        (5, "machine"): "280141a1922887800d054de9634f502b76629162bec57bff884ab800c1cab4d3",
+        (5, "text"): "5b999932bf90326199bfa2149f152b323070aa99ba19c83036d9ac5c6bf85fe7",
+        (6, "machine"): "29dd43ce3c66ed252a3d7505bf84c825c9e078c56d8bdbd2a9e82a08edc9af41",
+        (6, "text"): "18b60f696c41670e90672a99bf4e5c9a9a5e4f65668232b314fc03eba3a759e1",
+        (7, "machine"): "25762701273815d307d445c55e43acfad6dac242612db2976cef2e3d7de9d1b5",
+        (7, "text"): "d25e6dfec979609dc07964cdac8f6c5589410733ad2d1912bea74f0cd8290fbd",
+    }
+
+    def test_disk_action_matches_pinned_digests(self, runner):
+        for (n, fmt), digest in self.PINNED_DISK_DIGESTS.items():
+            args = ["act", "--target", "disk"]
+            assert _word_outputs_digest(runner, args, n, fmt) == digest, (n, fmt)
+
     def test_budget_exit_3(self, runner):
         word = " ".join(["1 2 3 4 5"] * 40)
         result = runner.invoke(
@@ -448,8 +514,33 @@ class TestOptionRanges:
         assert result.output.startswith("n=3: 0 pairs")
 
 
+class TestOutFile:
+    """--out FILE gets exactly the bytes that stdout gets without it."""
+
+    RUNS = {
+        "verify": ["verify", "--claim", "dicyclic", "--from", "3", "--to", "5"],
+        "verify-budget": ["verify", "--claim", "q8", "--n", "4", "--max-cosets", "5"],
+        "normal-form": ["normal-form", "--n", "5", "--word", "1 -2 3 4 -1 -1"],
+        "act": ["act", "--n", "4", "--word", "1 2 -3 2", "--target", "sphere"],
+        "selftest": ["selftest", "--from", "3", "--to", "4", "--pairs", "20", "--max-len", "10"],
+    }
+
+    @pytest.mark.parametrize("fmt", ["machine", "text"])
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_out_file_gets_the_stdout_bytes(self, runner, tmp_path, run, fmt):
+        args = [*self.RUNS[run], "--format", fmt]
+        expected = runner.invoke(main, args)
+        target = tmp_path / "report"
+        result = runner.invoke(main, [*args, "--out", str(target)])
+        assert result.exit_code == expected.exit_code == (3 if run == "verify-budget" else 0)
+        assert result.stdout_bytes == b""
+        assert result.stderr_bytes == expected.stderr_bytes == b""
+        assert expected.stdout_bytes
+        assert target.read_bytes() == expected.stdout_bytes
+
+
 class TestConsoleEntryPoint:
-    """Exit codes through the real process entry, not just CliRunner."""
+    """Exit codes and output through `python -m spherebraid`, a real process."""
 
     @staticmethod
     def _run(*args):
@@ -468,16 +559,26 @@ class TestConsoleEntryPoint:
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
-        ).returncode
-
-    def test_verified_claim_exits_0(self):
-        assert self._run("verify", "--claim", "background", "--n", "2") == 0
-
-    def test_budget_exhaustion_exits_3(self):
-        assert (
-            self._run("verify", "--claim", "background", "--n", "3", "--max-cosets", "5")
-            == 3
         )
 
+    def test_verified_claim_exits_0(self):
+        assert self._run("verify", "--claim", "background", "--n", "2").returncode == 0
+
+    def test_machine_report_matches_run(self, capsys):
+        args = ["verify", "--claim", "q8", "--n", "4", "--format", "machine"]
+        code = cli.run(args)
+        captured = capsys.readouterr()
+        proc = self._run(*args)
+        assert code == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+    def test_budget_exhaustion_exits_3(self):
+        args = ("verify", "--claim", "background", "--n", "3", "--max-cosets", "5")
+        assert self._run(*args).returncode == 3
+
+    def test_letter_budget_exits_3(self):
+        args = ("verify", "--claim", "torsion", "--n", "24", "--max-endo-letters", "50")
+        assert self._run(*args).returncode == 3
+
     def test_usage_error_exits_2(self):
-        assert self._run("verify", "--claim", "q8", "--n", "1") == 2
+        assert self._run("verify", "--claim", "q8", "--n", "1").returncode == 2

@@ -59,6 +59,9 @@ class TestPresentationLibrary:
         assert p.generator_count == 2
         assert p.relators == ((1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1))
 
+    def test_q8_is_dicyclic_2(self):
+        assert presentation_library("q8") == presentation_library("dicyclic", 2)
+
     def test_dicyclic_3(self):
         p = presentation_library("dicyclic", 3)
         assert p.relators == ((1, 1, 1, 1, 1, 1), (1, 1, 1, -2, -2), (-2, 1, 2, 1))
