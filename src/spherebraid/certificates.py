@@ -11,7 +11,7 @@ at a glance what has to be trusted beyond the computations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 
@@ -133,12 +133,8 @@ class VerificationCertificate:
         if self.verdict is Verdict.VERIFIED and not all(s.ok for s in self.steps):
             raise ValueError("a VERIFIED certificate cannot contain a failed step")
 
-    @property
-    def axiom_ledger(self) -> tuple[AxiomId, ...]:
-        """The axioms cited by the steps, in id order."""
-        return tuple(AXIOMS[a] for a in self.cited_axiom_ids())
-
     def cited_axiom_ids(self) -> tuple[str, ...]:
+        """The ids of the axioms cited by the steps, in id order: the axiom ledger."""
         return tuple(sorted({a for step in self.steps for a in step.axioms}))
 
     def as_dict(self) -> dict:
@@ -148,10 +144,7 @@ class VerificationCertificate:
             "verdict": self.verdict.value,
             "flags": self.flags,
             "steps": [s.as_dict() for s in self.steps],
-            "axioms": [
-                {"id": a.id, "statement": a.statement, "source": a.source}
-                for a in self.axiom_ledger
-            ],
+            "axioms": [asdict(AXIOMS[a]) for a in self.cited_axiom_ids()],
         }
 
 

@@ -2,14 +2,13 @@
 
 Exit codes: 0 when every claim reaches its expected verdict class
 (VERIFIED, or REFUTED-realization for the odd quaternion cases), 1 when
-a claim is refuted, 3 when a budget ran out (INCONCLUSIVE), 2 on usage
-or internal errors.  Reports go to stdout, diagnostics to stderr;
-nothing is written to disk unless --out is given.
+a claim is refuted, 3 when a budget ran out (INCONCLUSIVE), 2 on a
+click error (bad usage, an --out file that cannot be opened) or an
+internal error.  Reports go to stdout, diagnostics to stderr; nothing is
+written to disk unless --out is given.
 """
 
 from __future__ import annotations
-
-import sys
 
 import click
 
@@ -54,12 +53,37 @@ def _n_range(n, n_from, n_to, minimum):
     return values
 
 
-def _emit(doc_text: str, out):
+def _report(out, fmt, config, payload, text) -> None:
+    """Write a command's report to --out, or to stdout without it.
+
+    The machine document is {tool_version, config (with format), **payload};
+    the text report is text(), built only on a text run.
+    """
+    if fmt == "machine":
+        doc = to_json({"tool_version": __version__, "config": {**config, "format": fmt}, **payload})
+    else:
+        doc = text()
     if out is not None:
-        out.write(doc_text)
+        out.write(doc)
         out.flush()
     else:
-        click.echo(doc_text, nl=False)
+        click.echo(doc, nl=False)
+
+
+def _report_options(command):
+    """--format and --out, shared by every command."""
+    command = click.option("--out", type=click.File("w"), default=None)(command)
+    return click.option(
+        "--format", "fmt", type=click.Choice(("text", "machine")), default="text"
+    )(command)
+
+
+_max_endo_letters = click.option(
+    "--max-endo-letters",
+    type=click.IntRange(min=1),
+    default=theorems.DEFAULT_MAX_IMAGE_LETTERS,
+    show_default=True,
+)
 
 
 def _certificate_text(cert) -> str:
@@ -98,22 +122,16 @@ def main():
 @click.option("--n", type=int, default=None)
 @click.option("--from", "n_from", type=int, default=None)
 @click.option("--to", "n_to", type=int, default=None)
-@click.option("--format", "fmt", type=click.Choice(("text", "machine")), default="text")
 @click.option(
     "--max-cosets",
     type=click.IntRange(min=1),
     default=theorems.DEFAULT_MAX_COSETS,
     show_default=True,
 )
-@click.option(
-    "--max-endo-letters",
-    type=click.IntRange(min=1),
-    default=theorems.DEFAULT_MAX_IMAGE_LETTERS,
-    show_default=True,
-)
-@click.option("--out", type=click.File("w"), default=None)
+@_max_endo_letters
+@_report_options
 @click.pass_context
-def verify(ctx, claim, n, n_from, n_to, fmt, max_cosets, max_endo_letters, out):
+def verify(ctx, claim, n, n_from, n_to, max_cosets, max_endo_letters, fmt, out):
     """Run a verification plan over one n or a range, emitting certificates."""
     plan = theorems.PLANS[claim]
     values = _n_range(n, n_from, n_to, plan.minimum)
@@ -122,23 +140,20 @@ def verify(ctx, claim, n, n_from, n_to, fmt, max_cosets, max_endo_letters, out):
         if not values:
             raise click.UsageError(f"{claim} needs at least one odd n in the range")
     certs = [plan.run(m, max_cosets, max_endo_letters) for m in values]
-
-    if fmt == "machine":
-        doc = {
-            "tool_version": __version__,
-            "config": {
-                "command": "verify",
-                "claim": claim,
-                "n_values": values,
-                "format": fmt,
-                "max_cosets": max_cosets,
-                "max_endo_letters": max_endo_letters,
-            },
-            "certificates": [c.as_dict() for c in certs],
-        }
-        _emit(to_json(doc), out)
-    else:
-        _emit("".join(_certificate_text(c) for c in certs), out)
+    config = {
+        "command": "verify",
+        "claim": claim,
+        "n_values": values,
+        "max_cosets": max_cosets,
+        "max_endo_letters": max_endo_letters,
+    }
+    _report(
+        out,
+        fmt,
+        config,
+        {"certificates": [c.as_dict() for c in certs]},
+        lambda: "".join(_certificate_text(c) for c in certs),
+    )
 
     verdicts = {c.verdict for c in certs}
     if any(v is Verdict.INCONCLUSIVE for v in verdicts):
@@ -151,38 +166,28 @@ def verify(ctx, claim, n, n_from, n_to, fmt, max_cosets, max_endo_letters, out):
 @main.command("normal-form")
 @click.option("--n", type=int, required=True)
 @click.option("--word", "word_text", type=str, required=True)
-@click.option("--format", "fmt", type=click.Choice(("text", "machine")), default="text")
-@click.option("--out", type=click.File("w"), default=None)
+@_report_options
 def normal_form_cmd(n, word_text, fmt, out):
     """Garside left-canonical form of a word."""
     if n < 2:
         raise click.UsageError("normal-form needs n >= 2")
     w = parse_word(word_text, n)
     nf = garside.normal_form(w)
-    if fmt == "machine":
-        doc = {
-            "tool_version": __version__,
-            "config": {"command": "normal-form", "n": n, "word": w.to_text(), "format": fmt},
-            "normal_form": nf.as_dict(),
-        }
-        _emit(to_json(doc), out)
-    else:
-        factors = ", ".join(str(list(f)) for f in nf.factors)
-        _emit(f"(Delta^{nf.delta_power}, [{factors}])\n", out)
+    _report(
+        out,
+        fmt,
+        {"command": "normal-form", "n": n, "word": w.to_text()},
+        {"normal_form": nf.as_dict()},
+        lambda: f"(Delta^{nf.delta_power}, [{', '.join(str(list(f)) for f in nf.factors)}])\n",
+    )
 
 
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--word", "word_text", type=str, required=True)
 @click.option("--target", type=click.Choice(("disk", "sphere")), default="disk", show_default=True)
-@click.option(
-    "--max-endo-letters",
-    type=click.IntRange(min=1),
-    default=theorems.DEFAULT_MAX_IMAGE_LETTERS,
-    show_default=True,
-)
-@click.option("--format", "fmt", type=click.Choice(("text", "machine")), default="text")
-@click.option("--out", type=click.File("w"), default=None)
+@_max_endo_letters
+@_report_options
 def act(n, word_text, target, max_endo_letters, fmt, out):
     """Images of the free-group generators under a word's action."""
     if n < 2 or (target == "sphere" and n < 3):
@@ -194,23 +199,13 @@ def act(n, word_text, target, max_endo_letters, fmt, out):
         else sphere.sphere_endo(w, max_endo_letters)
     )
     images = [img.to_text() for img in endo.images]
-    if fmt == "machine":
-        doc = {
-            "tool_version": __version__,
-            "config": {
-                "command": "act",
-                "n": n,
-                "word": w.to_text(),
-                "target": target,
-                "format": fmt,
-            },
-            "rank": endo.rank,
-            "images": images,
-        }
-        _emit(to_json(doc), out)
-    else:
-        lines = [f"x{j} -> {img or '(empty)'}" for j, img in enumerate(images, start=1)]
-        _emit("\n".join(lines) + "\n", out)
+    _report(
+        out,
+        fmt,
+        {"command": "act", "n": n, "word": w.to_text(), "target": target},
+        {"rank": endo.rank, "images": images},
+        lambda: "".join(f"x{j} -> {img or '(empty)'}\n" for j, img in enumerate(images, start=1)),
+    )
 
 
 @main.command()
@@ -219,46 +214,38 @@ def act(n, word_text, target, max_endo_letters, fmt, out):
 @click.option("--pairs", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--max-len", type=click.IntRange(min=0), default=40, show_default=True)
 @click.option("--seed", type=int, default=20240801, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(("text", "machine")), default="text")
-@click.option("--out", type=click.File("w"), default=None)
+@_report_options
 @click.pass_context
 def selftest(ctx, n_from, n_to, pairs, max_len, seed, fmt, out):
     """Cross-oracle agreement of the two exact engines on random pairs."""
     if n_from < 3 or n_to < n_from:
         raise click.UsageError("need 3 <= from <= to")
     report = run_cross_oracle(ns=range(n_from, n_to + 1), pairs=pairs, max_len=max_len, seed=seed)
-    if fmt == "machine":
-        doc = {
-            "tool_version": __version__,
-            "config": {
-                "command": "selftest",
-                "from": n_from,
-                "to": n_to,
-                "pairs": pairs,
-                "max_len": max_len,
-                "seed": seed,
-                "format": fmt,
-            },
-            "report": report.as_dict(),
-        }
-        _emit(to_json(doc), out)
-    else:
-        lines = []
-        for n in sorted(report.pairs_per_n):
-            lines.append(
-                f"n={n}: {report.pairs_per_n[n]} pairs, engines agree on all, "
-                f"{report.equal_pairs_per_n[n]} equal pairs"
-            )
-        lines.append(
-            "sphere relations trivial: " + ("yes" if report.relations_ok else "NO")
-        )
+
+    def text():
+        lines = [
+            f"n={n}: {report.pairs_per_n[n]} pairs, engines agree on all, "
+            f"{report.equal_pairs_per_n[n]} equal pairs"
+            for n in sorted(report.pairs_per_n)
+        ]
+        lines.append("sphere relations trivial: " + ("yes" if report.relations_ok else "NO"))
         lines.append("selftest " + ("PASS" if report.ok else "FAIL"))
-        _emit("\n".join(lines) + "\n", out)
+        return "\n".join(lines) + "\n"
+
+    config = {
+        "command": "selftest",
+        "from": n_from,
+        "to": n_to,
+        "pairs": pairs,
+        "max_len": max_len,
+        "seed": seed,
+    }
+    _report(out, fmt, config, {"report": report.as_dict()}, text)
     ctx.exit(EXIT_OK if report.ok else EXIT_REFUTED)
 
 
 def run(argv=None) -> int:
-    """Programmatic entry point returning the exit code."""
+    """Entry point of the command line and of `python -m spherebraid`; returns the exit code."""
     try:
         # outside standalone mode click returns ctx.exit codes instead of
         # raising SystemExit
@@ -266,18 +253,9 @@ def run(argv=None) -> int:
         return rv if isinstance(rv, int) else EXIT_OK
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    except click.UsageError as exc:
+    except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - defensive
         click.echo(f"internal error: {exc}", err=True)
         return EXIT_INTERNAL
-
-
-def console():
-    """Console-script entry point."""
-    sys.exit(run())
-
-
-if __name__ == "__main__":
-    console()

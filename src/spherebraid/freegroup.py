@@ -40,11 +40,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import StrandCountMismatchError
+from .words import check_comparable
 
 
 class BudgetExceededError(RuntimeError):
-    """An endomorphism image outgrew the configured letter budget."""
+    """A computation outgrew its budget.
+
+    Raised when an endomorphism image outgrows the letter budget, and by
+    presentations when a coset enumeration hits its coset cap.
+    """
 
 
 # junctions are scanned letter by letter up to this length, then galloped
@@ -223,10 +227,7 @@ def eq_Bn(w, v, max_image_letters: int | None = None) -> bool:
     The conjugator form of an image is unique, so the actions are compared
     on it without expanding the images.
     """
-    if w.strand_count != v.strand_count:
-        raise StrandCountMismatchError(
-            f"cannot compare words on {w.strand_count} and {v.strand_count} strands"
-        )
+    check_comparable(w, v)
     return _artin_images(w.strand_count, w.letters, max_image_letters) == _artin_images(
         v.strand_count, v.letters, max_image_letters
     )

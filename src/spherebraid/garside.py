@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import BraidWord, StrandCountMismatchError
+from .words import BraidWord, check_comparable
 
 # Entries of the pair-slide memo.  Short mixed-sign words on few strands
 # enter about one simple per letter and repeat nearly every pair, so the
@@ -209,8 +209,5 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
 
 def equal_Bn(w: BraidWord, v: BraidWord) -> bool:
     """Exact equality in B_n: componentwise equality of normal forms."""
-    if w.strand_count != v.strand_count:
-        raise StrandCountMismatchError(
-            f"cannot compare words on {w.strand_count} and {v.strand_count} strands"
-        )
+    check_comparable(w, v)
     return normal_form(w) == normal_form(v)

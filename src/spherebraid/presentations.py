@@ -88,11 +88,11 @@ def presentation_library(name: str, n: int = 0) -> FinitePresentation:
     """The presentations used throughout: sphere_braid(n), q8, dicyclic(n).
 
     sphere_braid(n): sigma_1..sigma_{n-1} with the two braid relation
-    families and the sphere relator.  q8: <a, b | a^4, a^2 b^-2, b^-1 a b a>.
-    dicyclic(n): <a, b | a^(2n), a^n b^-2, b^-1 a b a>, of order 4n.
+    families and the sphere relator.  dicyclic(n): <a, b | a^(2n),
+    a^n b^-2, b^-1 a b a>, of order 4n.  q8 is dicyclic(2).
     """
     if name == "q8":
-        return FinitePresentation(2, ((1, 1, 1, 1), (1, 1, -2, -2), (-2, 1, 2, 1)))
+        return presentation_library("dicyclic", 2)
     if name == "dicyclic":
         if n < 2:
             raise PresentationError(f"dicyclic needs n >= 2, got {n}")

@@ -33,7 +33,7 @@ from .certificates import ProofStep, Verdict, VerificationCertificate
 from .freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _artin_images, _extend, _inv
 from .words import (
     BraidWord,
-    StrandCountMismatchError,
+    check_comparable,
     named_element,
     permutation,
     xi,
@@ -186,10 +186,7 @@ def eq_mod_center(w: BraidWord, v: BraidWord, max_image_letters: int | None = DE
     and the test reads the actions of w and v (memoized when a plan has
     just compared them) instead of computing the longer w v^-1.
     """
-    if w.strand_count != v.strand_count:
-        raise StrandCountMismatchError(
-            f"cannot compare words on {w.strand_count} and {v.strand_count} strands"
-        )
+    check_comparable(w, v)
     if acts_trivially(v, max_image_letters):
         return acts_trivially(w, max_image_letters)
     return acts_trivially(w * v.inverse(), max_image_letters)
@@ -201,7 +198,8 @@ def relator_trivializes(w: BraidWord) -> bool:
     Either way w = 1 in B_n(S^2); the test is exact and rests on no axiom.
     """
     n = w.strand_count
-    return garside.equal_Bn(w, named_element("surface_relator", n)) or garside.equal_Bn(w, BraidWord(n))
+    targets = (named_element("surface_relator", n), BraidWord(n))
+    return garside.normal_form(w) in map(garside.normal_form, targets)
 
 
 def square_rule(v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> ProofStep | None:

@@ -27,6 +27,14 @@ class StrandCountMismatchError(ValueError):
     """Two words that must live in the same braid group do not."""
 
 
+def check_comparable(w: BraidWord, v: BraidWord) -> None:
+    """Raise StrandCountMismatchError unless w and v have the same strand count."""
+    if w.strand_count != v.strand_count:
+        raise StrandCountMismatchError(
+            f"cannot compare words on {w.strand_count} and {v.strand_count} strands"
+        )
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the generators sigma_1 .. sigma_{n-1} of the n-strand braid group."""

@@ -538,6 +538,16 @@ class TestOutFile:
         assert expected.stdout_bytes
         assert target.read_bytes() == expected.stdout_bytes
 
+    def test_unopenable_out_file_exits_2_naming_the_file(self, tmp_path, capsys):
+        # click opens --out lazily, so the plan runs before the open fails
+        target = str(tmp_path / "missing" / "x.json")
+        assert cli.run(["verify", "--claim", "q8", "--n", "4", "--out", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: Could not open file {target!r}: No such file or directory\n"
+        )
+
 
 class TestConsoleEntryPoint:
     """Exit codes and output through `python -m spherebraid`, a real process."""
