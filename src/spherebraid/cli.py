@@ -10,7 +10,11 @@ written to disk unless --out is given.
 
 from __future__ import annotations
 
+import errno
+import os
+
 import click
+from click.utils import LazyFile
 
 from . import __version__, garside, sphere, theorems
 from .certificates import Verdict, to_json
@@ -70,9 +74,26 @@ def _report(out, fmt, config, payload, text) -> None:
         click.echo(doc, nl=False)
 
 
+def _check_out(ctx, param, out):
+    """Refuse before the run an --out path that is a directory or lies in a missing one.
+
+    The message is the one opening the file gives.  The file is opened only
+    to write the report, so nothing is created or truncated before then.
+    """
+    if isinstance(out, LazyFile):
+        if os.path.isdir(out.name):
+            raise click.FileError(out.name, hint=os.strerror(errno.EISDIR))
+        try:
+            # with a trailing separator stat fails on a folder that is missing or a file
+            os.stat(os.path.join(os.path.dirname(os.path.abspath(out.name)), ""))
+        except OSError as exc:
+            raise click.FileError(out.name, hint=exc.strerror) from None
+    return out
+
+
 def _report_options(command):
     """--format and --out, shared by every command."""
-    command = click.option("--out", type=click.File("w"), default=None)(command)
+    command = click.option("--out", type=click.File("w"), default=None, callback=_check_out)(command)
     return click.option(
         "--format", "fmt", type=click.Choice(("text", "machine")), default="text"
     )(command)
@@ -100,18 +121,7 @@ def _certificate_text(cert) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Group(click.Group):
-    """The command group: a budget that runs out in any command exits 3."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except BudgetExceededError as exc:
-            click.echo(f"budget exhausted: {exc}", err=True)
-            ctx.exit(EXIT_INCONCLUSIVE)
-
-
-@click.group(cls=_Group)
+@click.group()
 @click.version_option(__version__)
 def main():
     """Certified computations in sphere braid groups."""
@@ -245,14 +255,19 @@ def selftest(ctx, n_from, n_to, pairs, max_len, seed, fmt, out):
 
 
 def run(argv=None) -> int:
-    """Entry point of the command line and of `python -m spherebraid`; returns the exit code."""
+    """Entry point of the command line and of `python -m spherebraid`; returns the exit code.
+
+    The one place that turns an exception into an exit code: a budget
+    that runs out in any command exits 3, a click error 2.
+    """
     try:
         # outside standalone mode click returns ctx.exit codes instead of
         # raising SystemExit
         rv = main.main(args=argv, standalone_mode=False)
         return rv if isinstance(rv, int) else EXIT_OK
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
+    except BudgetExceededError as exc:
+        click.echo(f"budget exhausted: {exc}", err=True)
+        return EXIT_INCONCLUSIVE
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return EXIT_INTERNAL

@@ -100,6 +100,14 @@ def _inv(letters) -> list[int]:
     return [-x for x in reversed(letters)]
 
 
+def _conjugator_length(word: list[int], j: int) -> int:
+    """The length of word without its trailing x_j^+-1: the conjugator form of word x_j word^-1."""
+    m = len(word)
+    while m and (word[m - 1] == j or word[m - 1] == -j):
+        m -= 1
+    return m
+
+
 @dataclass(frozen=True)
 class FreeWord:
     """A freely reduced word in the free group of the given rank."""
@@ -167,12 +175,9 @@ def _conjugated(u: list[int], u_inv: list[int], v, budget: int | None):
     u[lu - c :] = V[c:]
     if c == lv:
         # V cancelled completely, so C is a prefix of u and may end in x_r^+-1
-        m = 0
-        while m < len(u) and (u[-1 - m] == r or u[-1 - m] == -r):
-            m += 1
-        if m:
-            del u[-m:]
-            del C_inv[:m]
+        m = _conjugator_length(u, r)
+        del C_inv[: len(u) - m]
+        del u[m:]
     if budget is not None and 2 * len(u) + 1 > budget:
         raise BudgetExceededError(
             f"endomorphism image exceeded {budget} letters; raise the budget to continue"

@@ -103,14 +103,6 @@ def _sphere_conjugators(w: BraidWord, max_image_letters: int | None) -> list[tup
     return out
 
 
-def _strip(word: list[int], j: int) -> list[int]:
-    """The word without its trailing letters x_j^+-1."""
-    m = len(word)
-    while m and (word[m - 1] == j or word[m - 1] == -j):
-        m -= 1
-    return word[:m]
-
-
 def _common_conjugator(conjugators: list[list[int]]) -> tuple[int, ...] | None:
     """The reduced c with c x_j c^-1 = C_j x_j C_j^-1 for every j, or None.
 
@@ -120,7 +112,7 @@ def _common_conjugator(conjugators: list[list[int]]) -> tuple[int, ...] | None:
     of at most one generator, so it is the longest C_j.
     """
     c = max(conjugators, key=len)
-    if all(_strip(c, j) == C for j, C in enumerate(conjugators, start=1)):
+    if all(c[: freegroup._conjugator_length(c, j)] == C for j, C in enumerate(conjugators, start=1)):
         return tuple(c)
     return None
 
@@ -173,7 +165,9 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
         raise ValueError(f"acts_trivially needs n >= 3, got n = {w.strand_count}")
     if not permutation(w).is_identity():
         return False
-    conjugators = [_strip(S, p) for S, p in _sphere_conjugators(w, max_image_letters)]
+    conjugators = [
+        S[: freegroup._conjugator_length(S, p)] for S, p in _sphere_conjugators(w, max_image_letters)
+    ]
     _check_image(2 * max(map(len, conjugators)) + 1, max_image_letters)
     return _common_conjugator(conjugators) is not None
 
@@ -257,19 +251,12 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
     ]
     if not consistent:
         return steps
-    # Disambiguate 1 vs Delta^2 with the square rule when a square root of
-    # w^k is available as a word: w^(k/2) for even k, or the literal half of
-    # the letter sequence when it happens to repeat.
-    half_word = None
-    if k % 2 == 0:
-        half_word = w ** (k // 2)
-    else:
-        letters = power.letters
-        mid = len(letters) // 2
-        if len(letters) % 2 == 0 and letters[:mid] == letters[mid:]:
-            half_word = BraidWord(n, letters[:mid])
-    if half_word is not None:
-        sq = square_rule(half_word, max_image_letters)
+    # Disambiguate 1 vs Delta^2 with the square rule when the letters of
+    # w^k split into two equal halves, a square root of w^k as a word (for
+    # even k the half is w^(k/2)).
+    half = power.letters[: len(power) // 2]
+    if half + half == power.letters:
+        sq = square_rule(BraidWord(n, half), max_image_letters)
         if sq is not None:
             steps.append(
                 replace(

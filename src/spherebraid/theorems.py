@@ -85,6 +85,13 @@ def _powers(g: Permutation, count: int) -> list[list[int]]:
     return powers
 
 
+def _half_twist_square_step(step_id: str, x: BraidWord, max_image_letters) -> ProofStep:
+    """The exact step x^2 = Delta^2 for the half twist x: s1 of q8, d2 of dicyclic."""
+    n = x.strand_count
+    statement = f"the square of the half twist equals the full-twist word in B_{n}"
+    return _exact_step(step_id, statement, [(x * x, named_element("full_twist", n))], max_image_letters)
+
+
 def verify_q8(
     n: int,
     max_cosets: int = DEFAULT_MAX_COSETS,
@@ -108,13 +115,7 @@ def verify_q8(
             return verdict, steps, {"in_commutator": False}
         x = named_element("half_twist", n)
         y = named_element("bipolar_twist", n)
-        delta2 = named_element("full_twist", n)
-        s1 = _exact_step(
-            "s1",
-            f"the square of the half twist equals the full-twist word in B_{n}",
-            [(x * x, delta2)],
-            max_image_letters,
-        )
+        s1 = _half_twist_square_step("s1", x, max_image_letters)
         s2 = _exact_step(
             "s2",
             f"conjugating the bipolar twist by the half twist inverts it in B_{n}: "
@@ -298,12 +299,7 @@ def verify_dicyclic(
             [(a**n, delta2)],
             max_image_letters,
         )
-        d2 = _exact_step(
-            "d2",
-            f"the square of the half twist equals the full-twist word in B_{n}",
-            [(x * x, delta2)],
-            max_image_letters,
-        )
+        d2 = _half_twist_square_step("d2", x, max_image_letters)
         d3a = _exact_step(
             "d3a",
             f"conjugating the cycle word by the half twist mirrors it in B_{n}",
@@ -390,9 +386,7 @@ def verify_dicyclic(
 
 
 def verify_torsion_table(
-    n: int,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
+    n: int, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS
 ) -> VerificationCertificate:
     """Orders of the three canonical torsion elements: 2n, 2(n-1), 2(n-2)."""
 
@@ -534,7 +528,7 @@ PLANS = {
     "odd-obstruction": Plan(
         "odd-obstruction", lambda n, c, m: verify_odd_obstruction(n), odd=True
     ),
-    "torsion": Plan("torsion-orders", lambda n, c, m: verify_torsion_table(n, c, m)),
+    "torsion": Plan("torsion-orders", lambda n, c, m: verify_torsion_table(n, m)),
     "background": Plan("background", lambda n, c, m: verify_background(n, c, m), minimum=2),
 }
 

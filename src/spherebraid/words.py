@@ -114,9 +114,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition in word order: self first, then other."""
         return Permutation(tuple(other.images[v - 1] for v in self.images))

@@ -365,13 +365,6 @@ class TestActCommand:
             args = ["act", "--target", "disk"]
             assert _word_outputs_digest(runner, args, n, fmt) == digest, (n, fmt)
 
-    def test_budget_exit_3(self, runner):
-        word = " ".join(["1 2 3 4 5"] * 40)
-        result = runner.invoke(
-            main, ["act", "--n", "6", "--word", word, "--max-endo-letters", "10"]
-        )
-        assert result.exit_code == 3
-
     def test_budget_exit_3_through_run(self, capsys):
         word = " ".join(["1 2 3 4 5"] * 40)
         assert cli.run(["act", "--n", "6", "--word", word, "--max-endo-letters", "10"]) == 3
@@ -420,7 +413,7 @@ class TestActCommand:
             words = self._sphere_words(n)
             # the set covers images of x_j for j < n that are conjugates of
             # (x_1..x_{n-1})^-1 rather than of a generator
-            assert any(permutation(w)(j) == n for w in words for j in range(1, n))
+            assert any(permutation(w).images[j - 1] == n for w in words for j in range(1, n))
             out = []
             for w in words:
                 args = ["act", "--n", str(n), "--word", w.to_text(), "--target", "sphere"]
@@ -430,14 +423,14 @@ class TestActCommand:
             assert hashlib.sha256("".join(out).encode()).hexdigest() == digest, (n, fmt)
         assert {n for n, _ in self.PINNED_SPHERE_DIGESTS} == set(range(3, 9))
 
-    def test_sphere_budget_exit_3(self, runner):
+    def test_sphere_budget_exit_3(self, capsys):
         # the disk images fit in 11 letters; a sphere image has 12
         args = ["act", "--n", "5", "--word", "-3 -3 -4 -2 -3 -2 2", "--target", "sphere"]
-        result = runner.invoke(main, [*args, "--max-endo-letters", "11"])
-        assert result.exit_code == 3
-        assert result.stdout == ""
-        assert result.stderr == "budget exhausted: endomorphism image exceeded 11 letters\n"
-        assert runner.invoke(main, [*args, "--max-endo-letters", "12"]).exit_code == 0
+        assert cli.run([*args, "--max-endo-letters", "11"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "budget exhausted: endomorphism image exceeded 11 letters\n"
+        assert cli.run([*args, "--max-endo-letters", "12"]) == 0
 
 
 class TestSelftestCommand:
@@ -465,12 +458,6 @@ class TestSelftestCommand:
         "budget exhausted: endomorphism image exceeded 1000000 letters; "
         "raise the budget to continue\n"
     )
-
-    def test_budget_exit_3(self, runner):
-        result = runner.invoke(main, self.BUDGET_ARGS)
-        assert result.exit_code == 3
-        assert result.stdout == ""
-        assert result.stderr == self.BUDGET_MESSAGE
 
     def test_budget_exit_3_through_run(self, capsys):
         assert cli.run(self.BUDGET_ARGS) == 3
@@ -538,15 +525,39 @@ class TestOutFile:
         assert expected.stdout_bytes
         assert target.read_bytes() == expected.stdout_bytes
 
-    def test_unopenable_out_file_exits_2_naming_the_file(self, tmp_path, capsys):
-        # click opens --out lazily, so the plan runs before the open fails
-        target = str(tmp_path / "missing" / "x.json")
-        assert cli.run(["verify", "--claim", "q8", "--n", "4", "--out", target]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: Could not open file {target!r}: No such file or directory\n"
-        )
+    @pytest.fixture
+    def plans_run(self, monkeypatch):
+        """The n of every q8 plan run."""
+        runs = []
+        real = theorems.verify_q8
+
+        def verify_q8(n, *budgets):
+            runs.append(n)
+            return real(n, *budgets)
+
+        monkeypatch.setattr(theorems, "verify_q8", verify_q8)
+        return runs
+
+    def test_unopenable_out_file_exits_2_naming_the_file(self, tmp_path, capsys, plans_run):
+        # the path is checked before the run, with the message opening it gives
+        unopenable = [
+            (str(tmp_path / "missing" / "x.json"), "No such file or directory"),
+            (str(tmp_path), "Is a directory"),
+        ]
+        for target, reason in unopenable:
+            assert cli.run(["verify", "--claim", "q8", "--n", "4", "--out", target]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: Could not open file {target!r}: {reason}\n"
+        assert plans_run == []
+
+    def test_usage_error_leaves_an_existing_out_file_untouched(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_text("earlier report\n")
+        args = ["verify", "--claim", "q8", "--n", "4", "--from", "3", "--to", "5"]
+        assert cli.run([*args, "--out", str(target)]) == 2
+        assert capsys.readouterr().err == "error: give either --n or --from/--to, not both\n"
+        assert target.read_text() == "earlier report\n"
 
 
 class TestConsoleEntryPoint:

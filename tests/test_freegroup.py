@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from braid_strategies import braid_letters
 from spherebraid.cli import main
 from spherebraid.freegroup import (
     BudgetExceededError,
@@ -21,11 +22,6 @@ from spherebraid.words import BraidWord, named_element, permutation
 
 def FW(rank, *letters):
     return FreeWord(rank, tuple(letters))
-
-
-def braid_letters(n, max_len=25):
-    alphabet = [k for k in range(-(n - 1), n) if k != 0]
-    return st.lists(st.sampled_from(alphabet), max_size=max_len)
 
 
 class TestReduce:
@@ -86,14 +82,14 @@ class TestArtinDiskEndo:
                     rhs = BraidWord(n, (j, i))
                     assert artin_disk_endo(lhs) == artin_disk_endo(rhs)
 
-    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n), braid_letters(n))))
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 25), braid_letters(n, 25))))
     @settings(max_examples=50, deadline=None)
     def test_action_is_multiplicative(self, compose_endos, data):
         n, lu, lv = data
         u, v = BraidWord(n, tuple(lu)), BraidWord(n, tuple(lv))
         assert artin_disk_endo(u * v) == compose_endos(artin_disk_endo(u), artin_disk_endo(v))
 
-    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n))))
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 25))))
     @settings(max_examples=60, deadline=None)
     def test_images_are_conjugates_of_permuted_basis(self, data):
         n, letters = data
@@ -104,7 +100,7 @@ class TestArtinDiskEndo:
             core = list(img.letters)
             while len(core) >= 3 and core[0] == -core[-1]:
                 core = core[1:-1]
-            assert core == [perm(j)]
+            assert core == [perm.images[j - 1]]
 
     def test_budget_abort(self):
         w = named_element("half_twist", 6) ** 4
@@ -179,7 +175,7 @@ class TestMatchesLetterByLetterReduction:
             imgs = _artin_images(n, letters)
             assert [W + [p] + W_inv for W, p, W_inv in imgs] == expected
             perm = permutation(w)
-            assert [p for _, p, _ in imgs] == [perm(j) for j in range(1, n + 1)]
+            assert [p for _, p, _ in imgs] == list(perm.images)
             if not lengths:
                 continue
             # the reference raises exactly when a recorded length exceeds the

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braid_strategies import braid_letters
 from spherebraid import freegroup, garside
 from spherebraid.garside import GarsideNormalForm, equal_Bn, normal_form
 from spherebraid.selftest import random_word, rewrite_equivalent
@@ -13,11 +14,6 @@ from spherebraid.words import (
     mirror,
     named_element,
 )
-
-
-def braid_letters(n, max_len=25):
-    alphabet = [k for k in range(-(n - 1), n) if k != 0]
-    return st.lists(st.sampled_from(alphabet), max_size=max_len)
 
 
 # Reference: the fixed-point sweep that normal_form ran before the
@@ -167,7 +163,7 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             GarsideNormalForm(3, 0, ((3, 2, 1),))
 
-    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n))))
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 25))))
     @settings(max_examples=80, deadline=None)
     def test_normal_form_is_left_weighted(self, data):
         n, letters = data
@@ -270,7 +266,7 @@ class TestNormalForm:
                     longer = _ref_compose(flipped, sigma[c])
                     assert joins == (inversion_count(longer) == inversion_count(flipped) + 1)
 
-    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n), st.integers(0, 2**30))))
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 25), st.integers(0, 2**30))))
     @settings(max_examples=60, deadline=None)
     def test_invariance_under_rewrites(self, data):
         n, letters, seed = data
@@ -278,7 +274,7 @@ class TestNormalForm:
         v = rewrite_equivalent(w, random.Random(seed))
         assert normal_form(w) == normal_form(v)
 
-    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n))))
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 25))))
     @settings(max_examples=60, deadline=None)
     def test_exponent_sum_recoverable(self, data):
         n, letters = data

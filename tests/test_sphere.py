@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braid_strategies import braid_letters
 from spherebraid.certificates import AXIOMS, Verdict
 from spherebraid.freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _extend, _inv
 from spherebraid.presentations import presentation_library
@@ -17,11 +18,6 @@ from spherebraid.sphere import (
     torsion_order,
 )
 from spherebraid.words import BraidWord, named_element, permutation
-
-
-def braid_letters(n, max_len=18):
-    alphabet = [k for k in range(-(n - 1), n) if k != 0]
-    return st.lists(st.sampled_from(alphabet), max_size=max_len)
 
 
 def _reference_inner_conjugator(e):
@@ -117,7 +113,7 @@ class TestSphereEndo:
         e = sphere_endo(named_element("full_twist", 4))
         assert e.is_identity()
 
-    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n), braid_letters(n))))
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 18), braid_letters(n, 18))))
     @settings(max_examples=40, deadline=None)
     def test_action_is_multiplicative(self, compose_endos, data):
         n, lu, lv = data
@@ -200,7 +196,7 @@ class TestActsTrivially:
             assert acts_trivially(w, longest) is inner
             assert acts_trivially(w, longest + 1) is inner
 
-    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n))))
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 18))))
     @settings(max_examples=60, deadline=None)
     def test_nontrivial_permutation_never_in_center_set(self, data):
         n, letters = data
@@ -357,11 +353,21 @@ class TestTorsionOrder:
         )
 
     def test_alpha2_n3_resolved_by_square_rule(self):
-        cert = torsion_order(named_element("alpha2", 3), 2)
-        assert cert.verdict is Verdict.VERIFIED
-        assert not cert.flags["a5_backed"]
-        assert any(s.method == "square-rule" for s in cert.steps)
-        assert any(s.method == "mod-center" for s in cert.steps)
+        # (w, claimed order, the square root of w^(claimed/2) the rule gets):
+        # alpha2 at n = 3, then alpha2^2, whose w^k for odd k splits into
+        # two equal literal halves alpha2^k
+        cases = [(named_element("alpha2", 3), 2, BraidWord(3, (1,)))]
+        for n, claimed in ((4, 2), (8, 6)):
+            alpha2 = named_element("alpha2", n)
+            cases.append((alpha2**2, claimed, alpha2 ** (claimed // 2)))
+        for w, claimed, half in cases:
+            cert = torsion_order(w, claimed)
+            assert cert.verdict is Verdict.VERIFIED, w.strand_count
+            assert not cert.flags["a5_backed"]
+            (root,) = [s for s in cert.steps if s.id == "troot"]
+            assert root.method == "square-rule"
+            assert root.data["word"] == half.to_text()
+            assert any(s.method == "mod-center" for s in cert.steps)
 
     def test_odd_claim_is_inconclusive(self):
         # alpha0^2 has order 3 in B_3(S^2); the invariants allow 3, but an

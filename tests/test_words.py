@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braid_strategies import braid_letters
 from spherebraid.words import (
     BraidWord,
     Permutation,
@@ -19,13 +20,8 @@ def W(n, *letters):
     return BraidWord(n, tuple(letters))
 
 
-def letters_strategy(n, max_len=30):
-    alphabet = [k for k in range(-(n - 1), n) if k != 0]
-    return st.lists(st.sampled_from(alphabet), max_size=max_len)
-
-
 words_any_n = st.integers(2, 6).flatmap(
-    lambda n: st.tuples(st.just(n), letters_strategy(n))
+    lambda n: st.tuples(st.just(n), braid_letters(n, 30))
 )
 
 
