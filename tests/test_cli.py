@@ -245,6 +245,8 @@ class TestVerifyCommand:
         ("torsion", 25, 32): "7ec3ecedc3e7a1e8ce4cd03676467757b4a1b8ab58483652cf6086a968e61c70",
         ("torsion", 48, 48): "1adfb6246f9d0add5134555e4b7823025d03ffe37142e9b9e108f9c4c91fcb70",
         ("torsion", 64, 64): "77ab7db63ec7c72c2248a2e7e88dc4412eb5aa6d89947218090e4c08e0a75cca",
+        # background past the benchmark grid, where b4's words are longest
+        ("background", 23, 32): "305d9f04f65c551574bcdecb046c8710249c93270d4ce0ca33f49502cfc453a3",
     }
 
     def test_machine_output_matches_pinned_digests(self, runner):
@@ -272,6 +274,13 @@ class TestVerifyCommand:
             "eaa5dc99f2ea900ac33af4003c151b8ff5e4a7d02580db196b146f7d958cf558",
         ("background", "--n", "2", "--max-cosets", "1"):
             "19d59216f16a701d21790fe6a3e5870673aa14e3cc99656614a0d5fb124c03af",
+        # an image budget hit on words long enough for the chunked Artin action
+        ("q8", "--n", "24", "--max-endo-letters", "60"):
+            "b41659ade8c2f14d8a523f59113b0de7301783cd6cef4e89eef503b603def5f1",
+        ("dicyclic", "--n", "24", "--max-endo-letters", "60"):
+            "fd31fc3c0457826eac7cbc554a573728fde2b0063e726444234c84131a55a2e5",
+        ("background", "--n", "22", "--max-endo-letters", "40"):
+            "8df97cea368e679875100f6aead5bc44ddeb1752716bb01f9f3db158894a9891",
     }
 
     def test_budget_output_matches_pinned_digests(self, runner):
