@@ -20,6 +20,23 @@ One braid letter then costs one free cancellation, at the junction of two
 reduced words (`_junction`); everything else is list slicing and
 concatenation.
 
+Most plan words are built from half twists, and a half twist is one
+permutation braid (Epstein et al., Word Processing in Groups, ch. 9):
+a positive or negative braid in which any two strands cross at most
+once.  Its action has a closed form (`_chunk_step`): x_j goes to
+W_j x_pi(j) W_j^-1, with pi the permutation and W_j the product of the
+x_k over an index set read off pi.  When every index set is an interval
+[a, b], the action phi built so far composes with the chunk through
+phi(x_a..x_b) = Q_{a-1}^-1 Q_b, where Q_m = phi(x_lo..x_m) and lo is
+the least a, so a chunk costs about one junction per strand instead of
+one per letter.  Walking the letters right to left, the engine splits
+them into maximal permutation-braid chunks of one sign; a chunk of at
+least CHUNK_LETTERS_PER_STRAND * n letters takes the closed form, and
+every other letter the letter step.  The walk repeats garside's
+permutation-braid test in a few lines of its own, so the two engines
+share no code.  The budget bounds every stored image and every Q_m, not
+the images the letter step would pass through inside a chunk.
+
 The disk action is memoized: `_artin_images` keeps its last two
 results, keyed on (strand_count, letters, budget).  The root identities
 behind the dicyclic and torsion certificates compare several words with
@@ -37,6 +54,7 @@ are shared: callers read them and never change a stored list.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,6 +71,11 @@ class BudgetExceededError(RuntimeError):
 
 # junctions are scanned letter by letter up to this length, then galloped
 _SCAN = 8
+
+# A permutation-braid chunk of at least this many letters per strand goes
+# through its closed form.  A shorter one costs about as many junctions
+# as it has letters either way, and goes letter by letter.
+CHUNK_LETTERS_PER_STRAND = 4
 
 
 def _junction(u: list[int], v_inv: list[int]) -> int:
@@ -131,7 +154,7 @@ class FreeWord:
 
     def to_text(self) -> str:
         """The same signed-integer text syntax braid words use."""
-        return " ".join(str(k) for k in self.letters)
+        return " ".join(map(str, self.letters))
 
 
 @dataclass(frozen=True)
@@ -152,57 +175,56 @@ class EndoOnBasis:
         return all(img.letters == (j,) for j, img in enumerate(self.images, start=1))
 
 
+def _over_budget(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"endomorphism image exceeded {budget} letters; raise the budget to continue")
+
+
 def _conjugated(u: list[int], u_inv: list[int], v, budget: int | None):
     """The image u v u^-1, where v = (V, r, V^-1) stands for V x_r V^-1.
 
     u v u^-1 = C x_r C^-1 with C the reduced product u V, stripped of
-    trailing x_r^+-1.  u is a fresh list and becomes C.
+    trailing x_r^+-1.  u is a fresh, nonempty list and becomes C.
 
-    Only |u v u^-1| is checked against the budget.  Reducing u, v, u^-1
-    letter by letter also passes through u and u v, but neither can be the
-    first word over a budget: |u| and |v| are lengths of images checked
-    earlier, or 1, and |u v| <= max(|u|, |v|, |u v u^-1|).  (If u V cancels
-    less than all of V, one of |v|, |u v u^-1| is at least |u v|; if it
-    cancels all of V, |u v| <= |u| + 1, with |u v| above all three only
-    when u = v, that is a = b or b^-1 = a, which an automorphism never
-    allows.)
+    Only |u v u^-1| is checked against the budget.  On the letter path
+    u v u^-1 is a b a^-1 (or b^-1 a b) for two images a, b, and reducing
+    it letter by letter also passes through u and u v, but neither can be
+    the first word over a budget: |u| and |v| are lengths of images
+    checked earlier, or 1, and |u v| <= max(|u|, |v|, |u v u^-1|).  (If
+    u V cancels less than all of V, one of |v|, |u v u^-1| is at least
+    |u v|; if it cancels all of V, |u v| <= |u| + 1, with |u v| above all
+    three only when u = v, that is a = b or b^-1 = a, which an
+    automorphism never allows.)  On the chunk path u is the image of a
+    product of generators, built from the checked Q_m of `_chunk_step`
+    but not itself checked, and the images the letter path would pass
+    through inside the chunk are never built: there the budget bounds
+    every stored image and every Q_m, not the peaks inside a chunk.
     """
     V, r, V_inv = v
-    lu, lv = len(u), len(V)
-    # most junctions cancel nothing: test the first letter before the call
-    c = _junction(u, V_inv) if lv and u[-1] == V_inv[-1] else 0
-    C_inv = V_inv[: lv - c] + u_inv[c:]
-    u[lu - c :] = V[c:]
-    if c == lv:
-        # V cancelled completely, so C is a prefix of u and may end in x_r^+-1
-        m = _conjugator_length(u, r)
-        del C_inv[: len(u) - m]
-        del u[m:]
+    lv = len(V)
+    if lv and u[-1] != V_inv[-1]:
+        # most junctions cancel nothing, which the first letter shows
+        C_inv = V_inv + u_inv
+        u += V
+    else:
+        c = _junction(u, V_inv) if lv else 0
+        C_inv = V_inv[: lv - c] + u_inv[c:]
+        u[len(u) - c :] = V[c:]
+        if c == lv:
+            # V cancelled completely, so C is a prefix of u and may end in x_r^+-1
+            m = _conjugator_length(u, r)
+            del C_inv[: len(u) - m]
+            del u[m:]
     if budget is not None and 2 * len(u) + 1 > budget:
-        raise BudgetExceededError(
-            f"endomorphism image exceeded {budget} letters; raise the budget to continue"
-        )
+        raise _over_budget(budget)
     return u, r, C_inv
 
 
-@lru_cache(maxsize=2)
-def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | None = None) -> list[tuple]:
-    """Images of x_1..x_n under the word's action, in conjugator form.
+def _letter_steps(imgs: list[tuple], letters, budget: int | None) -> None:
+    """Compose the images with the action of each letter in turn, in place.
 
-    Entry j - 1 is (W, p, W^-1) for the image W x_p W^-1 of x_j, with W
-    reduced and not ending in x_p^+-1; p is the strand permutation's
-    image of j.  Builds the composite right-to-left so each braid letter
-    touches only two images.  No stored list is ever changed, so the
-    identity images can share one empty list.
-
-    Memoized on (strand_count, letters, budget), the last two calls:
-    the fewest that catch every repeated word within one verification
-    plan.  A result, its entries and their lists are shared with every
-    later caller of the same key, so no caller may change them either.
+    `letters` run right to left; each one touches two images.
     """
-    empty: list[int] = []
-    imgs: list[tuple] = [(empty, j, empty) for j in range(1, strand_count + 1)]
-    for k in reversed(letters):
+    for k in letters:
         i = abs(k) - 1
         if k > 0:
             # x_i -> a b a^-1, x_{i+1} -> a
@@ -214,6 +236,128 @@ def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | Non
             B, q, B_inv = b = imgs[i + 1]
             imgs[i + 1] = _conjugated([*B, -q, *B_inv], [*B, q, *B_inv], imgs[i], budget)
             imgs[i] = b
+
+
+def _chunk_step(imgs: list[tuple], perm: list[int], positive: bool, budget: int | None) -> bool:
+    """Compose the images phi with the action of a permutation braid P of one sign, in place.
+
+    perm is P's strand permutation (images, 1-based, word order).  P
+    sends x_j to W_j x_perm(j) W_j^-1, where W_j is
+      positive P: the increasing product of x_k over
+                  k in {perm(i) : i > j, perm(i) < perm(j)};
+      negative P: the decreasing product of x_k^-1 over
+                  k in {perm(i) : i < j, perm(i) > perm(j)}.
+    So phi o P sends x_j to phi(W_j) phi(x_perm(j)) phi(W_j)^-1.  When
+    every index set is an interval [a, b], phi(x_a..x_b) = Q_{a-1}^-1 Q_b
+    with Q_m the reduced phi(x_lo..x_m), lo the least a: one junction per
+    Q_m and per image.  Each Q_m is held to the budget.  Returns False,
+    with the images unchanged, if some index set is not an interval.
+    """
+    spans = []  # (j, a, b): W_j = (x_a..x_b)^{+-1}, j 0-based
+    passed: list[int] = []  # the perm values already walked past, sorted
+    for j in range(len(perm) - 1, -1, -1) if positive else range(len(perm)):
+        pj = perm[j]
+        t = bisect_left(passed, pj)
+        ks = passed[:t] if positive else passed[t:]
+        if ks:
+            if ks[-1] - ks[0] + 1 != len(ks):
+                return False
+            spans.append((j, ks[0], ks[-1]))
+        passed.insert(t, pj)
+    lo = min(a for _, a, _ in spans)
+    Q: list[list[int]] = [[]]  # Q[m - lo + 1] is Q_m
+    Q_inv: list[list[int]] = [[]]
+    for A, p, A_inv in imgs[lo - 1 : max(b for _, _, b in spans)]:
+        q, q_inv = Q[-1], Q_inv[-1]
+        v, v_inv = [*A, p, *A_inv], [*A, -p, *A_inv]
+        c = _junction(q, v_inv)
+        Q.append(q[: len(q) - c] + v[c:])
+        Q_inv.append(v_inv[: len(v) - c] + q_inv[c:])
+        if budget is not None and len(Q[-1]) > budget:
+            raise _over_budget(budget)
+    new = [imgs[p - 1] for p in perm]
+    for j, a, b in spans:
+        # Q_{a-1}^-1 Q_b cancels the common prefix of Q_{a-1} and Q_b
+        head, head_inv, tail, tail_inv = Q[a - lo], Q_inv[a - lo], Q[b - lo + 1], Q_inv[b - lo + 1]
+        c = _junction(head_inv, tail_inv)
+        u = head_inv[: len(head) - c] + tail[c:]
+        u_inv = tail_inv[: len(tail) - c] + head[c:]
+        if not positive:
+            u, u_inv = u_inv, u
+        new[j] = _conjugated(u, u_inv, new[j], budget)
+    imgs[:] = new
+    return True
+
+
+def _long_chunks(letters: tuple[int, ...], n: int, least: int):
+    """The maximal permutation-braid chunks of one sign with at least `least` letters, right to left.
+
+    Walking the letters right to left, a letter joins the open chunk
+    while it has the chunk's sign and its two strands have not crossed
+    in it; otherwise it opens the next chunk.  Yields (start, end,
+    positive, perm) for each chunk letters[start:end] that long, perm
+    its strand permutation (images, 1-based, word order).  This is the
+    permutation-braid test of garside's chunk entry, kept here so that
+    the two engines share no code.
+    """
+    if len(letters) < least:
+        return
+    identity = list(range(n + 1))  # perm[i]: where the strand at position i ends
+    end, sign, perm = len(letters), 1 if letters[-1] > 0 else -1, identity[:]
+    t = len(letters)
+    for k in reversed(letters):
+        t -= 1
+        i = k * sign
+        if i > 0:
+            a, b = perm[i], perm[i + 1]
+            if a < b:  # the strands at i and i + 1 have not crossed: join
+                perm[i], perm[i + 1] = b, a
+                continue
+        if end - t - 1 >= least:
+            yield t + 1, end, sign > 0, perm[1:]
+        if t + 1 < least:
+            return  # no chunk that long fits in the letters left
+        if i < 0:
+            sign, i = -sign, -i
+        end, perm = t + 1, identity[:]
+        perm[i], perm[i + 1] = i + 1, i
+    if end >= least:
+        yield 0, end, sign > 0, perm[1:]
+
+
+@lru_cache(maxsize=2)
+def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | None = None) -> list[tuple]:
+    """Images of x_1..x_n under the word's action, in conjugator form.
+
+    Entry j - 1 is (W, p, W^-1) for the image W x_p W^-1 of x_j, with W
+    reduced and not ending in x_p^+-1; p is the strand permutation's
+    image of j.  Builds the composite right-to-left.  A permutation-braid
+    chunk of one sign with at least CHUNK_LETTERS_PER_STRAND * n letters
+    (`_long_chunks`) goes through its closed form (`_chunk_step`); every
+    other letter goes letter by letter (`_letter_steps`), touching two
+    images.  Below n = 2 * CHUNK_LETTERS_PER_STRAND + 1 no permutation
+    braid is that long, and the chunk walk is skipped.
+
+    Every stored image and every Q_m of a chunk is held to the budget;
+    the images the letter path would pass through inside a chunk are
+    never built, so their peaks are not.  No stored list is ever changed,
+    so the identity images can share one empty list.
+
+    Memoized on (strand_count, letters, budget), the last two calls:
+    the fewest that catch every repeated word within one verification
+    plan.  A result, its entries and their lists are shared with every
+    later caller of the same key, so no caller may change them either.
+    """
+    n = strand_count
+    empty: list[int] = []
+    imgs: list[tuple] = [(empty, j, empty) for j in range(1, n + 1)]
+    least = CHUNK_LETTERS_PER_STRAND * n
+    done = len(letters)  # letters[done:] are applied
+    if n * (n - 1) // 2 >= least:
+        for start, end, positive, perm in _long_chunks(letters, n, least):
+            _letter_steps(imgs, reversed(letters[end:done]), budget)
+            done = start if _chunk_step(imgs, perm, positive, budget) else end
+    _letter_steps(imgs, reversed(letters[:done]), budget)
     return imgs
 
 

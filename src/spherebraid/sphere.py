@@ -81,14 +81,13 @@ def _check_image(letters: int, max_image_letters: int | None) -> None:
         raise BudgetExceededError(f"endomorphism image exceeded {max_image_letters} letters")
 
 
-def _sphere_conjugators(w: BraidWord, max_image_letters: int | None) -> list[tuple[list[int], int]]:
+def _sphere_conjugators(n: int, disk_images: list[tuple]) -> list[tuple[list[int], int]]:
     """(S_j, p) for j < n: the conjugator W_j of the disk image W_j x_p W_j^-1
     of x_j, with x_n := (x_1..x_{n-1})^-1 substituted and reduced."""
-    n = w.strand_count
     closure = list(range(-(n - 1), 0))  # (x_1 .. x_{n-1})^-1
     substitute = {n: (closure, _inv(closure)), -n: (_inv(closure), closure)}
     out = []
-    for W, p, W_inv in _artin_images(n, w.letters, max_image_letters)[: n - 1]:
+    for W, p, W_inv in disk_images[: n - 1]:
         if n not in W and -n not in W:
             out.append((W, p))  # shared with the engine, which never changes it
             continue
@@ -129,7 +128,7 @@ def sphere_endo(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
         raise ValueError(f"the sphere action needs n >= 3, got n = {n}")
     closure = list(range(-(n - 1), 0))  # (x_1 .. x_{n-1})^-1
     images = []
-    for S, p in _sphere_conjugators(w, max_image_letters):
+    for S, p in _sphere_conjugators(n, _artin_images(n, w.letters, max_image_letters)):
         out = S[:]
         _extend(out, *((closure, _inv(closure)) if p == n else ([p], [-p])))
         _extend(out, _inv(S), S)
@@ -158,15 +157,23 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
     never tells 1 from Delta^2; only square_rule, relator_trivializes or an
     exact identity in B_n can.  A word with a nontrivial strand permutation
     moves a puncture class and is rejected without computing the action.
-    Otherwise p = j, and every image C_j x_j C_j^-1 (C_j: S_j without
-    trailing x_j^+-1) is held to the budget before the C_j are compared.
+    Otherwise p = j.  The disk-identity rule: when every disk image is x_j
+    itself (every W_j empty), so is every sphere image, and the answer is
+    True with nothing substituted or compared.  That rule is exact: such
+    a word is 1 in B_n already.  Otherwise every image C_j x_j C_j^-1
+    (C_j: S_j without trailing x_j^+-1) is held to the budget before the
+    C_j are compared.
     """
-    if w.strand_count < 3:
-        raise ValueError(f"acts_trivially needs n >= 3, got n = {w.strand_count}")
+    n = w.strand_count
+    if n < 3:
+        raise ValueError(f"acts_trivially needs n >= 3, got n = {n}")
     if not permutation(w).is_identity():
         return False
+    disk_images = _artin_images(n, w.letters, max_image_letters)
+    if not any(W for W, _, _ in disk_images):
+        return True
     conjugators = [
-        S[: freegroup._conjugator_length(S, p)] for S, p in _sphere_conjugators(w, max_image_letters)
+        S[: freegroup._conjugator_length(S, p)] for S, p in _sphere_conjugators(n, disk_images)
     ]
     _check_image(2 * max(map(len, conjugators)) + 1, max_image_letters)
     return _common_conjugator(conjugators) is not None

@@ -487,10 +487,8 @@ def verify_background(
             )
         )
         x = named_element("half_twist", n)
-        pairs = [
-            (x * BraidWord(n, (i,)) * x.inverse(), BraidWord(n, (n - i,)))
-            for i in range(1, n)
-        ]
+        x_inv = x.inverse()
+        pairs = [(x * BraidWord(n, (i,)) * x_inv, BraidWord(n, (n - i,))) for i in range(1, n)]
         steps.append(
             _exact_step(
                 "b4",

@@ -47,12 +47,12 @@ class BraidWord:
             raise WordSyntaxError(f"strand count must be >= 1, got {self.strand_count}")
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
-        for k in self.letters:
-            if k == 0 or not 1 <= abs(k) <= self.strand_count - 1:
-                raise WordSyntaxError(
-                    f"letter {k} out of range: generator index must lie in "
-                    f"[1, {self.strand_count - 1}] for {self.strand_count} strands"
-                )
+        n, letters = self.strand_count, self.letters
+        if letters and (min(letters) <= -n or max(letters) >= n or 0 in letters):
+            k = next(k for k in letters if k == 0 or not 1 <= abs(k) <= n - 1)
+            raise WordSyntaxError(
+                f"letter {k} out of range: generator index must lie in [1, {n - 1}] for {n} strands"
+            )
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -75,7 +75,7 @@ class BraidWord:
 
     def to_text(self) -> str:
         """Serialize to the whitespace-separated signed-integer syntax."""
-        return " ".join(str(k) for k in self.letters)
+        return " ".join(map(str, self.letters))
 
     @classmethod
     def from_text(cls, text: str, strand_count: int) -> "BraidWord":

@@ -1,16 +1,23 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import spherebraid
 from braid_strategies import braid_letters
 from spherebraid.cli import main
 from spherebraid.freegroup import (
+    CHUNK_LETTERS_PER_STRAND,
     BudgetExceededError,
     EndoOnBasis,
     FreeWord,
     _artin_images,
+    _chunk_step,
+    _letter_steps,
+    _long_chunks,
     artin_disk_endo,
     eq_Bn,
 )
@@ -131,19 +138,93 @@ def _reference_inv(letters):
     return [-x for x in reversed(letters)]
 
 
+def _reference_letter_step(imgs, k, budget=None, lengths=None):
+    """One braid letter on the expanded images, reducing a b a^-1 (or b^-1 a b) in full."""
+    i = abs(k) - 1
+    a, b = imgs[i], imgs[i + 1]
+    if k > 0:
+        imgs[i] = _reference_reduce_concat([a, b, _reference_inv(a)], budget, lengths)
+        imgs[i + 1] = a
+    else:
+        imgs[i] = b
+        imgs[i + 1] = _reference_reduce_concat([_reference_inv(b), a, b], budget, lengths)
+
+
 def _reference_artin_images(strand_count, letters, budget=None, lengths=None):
-    """The expanded images, each braid letter reducing a b a^-1 (or b^-1 a b) in full."""
+    """The expanded images, computed letter by letter."""
     imgs = [[j] for j in range(1, strand_count + 1)]
     for k in reversed(letters):
-        i = abs(k) - 1
-        a, b = imgs[i], imgs[i + 1]
-        if k > 0:
-            imgs[i] = _reference_reduce_concat([a, b, _reference_inv(a)], budget, lengths)
-            imgs[i + 1] = a
-        else:
-            imgs[i] = b
-            imgs[i + 1] = _reference_reduce_concat([_reference_inv(b), a, b], budget, lengths)
+        _reference_letter_step(imgs, k, budget, lengths)
     return imgs
+
+
+def _reference_is_permutation_braid(n, letters):
+    """A word of one sign is a permutation braid iff no two strands cross
+    twice, that is iff its length is the inversion count of its permutation."""
+    if not (all(k > 0 for k in letters) or all(k < 0 for k in letters)):
+        return False
+    p = permutation(BraidWord(n, tuple(letters))).images
+    return len(letters) == sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+
+
+def _reference_chunks(n, letters):
+    """(start, end) of the maximal one-sign permutation braids, right to left.
+
+    A piece of a permutation braid is one, so each chunk is the longest
+    such suffix of the letters not yet split off, found by bisection."""
+    chunks, end = [], len(letters)
+    while end:
+        lo, hi = 0, end - 1  # letters[hi:end] is one letter, a permutation braid
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _reference_is_permutation_braid(n, letters[mid:end]):
+                hi = mid
+            else:
+                lo = mid + 1
+        chunks.append((lo, end))
+        end = lo
+    return chunks
+
+
+def _reference_index_sets(n, letters):
+    """The index set of each W_j in the closed form x_j -> W_j x_p(j) W_j^-1 of a permutation braid."""
+    p = permutation(BraidWord(n, tuple(letters))).images
+    if letters[0] > 0:
+        return [{p[i] for i in range(j + 1, n) if p[i] < p[j]} for j in range(n)]
+    return [{p[i] for i in range(j) if p[i] > p[j]} for j in range(n)]
+
+
+def _reference_checked_lengths(n, letters):
+    """Letter by letter: the expanded images and every length on the way.
+    Also the lengths the engine holds to the budget, and how many chunks
+    take the closed form.
+
+    A chunk of at least CHUNK_LETTERS_PER_STRAND * n letters whose index
+    sets are intervals contributes each Q_m = x_lo..x_m under the images
+    before it (lo the least index in any set, m up to the largest) and the
+    images after it; every other letter contributes the image it finishes.
+    """
+    imgs = [[j] for j in range(1, n + 1)]
+    lengths, checked, closed_forms = [], [], 0
+    least = CHUNK_LETTERS_PER_STRAND * n
+    # a permutation braid has at most n(n-1)/2 letters, so below that the
+    # whole word goes letter by letter
+    long_ones = n * (n - 1) // 2 >= least
+    for start, end in _reference_chunks(n, letters) if long_ones else [(0, len(letters))]:
+        piece = letters[start:end]
+        sets = [S for S in _reference_index_sets(n, piece) if S] if long_ones and end - start >= least else None
+        closed = sets is not None and all(max(S) - min(S) + 1 == len(S) for S in sets)
+        if closed:
+            closed_forms += 1
+            lo, hi = min(map(min, sets)), max(map(max, sets))
+            checked += [len(_reference_reduce_concat(imgs[lo - 1 : m])) for m in range(lo, hi + 1)]
+        piece_lengths = []
+        for k in reversed(piece):
+            _reference_letter_step(imgs, k, None, piece_lengths)
+        lengths += piece_lengths
+        # the images a chunk only permutes were checked when they were made
+        checked += map(len, imgs) if closed else piece_lengths[2::3]
+    return imgs, lengths, checked, closed_forms
 
 
 def _random_words():
@@ -168,22 +249,24 @@ class TestMatchesLetterByLetterReduction:
     """The conjugator-form engine against the expanded, stack-reduced images."""
 
     def check(self, words):
+        closed_forms, below_letter_peak = 0, 0
         for w in words:
             n, letters = w.strand_count, w.letters
-            lengths = []
-            expected = _reference_artin_images(n, letters, None, lengths)
+            expected, lengths, checked, chunks = _reference_checked_lengths(n, letters)
             imgs = _artin_images(n, letters)
             assert [W + [p] + W_inv for W, p, W_inv in imgs] == expected
             perm = permutation(w)
             assert [p for _, p, _ in imgs] == list(perm.images)
             if not lengths:
                 continue
-            # the reference raises exactly when a recorded length exceeds the
-            # budget.  Its longest word is always a finished image, never the
-            # product a b (or b^-1 a) on the way, which is why the engine
-            # checks finished images only
-            peak = max(lengths)
-            assert max(lengths[2::3]) == peak
+            # letter by letter, the longest word is always a finished image,
+            # never the product a b (or b^-1 a) on the way
+            assert max(lengths[2::3]) == max(lengths)
+            # the engine raises exactly when a stored image or a Q_m exceeds
+            # the budget; it never builds the images inside a closed-form chunk
+            peak = max(checked)
+            closed_forms += chunks
+            below_letter_peak += peak < max(lengths)
             for budget in {0, peak - 1, peak, peak + 1}:
                 try:
                     _artin_images(n, letters, budget)
@@ -194,13 +277,19 @@ class TestMatchesLetterByLetterReduction:
                     )
                 else:
                     assert budget >= peak, (w, budget)
+        return closed_forms, below_letter_peak
 
     def test_matches_on_random_words(self):
-        self.check(_random_words())
+        # n <= 8: no permutation braid has 4n letters, so all go letter by letter
+        assert self.check(_random_words()) == (0, 0)
 
     @pytest.mark.parametrize("n", [16, 24])
     def test_matches_on_delta_heavy_words(self, n):
-        self.check(_delta_heavy_words(n))
+        closed_forms, below_letter_peak = self.check(_delta_heavy_words(n))
+        assert closed_forms >= len(_delta_heavy_words(n))
+        # the budget no longer sees the peaks inside a chunk: for some word
+        # the letter-by-letter peak is above every checked length
+        assert below_letter_peak > 0
 
     def test_reference_raises_at_its_peak(self):
         w = _delta_heavy_words(8)[0]
@@ -218,6 +307,140 @@ class TestMatchesLetterByLetterReduction:
                 v = rewrite_equivalent(w, rng) if rng.random() < 0.4 else random_word(n, 40, rng)
                 expected = _reference_artin_images(n, w.letters) == _reference_artin_images(n, v.letters)
                 assert eq_Bn(w, v) == expected
+
+
+def _letter_path(n, letters):
+    """The engine's images with every letter taken one at a time."""
+    empty = []
+    imgs = [(empty, j, empty) for j in range(1, n + 1)]
+    _letter_steps(imgs, reversed(letters), None)
+    return imgs
+
+
+def _half_twist_on(lo, hi, sign):
+    """The half twist on strands lo..hi, every letter of the given sign."""
+    return [sign * (lo - 1 + i) for top in range(hi - lo, 0, -1) for i in range(1, top + 1)]
+
+
+def _permutation_braid(perm, sign):
+    """A word for the permutation braid of perm (images, word order): bubble
+    sort, so each pair of strands crosses at most once."""
+    n = len(perm)
+    strands = list(range(1, n + 1))  # strands[q]: the strand at position q + 1
+    letters, moved = [], True
+    while moved:
+        moved = False
+        for q in range(n - 1):
+            if perm[strands[q] - 1] > perm[strands[q + 1] - 1]:
+                strands[q], strands[q + 1] = strands[q + 1], strands[q]
+                letters.append(sign * (q + 1))
+                moved = True
+    return letters
+
+
+class TestChunkPath:
+    """Permutation-braid chunks in closed form against the letter path."""
+
+    def test_matches_letter_path_on_seeded_words(self):
+        rng = random.Random(4099)
+        closed_forms = {True: 0, False: 0}
+        for _ in range(240):
+            n = rng.randint(9, 40)
+            letters = []
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 0.2:
+                    letters += _half_twist_on(1, n, rng.choice((1, -1)))
+                elif rng.random() < 0.5:
+                    lo = rng.randint(1, n - 1)
+                    letters += _half_twist_on(lo, rng.randint(lo + 1, n), rng.choice((1, -1)))
+                else:
+                    alphabet = [k for k in range(-(n - 1), n) if k]
+                    letters += [rng.choice(alphabet) for _ in range(rng.randint(0, 8))]
+            letters = tuple(letters)
+            assert _artin_images.__wrapped__(n, letters) == _letter_path(n, letters), (n, letters)
+            for start, end, positive, perm in _long_chunks(letters, n, CHUNK_LETTERS_PER_STRAND * n):
+                assert _reference_is_permutation_braid(n, letters[start:end])
+                assert tuple(perm) == permutation(BraidWord(n, letters[start:end])).images
+                closed_forms[positive] += 1
+        # both signs went through the closed form many times
+        assert min(closed_forms.values()) > 40, closed_forms
+
+    def test_chunks_are_the_maximal_permutation_braids(self):
+        rng = random.Random(4111)
+        for _ in range(40):
+            n = rng.randint(9, 14)
+            letters = []
+            for _ in range(rng.randint(1, 4)):
+                lo = rng.randint(1, n - 1)
+                letters += _half_twist_on(lo, rng.randint(lo + 1, n), rng.choice((1, -1)))
+                letters += [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 3))]
+            letters = tuple(letters)
+            least = CHUNK_LETTERS_PER_STRAND * n
+            expected = [(a, b) for a, b in _reference_chunks(n, letters) if b - a >= least]
+            assert [(a, b) for a, b, _, _ in _long_chunks(letters, n, least)] == expected
+
+    def test_non_interval_chunk_falls_back(self):
+        rng = random.Random(4127)
+        n = 20
+        seen = 0
+        for sign in (1, -1):
+            for _ in range(20):
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                letters = tuple(_permutation_braid(perm, sign))
+                if len(letters) < CHUNK_LETTERS_PER_STRAND * n:
+                    continue
+                assert permutation(BraidWord(n, letters)).images == tuple(perm)
+                sets = [S for S in _reference_index_sets(n, letters) if S]
+                if all(max(S) - min(S) + 1 == len(S) for S in sets):
+                    continue
+                # the whole word is one chunk, and its closed form refuses it
+                chunks = list(_long_chunks(letters, n, CHUNK_LETTERS_PER_STRAND * n))
+                assert [(a, b) for a, b, _, _ in chunks] == [(0, len(letters))]
+                before = _letter_path(n, letters[: len(letters) // 2])  # any action will do
+                imgs = list(before)
+                assert _chunk_step(imgs, chunks[0][3], sign > 0, None) is False
+                assert imgs == before
+                assert _artin_images.__wrapped__(n, letters) == _letter_path(n, letters)
+                seen += 1
+        assert seen >= 10
+
+    def test_small_n_never_walks(self, monkeypatch):
+        # below n = 9 no permutation braid has 4n letters, so the cross-oracle
+        # words (n <= 7) never pay for the walk
+        def walk(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr("spherebraid.freegroup._long_chunks", walk)
+        for n in range(2, 9):
+            x = named_element("half_twist", n)
+            for w in (x**4, x**-4, named_element("full_twist", n)):
+                assert _artin_images.__wrapped__(n, w.letters) == _letter_path(n, w.letters)
+        with pytest.raises(AssertionError, match="walked"):
+            _artin_images.__wrapped__(9, named_element("half_twist", 9).letters)
+
+
+class TestEngineIndependence:
+    """The Artin engine and the Garside engine share no code."""
+
+    @staticmethod
+    def imported_modules(name):
+        tree = ast.parse((Path(spherebraid.__file__).parent / f"{name}.py").read_text())
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[-1] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                if node.module:
+                    found.add(node.module.split(".")[-1])
+                found |= {alias.name for alias in node.names}
+        return found
+
+    def test_freegroup_imports_nothing_from_garside(self):
+        assert "garside" not in self.imported_modules("freegroup")
+
+    def test_garside_imports_nothing_from_freegroup(self):
+        assert "freegroup" not in self.imported_modules("garside")
 
 
 class TestEqBn:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from braid_strategies import braid_letters
 from spherebraid.certificates import AXIOMS, Verdict
@@ -209,13 +209,19 @@ class TestActsTrivially:
     def test_normal_closure_of_relator_in_center_set(self, data):
         # products of conjugates of the relator are trivial in B_n(S^2),
         # so their sphere action must be detected as inner whatever the
-        # conjugators are
+        # conjugators are.  Some conjugators drive the disk action past any
+        # fixed budget, and running out of budget is a correct outcome, so
+        # such an example is rejected rather than failed
         n, lg, lh = data
         g = BraidWord(n, tuple(lg))
         h = BraidWord(n, tuple(lh))
         rel = named_element("surface_relator", n)
         w = g * rel * g.inverse() * h * rel.inverse() * h.inverse()
-        assert acts_trivially(w) is True
+        try:
+            trivial = acts_trivially(w, 10**4)
+        except BudgetExceededError:
+            reject()
+        assert trivial is True
 
     @given(st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 12))))
     @settings(max_examples=50, deadline=None)
