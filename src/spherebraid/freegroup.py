@@ -154,7 +154,7 @@ class FreeWord:
 
     def to_text(self) -> str:
         """The same signed-integer text syntax braid words use."""
-        return " ".join(map(str, self.letters))
+        return " ".join(str(k) for k in self.letters)
 
 
 @dataclass(frozen=True)

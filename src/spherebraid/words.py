@@ -75,7 +75,7 @@ class BraidWord:
 
     def to_text(self) -> str:
         """Serialize to the whitespace-separated signed-integer syntax."""
-        return " ".join(map(str, self.letters))
+        return " ".join(str(k) for k in self.letters)
 
     @classmethod
     def from_text(cls, text: str, strand_count: int) -> "BraidWord":
