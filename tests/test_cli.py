@@ -247,6 +247,10 @@ class TestVerifyCommand:
         ("torsion", 64, 64): "77ab7db63ec7c72c2248a2e7e88dc4412eb5aa6d89947218090e4c08e0a75cca",
         # background past the benchmark grid, where b4's words are longest
         ("background", 23, 32): "305d9f04f65c551574bcdecb046c8710249c93270d4ce0ca33f49502cfc453a3",
+        # the alpha-power words, alpha0^n among them, at the frontier
+        ("q8", 128, 128): "4c04db55aa07bf56b2b89767ae6a5f2c8783700f8f35e68cfa95ef652f123c96",
+        ("dicyclic", 128, 128): "bda952ea890e04477e8d1967db91f993d847672689bde4e3c8decfc3e05d9f89",
+        ("torsion", 128, 128): "9d1233c9792f3c2a61737dcebf1c5c9d32154f2f8f1176daddacddf0b46e2371",
     }
 
     def test_machine_output_matches_pinned_digests(self, runner):
@@ -265,6 +269,8 @@ class TestVerifyCommand:
             "e594bfc0ca672f494571f03e79395ca99d1d5d47cd53ceee5e0887cf1f908909",
         ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "40"):
             "8ac831ad9e07ece2a23d452db28382b9d51f29ffb05716d179f03d16141dedf4",
+        ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "25"):
+            "392cb7f63176a141809b4381f6901870d0e0ee20f42e1b4a0a30534ba1d456bf",
         ("background", "--n", "3", "--max-cosets", "5"):
             "cbf4fb71c7750445b443c441b20cc705f7d22db4d206bfa6630195190e93ead1",
         # a coset cap hit in each plan that enumerates cosets
@@ -281,6 +287,11 @@ class TestVerifyCommand:
             "fd31fc3c0457826eac7cbc554a573728fde2b0063e726444234c84131a55a2e5",
         ("background", "--n", "22", "--max-endo-letters", "40"):
             "8df97cea368e679875100f6aead5bc44ddeb1752716bb01f9f3db158894a9891",
+        # an image budget hit on the alpha-power words
+        ("torsion", "--n", "24", "--max-endo-letters", "45"):
+            "dcf5337d2b60f76818678ba08b4a1c885c84ac09934346547b9ecdd43866d624",
+        ("dicyclic", "--n", "24", "--max-endo-letters", "45"):
+            "817e91aee3ef39bd24699269daff5b3f3f60128362b7dbfe504962b1c2114d89",
     }
 
     def test_budget_output_matches_pinned_digests(self, runner):
@@ -293,7 +304,7 @@ class TestVerifyCommand:
             assert hashlib.sha256(result.output.encode()).hexdigest() == digest, claim
 
     # sha256 of `verify --format text`, the one report that lists each
-    # certificate's cited axioms; the last two runs hit a budget and exit 3.
+    # certificate's cited axioms; the last three runs hit a budget and exit 3.
     PINNED_TEXT_DIGESTS = {
         ("q8", "--from", "3", "--to", "12"):
             (0, "62335b4e648d611bdcabdff2af6773fdd9a1c6bc5242c567f3a8a0f02debeaa3"),
@@ -307,6 +318,8 @@ class TestVerifyCommand:
             (0, "cb4b009dfcc2404b3fe835caffb5512735109c4370c37b58be729cf28a0f82b2"),
         ("torsion", "--n", "24", "--max-endo-letters", "50"):
             (3, "e83ccc289d7e486dedb284feef7c5ab302549ca329e280d70620f493d73e7460"),
+        ("torsion", "--n", "24", "--max-endo-letters", "45"):
+            (3, "f8c6a60be2b99d9c1186b7d08f329deb3a5b9b18ce7c9de7e74e48682eae0a6a"),
         ("q8", "--n", "4", "--max-cosets", "5"):
             (3, "436205eb68bcbd6c5740e464d8b223c71c513afa32a5f8e36c940a69fa8893b6"),
     }
