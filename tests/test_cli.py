@@ -303,6 +303,20 @@ class TestVerifyCommand:
             assert result.stderr == "", claim
             assert hashlib.sha256(result.output.encode()).hexdigest() == digest, claim
 
+    def test_a_budget_never_gives_another_verdict(self, runner):
+        # a run out of budget exits 3; any other run prints exactly the
+        # default-budget certificates, with the same exit code
+        for claim in ("q8", "dicyclic", "torsion", "background"):
+            for n in range(3, 17):
+                args = ["verify", "--claim", claim, "--n", str(n), "--format", "machine"]
+                default = runner.invoke(main, args)
+                certificates = json.loads(default.output)["certificates"]
+                for budget in range(10, 131, 10):
+                    result = runner.invoke(main, [*args, "--max-endo-letters", str(budget)])
+                    if result.exit_code != 3:
+                        assert result.exit_code == default.exit_code, (claim, n, budget)
+                        assert json.loads(result.output)["certificates"] == certificates, (claim, n, budget)
+
     # sha256 of `verify --format text`, the one report that lists each
     # certificate's cited axioms; the last three runs hit a budget and exit 3.
     PINNED_TEXT_DIGESTS = {

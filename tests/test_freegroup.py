@@ -405,6 +405,20 @@ class TestChunkPath:
                 seen += 1
         assert seen >= 10
 
+    def test_budget_bounds_each_q_m(self):
+        # hand-built images phi(x_1) = A x_1 A^-1 and phi(x_2) = phi(x_1)^-1 x_2 phi(x_1):
+        # sigma_1's chunk sends x_1 to Q_1 phi(x_2) Q_1^-1 = x_2 and only
+        # permutes the rest, so Q_1 = phi(x_1) is the one word it checks
+        # that is longer than one letter
+        A, A_inv = [3, 4], [-4, -3]
+        imgs = [(A, 1, A_inv), ([*A, -1, *A_inv], 2, [*A, 1, *A_inv]), ([], 3, [])]
+        q_1 = len(A) + 1 + len(A_inv)
+        with pytest.raises(BudgetExceededError):
+            _chunk_step(list(imgs), [2, 1, 3], True, q_1 - 1)
+        composed = list(imgs)
+        assert _chunk_step(composed, [2, 1, 3], True, q_1)
+        assert composed == [([], 2, []), imgs[0], imgs[2]]
+
     def test_small_n_never_walks(self, monkeypatch):
         # below n = 9 no permutation braid has 4n letters, so the cross-oracle
         # words (n <= 7) never pay for the walk
