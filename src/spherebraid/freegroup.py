@@ -34,8 +34,24 @@ them into maximal permutation-braid chunks of one sign; a chunk of at
 least CHUNK_LETTERS_PER_STRAND * n letters takes the closed form, and
 every other letter the letter step.  The walk repeats garside's
 permutation-braid test in a few lines of its own, so the two engines
-share no code.  The budget bounds every stored image and every Q_m, not
-the images the letter step would pass through inside a chunk.
+share no code.
+
+The torsion roots' words alpha0^n, alpha1^(n-1) and alpha2^(n-2) split
+into chunks of about 2n letters, too short for the closed form.  So at
+n >= 9 a power u^k of at least 2n letters with
+|u| < CHUNK_LETTERS_PER_STRAND * n is composed one period at a time
+instead (`_power_images`): phi^(j+1) = phi^j o phi for phi = the action
+of u, substituting phi^j into the conjugators of phi.  Artin's theorem
+gives the shortcut: a braid automorphism fixes the boundary word
+D = x_1..x_n, so phi^j(x_a..x_b) =
+phi^j(x_1..x_{a-1})^-1 D phi^j(x_{b+1}..x_n)^-1, and a period of an
+alpha_i or of alpha0^-1 costs at most two junctions per image instead of
+about n letter steps.  A power whose period would cost more that way
+than letter by letter goes as any other word.
+
+The budget bounds every stored image, every Q_m and every product a
+composed period builds, not the images the letter step would pass
+through inside a chunk or a composed period.
 
 The disk action is memoized: `_artin_images` keeps its last two
 results, keyed on (strand_count, letters, budget).  The root identities
@@ -57,6 +73,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .words import check_comparable
 
@@ -197,7 +214,9 @@ def _conjugated(u: list[int], u_inv: list[int], v, budget: int | None):
     product of generators, built from the checked Q_m of `_chunk_step`
     but not itself checked, and the images the letter path would pass
     through inside the chunk are never built: there the budget bounds
-    every stored image and every Q_m, not the peaks inside a chunk.
+    every stored image and every Q_m, not the peaks inside a chunk.  On
+    the power path u is a checked product (`_power_images`), and the
+    images inside a period are never built either.
     """
     V, r, V_inv = v
     lv = len(V)
@@ -325,23 +344,125 @@ def _long_chunks(letters: tuple[int, ...], n: int, least: int):
         yield 0, end, sign > 0, perm[1:]
 
 
+def _period(letters: tuple[int, ...], least: int) -> int:
+    """The least p < least with letters = u^k for the first p letters u and some k >= 2; 0 if none."""
+    length, first, p = len(letters), letters[0], 0
+    top = min(least, length // 2 + 1)
+    while True:
+        try:
+            p = letters.index(first, p + 1, top)
+        except ValueError:
+            return 0
+        if length % p == 0 and letters[p:] == letters[:-p]:
+            return p
+
+
+def _substituted(imgs: list[tuple], letters):
+    """The factors phi(x_|x|)^(sign x) for the letters x, each as the list pair (v, v^-1)."""
+    for x in letters:
+        A, q, A_inv = imgs[abs(x) - 1]
+        v, v_inv = [*A, q, *A_inv], [*A, -q, *A_inv]
+        yield (v, v_inv) if x > 0 else (v_inv, v)
+
+
+def _conjugator_factors(W: list[int], D: list[int], D_inv: list[int]) -> tuple[list[int], list, list[int]]:
+    """phi(W) as a product: (left, middle, right), middle [D^+-1] or [] between substituted letters.
+
+    A braid automorphism phi fixes D = x_1..x_n, so for an interval
+    W = x_a..x_b
+        phi(W) = phi(x_1..x_{a-1})^-1 D phi(x_{b+1}..x_n)^-1,
+    n - |W| + 1 factors instead of |W|, and the inverse of an interval
+    takes the inverse of that.  That side is taken when it is shorter;
+    any other W is substituted as it stands.
+    """
+    n = len(D)
+    if 2 * len(W) > n:
+        if W[0] > 0 and W == D[W[0] - 1 : W[-1]]:
+            return D_inv[n - W[0] + 1 :], [(D, D_inv)], D_inv[: n - W[-1]]
+        if W[0] < 0 and W == D_inv[n + W[0] : n + W[-1] + 1]:
+            return D[-W[0] :], [(D_inv, D)], D[: -W[-1] - 1]
+    return W, [], []
+
+
+def _power_images(base: list[tuple], period: int, k: int, budget: int | None) -> list[tuple] | None:
+    """The images of phi^k, composed one period at a time from base = phi.
+
+    phi^(j+1) = phi^j o phi sends x_i, with base entry (W, p, W^-1), to
+    U x_p' U^-1 for U = phi^j(W) and x_p' the image phi^j(x_p).  An empty
+    W shares the image of x_p; any other U is multiplied out one factor,
+    and one junction, at a time, through D^+-1 when W is a long interval
+    x_a..x_b or its inverse (`_conjugator_factors`).
+    For alpha0, alpha1 and alpha2 that is at most two junctions per image
+    and period, the conjugation included, against about n letter steps.
+    Returns None, having built no image, when a period would take more
+    factors and conjugations than it has letters, each of which costs
+    the letter path one conjugation.  D is built once, and every stored
+    letter is sliced from an existing list.
+
+    Every image stored at a period boundary and every product of two or
+    more factors is held to the budget; a single factor is a stored
+    image, or D^+-1, which is shorter than the image of phi whose
+    conjugator it starts.  The stored images equal the letter path's at
+    the same points, since the conjugator form is unique; the images
+    inside a period are never built.
+    """
+    n = len(base)
+    D = list(range(1, n + 1))
+    D_inv = _inv(D)
+    plans = [_conjugator_factors(W, D, D_inv) if W else None for W, _, _ in base]
+    if sum(len(left) + len(middle) + len(right) + 1 for left, middle, right in filter(None, plans)) > period:
+        return None
+    imgs = base
+    for _ in range(k - 1):
+        new = []
+        for (_, p, _), plan in zip(base, plans):
+            if plan is None:
+                new.append(imgs[p - 1])
+                continue
+            left, middle, right = plan
+            factors = chain(_substituted(imgs, left), middle, _substituted(imgs, right))
+            U, U_inv = next(factors)
+            if middle and not left:
+                U, U_inv = U[:], U_inv[:]  # D^+-1 itself, which _conjugated would extend
+            # the product loop of `_chunk_step`'s Q_m, inline in both: a shared
+            # generator slowed the chunk step by about 2 %
+            for v, v_inv in factors:
+                c = _junction(U, v_inv)
+                U, U_inv = U[: len(U) - c] + v[c:], v_inv[: len(v) - c] + U_inv[c:]
+                if budget is not None and len(U) > budget:
+                    raise _over_budget(budget)
+            new.append(_conjugated(U, U_inv, imgs[p - 1], budget))
+        imgs = new
+    return imgs
+
+
 @lru_cache(maxsize=2)
 def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | None = None) -> list[tuple]:
     """Images of x_1..x_n under the word's action, in conjugator form.
 
     Entry j - 1 is (W, p, W^-1) for the image W x_p W^-1 of x_j, with W
     reduced and not ending in x_p^+-1; p is the strand permutation's
-    image of j.  Builds the composite right-to-left.  A permutation-braid
-    chunk of one sign with at least CHUNK_LETTERS_PER_STRAND * n letters
-    (`_long_chunks`) goes through its closed form (`_chunk_step`); every
-    other letter goes letter by letter (`_letter_steps`), touching two
-    images.  Below n = 2 * CHUNK_LETTERS_PER_STRAND + 1 no permutation
-    braid is that long, and the chunk walk is skipped.
+    image of j.  Builds the composite right-to-left.  A word of at least
+    2n letters that is a power u^k (k >= 2) of a u shorter than
+    CHUNK_LETTERS_PER_STRAND * n (`_period`) takes u letter by letter and
+    the other k - 1 periods by composition (`_power_images`), unless a
+    composed period costs more than u's letters.  Otherwise a
+    permutation-braid chunk of one sign with at least
+    CHUNK_LETTERS_PER_STRAND * n letters (`_long_chunks`) goes through
+    its closed form (`_chunk_step`); every other letter goes letter by
+    letter (`_letter_steps`), touching two images.  Below
+    n = 2 * CHUNK_LETTERS_PER_STRAND + 1 no permutation braid is that
+    long, and neither a period nor a chunk is looked for; nor is the
+    period of a word shorter than 2n.
 
-    Every stored image and every Q_m of a chunk is held to the budget;
-    the images the letter path would pass through inside a chunk are
-    never built, so their peaks are not.  No stored list is ever changed,
-    so the identity images can share one empty list.
+    Every stored image, every Q_m of a chunk and every partial product
+    of a composed period is held to the budget.  The images stored at
+    period boundaries equal the letter path's there, since the
+    conjugator form is unique.  The images the letter path would pass
+    through inside a chunk or a composed period are never built, so
+    their peaks are not held to the budget.  No stored list is ever
+    changed, so the identity images can share one empty list, and
+    composed periods share the images they only permute.
 
     Memoized on (strand_count, letters, budget), the last two calls:
     the fewest that catch every repeated word within one verification
@@ -354,7 +475,13 @@ def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | Non
     least = CHUNK_LETTERS_PER_STRAND * n
     done = len(letters)  # letters[done:] are applied
     if n * (n - 1) // 2 >= least:
-        for start, end, positive, perm in _long_chunks(letters, n, least):
+        if done >= 2 * n and (period := _period(letters, least)):
+            _letter_steps(imgs, reversed(letters[:period]), budget)
+            powered = _power_images(imgs, period, done // period, budget)
+            if powered is not None:
+                return powered
+            done -= period
+        for start, end, positive, perm in _long_chunks(letters[:done], n, least):
             _letter_steps(imgs, reversed(letters[end:done]), budget)
             done = start if _chunk_step(imgs, perm, positive, budget) else end
     _letter_steps(imgs, reversed(letters[:done]), budget)

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -194,15 +195,50 @@ def _reference_index_sets(n, letters):
     return [{p[i] for i in range(j) if p[i] > p[j]} for j in range(n)]
 
 
+def _reference_period(n, letters):
+    """The least p < CHUNK_LETTERS_PER_STRAND * n with letters = u^k for u = letters[:p] and k >= 2."""
+    for p in range(1, CHUNK_LETTERS_PER_STRAND * n):
+        k, r = divmod(len(letters), p)
+        if k >= 2 and r == 0 and letters == letters[:p] * k:
+            return p
+    return None
+
+
+def _reference_factors(n, W):
+    """The factors of phi(W) in the power path: the letters of W, or for an
+    interval x_a..x_b (or its inverse) longer than n/2 those of the boundary
+    identity phi(x_a..x_b) = phi(x_1..x_{a-1})^-1 D phi(x_{b+1}..x_n)^-1,
+    D = x_1..x_n; "D" and "-D" stand for D^+-1."""
+    a, b = min(map(abs, W)), max(map(abs, W))
+    if 2 * len(W) > n and W in (list(range(a, b + 1)), list(range(-b, -a + 1))):
+        factors = list(range(1 - a, 0)) + ["D"] + list(range(-n, -b))
+        return factors if W[0] > 0 else [f"-{f}" if f == "D" else -f for f in reversed(factors)]
+    return W
+
+
+def _reference_factor(imgs, f):
+    D = list(range(1, len(imgs) + 1))
+    if f in ("D", "-D"):
+        return D if f == "D" else _reference_inv(D)
+    return imgs[f - 1] if f > 0 else _reference_inv(imgs[-f - 1])
+
+
 def _reference_checked_lengths(n, letters):
     """Letter by letter: the expanded images and every length on the way.
-    Also the lengths the engine holds to the budget, and how many chunks
-    take the closed form.
+    Also the lengths the engine holds to the budget, how many chunks take
+    the closed form, and whether the word is composed as a power.
 
     A chunk of at least CHUNK_LETTERS_PER_STRAND * n letters whose index
     sets are intervals contributes each Q_m = x_lo..x_m under the images
     before it (lo the least index in any set, m up to the largest) and the
     images after it; every other letter contributes the image it finishes.
+    At n >= 9, a word of at least 2n letters that is a power u^k with
+    |u| < CHUNK_LETTERS_PER_STRAND * n goes through u letter by letter.
+    Then, if the factors and conjugations of one period number at most
+    |u|, each later period contributes, for each image of u with a
+    conjugator W, every product of the first two or more of phi(W)'s
+    factors under the images before the period and that image after it;
+    otherwise the rest of the word goes as any other.
     """
     imgs = [[j] for j in range(1, n + 1)]
     lengths, checked, closed_forms = [], [], 0
@@ -210,6 +246,24 @@ def _reference_checked_lengths(n, letters):
     # a permutation braid has at most n(n-1)/2 letters, so below that the
     # whole word goes letter by letter
     long_ones = n * (n - 1) // 2 >= least
+    period = _reference_period(n, letters) if long_ones and len(letters) >= 2 * n else None
+    if period:
+        for k in reversed(letters[:period]):
+            _reference_letter_step(imgs, k, None, lengths)
+        checked += lengths[2::3]
+        conjugators = {i: img[: len(img) // 2] for i, img in enumerate(imgs) if len(img) > 1}
+        factors = {i: _reference_factors(n, W) for i, W in conjugators.items()}
+        if sum(len(f) + 1 for f in factors.values()) <= period:
+            for _ in range(len(letters) // period - 1):
+                for f in factors.values():
+                    products = []
+                    _reference_reduce_concat([_reference_factor(imgs, x) for x in f], None, products)
+                    checked += products[1:]
+                for k in reversed(letters[:period]):
+                    _reference_letter_step(imgs, k, None, lengths)
+                checked += [len(imgs[i]) for i in factors]
+            return imgs, lengths, checked, closed_forms, True
+        letters = letters[: len(letters) - period]
     for start, end in _reference_chunks(n, letters) if long_ones else [(0, len(letters))]:
         piece = letters[start:end]
         sets = [S for S in _reference_index_sets(n, piece) if S] if long_ones and end - start >= least else None
@@ -224,7 +278,7 @@ def _reference_checked_lengths(n, letters):
         lengths += piece_lengths
         # the images a chunk only permutes were checked when they were made
         checked += map(len, imgs) if closed else piece_lengths[2::3]
-    return imgs, lengths, checked, closed_forms
+    return imgs, lengths, checked, closed_forms, False
 
 
 def _random_words():
@@ -249,10 +303,10 @@ class TestMatchesLetterByLetterReduction:
     """The conjugator-form engine against the expanded, stack-reduced images."""
 
     def check(self, words):
-        closed_forms, below_letter_peak = 0, 0
+        closed_forms, powers, below_letter_peak = 0, 0, 0
         for w in words:
             n, letters = w.strand_count, w.letters
-            expected, lengths, checked, chunks = _reference_checked_lengths(n, letters)
+            expected, lengths, checked, chunks, composed = _reference_checked_lengths(n, letters)
             imgs = _artin_images(n, letters)
             assert [W + [p] + W_inv for W, p, W_inv in imgs] == expected
             perm = permutation(w)
@@ -262,10 +316,12 @@ class TestMatchesLetterByLetterReduction:
             # letter by letter, the longest word is always a finished image,
             # never the product a b (or b^-1 a) on the way
             assert max(lengths[2::3]) == max(lengths)
-            # the engine raises exactly when a stored image or a Q_m exceeds
-            # the budget; it never builds the images inside a closed-form chunk
+            # the engine raises exactly when a stored image, a Q_m or a
+            # product of a composed period exceeds the budget; it never builds
+            # the images inside a closed-form chunk or a composed period
             peak = max(checked)
             closed_forms += chunks
+            powers += composed
             below_letter_peak += peak < max(lengths)
             for budget in {0, peak - 1, peak, peak + 1}:
                 try:
@@ -277,16 +333,19 @@ class TestMatchesLetterByLetterReduction:
                     )
                 else:
                     assert budget >= peak, (w, budget)
-        return closed_forms, below_letter_peak
+        return closed_forms, powers, below_letter_peak
 
     def test_matches_on_random_words(self):
-        # n <= 8: no permutation braid has 4n letters, so all go letter by letter
-        assert self.check(_random_words()) == (0, 0)
+        # n <= 8: no permutation braid has 4n letters and no word is
+        # composed as a power, so all go letter by letter
+        assert self.check(_random_words()) == (0, 0, 0)
 
     @pytest.mark.parametrize("n", [16, 24])
     def test_matches_on_delta_heavy_words(self, n):
-        closed_forms, below_letter_peak = self.check(_delta_heavy_words(n))
+        closed_forms, powers, below_letter_peak = self.check(_delta_heavy_words(n))
         assert closed_forms >= len(_delta_heavy_words(n))
+        # alpha0^n, alpha0^-n and alpha2^(n-2); alpha2^-(n-2) costs more composed
+        assert powers == 3
         # the budget no longer sees the peaks inside a chunk: for some word
         # the letter-by-letter peak is above every checked length
         assert below_letter_peak > 0
@@ -432,6 +491,113 @@ class TestChunkPath:
                 assert _artin_images.__wrapped__(n, w.letters) == _letter_path(n, w.letters)
         with pytest.raises(AssertionError, match="walked"):
             _artin_images.__wrapped__(9, named_element("half_twist", 9).letters)
+
+
+def _power_bases(n, rng):
+    """Bases for powers at n >= 9: alpha0, alpha1 and alpha2 (interval
+    conjugators, D among them), an alpha0 on a random strand interval (an
+    interval inside D) and a conjugate g alpha g^-1 by a short random g
+    (other conjugators); each of either sign."""
+    alphabet = [k for k in range(-(n - 1), n) if k]
+    g = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3))))
+    a = rng.randint(1, n // 2)
+    bases = [named_element(name, n) for name in ("alpha0", "alpha1", "alpha2")]
+    bases += [
+        BraidWord(n, tuple(range(a, rng.randint(a + n // 2, n)))),
+        g * named_element(rng.choice(("alpha0", "alpha1", "alpha2")), n) * g.inverse(),
+    ]
+    return [w if rng.random() < 0.5 else w.inverse() for w in bases]
+
+
+class TestPowerPath:
+    """Powers u^k of a short u, composed one period at a time, against the letter path."""
+
+    @pytest.fixture
+    def composed(self, monkeypatch):
+        """The base images phi = Phi(u) of each power the engine composes."""
+        from spherebraid import freegroup
+
+        bases = []
+        power_images = freegroup._power_images
+
+        def record(base, period, k, budget):
+            result = power_images(base, period, k, budget)
+            if result is not None:
+                bases.append(base)
+            return result
+
+        monkeypatch.setattr(freegroup, "_power_images", record)
+        return bases
+
+    def test_matches_letter_path_on_seeded_powers(self, composed):
+        rng = random.Random(5003)
+        words = 0
+        for n in range(9, 41):
+            for u in _power_bases(n, rng):
+                letters = (u ** rng.randint(2, n)).letters
+                assert _artin_images.__wrapped__(n, letters) == _letter_path(n, letters), (n, u.letters)
+                words += 1
+        assert len(composed) > words // 2, (len(composed), words)
+        # every way of multiplying out a conjugator ran: D, D^-1 (each also
+        # with factors on both sides of it) and plain substitution
+        kinds = Counter()
+        for base in composed:
+            for W, _, _ in base:
+                if W:
+                    f = _reference_factors(len(base), W)
+                    middle = next((x for x in f if x in ("D", "-D")), None)
+                    kinds[middle] += 1
+                    if middle and f[0] != middle != f[-1]:
+                        kinds[middle, "inside"] += 1
+        assert all(kinds[kind] > 5 for kind in (None, "D", "-D", ("D", "inside"), ("-D", "inside"))), kinds
+
+    def test_budget_contract_on_seeded_powers(self):
+        rng = random.Random(5009)
+        words = [u ** rng.randint(4, 8) for n in range(9, 17) for u in _power_bases(n, rng)]
+        closed_forms, powers, _ = TestMatchesLetterByLetterReduction().check(words)
+        assert closed_forms == 0
+        assert powers > len(words) // 2, (powers, len(words))
+
+    def test_budget_bounds_each_composed_product(self):
+        # u^4 at n = 9, u = sigma_6 (sigma_1..sigma_4) sigma_6^-1: one product
+        # phi^j(W) is a letter longer than every image the engine stores,
+        # inside the first period or at a period boundary
+        n, u = 9, (6, 1, 2, 3, 4, -6)
+        lengths = []
+        _reference_artin_images(n, u, None, lengths)
+        boundaries = [2 * len(W) + 1 for j in range(2, 5) for W, _, _ in _letter_path(n, u * j)]
+        stored = max(lengths[2::3] + boundaries)
+        with pytest.raises(BudgetExceededError):
+            _artin_images.__wrapped__(n, u * 4, stored)
+        assert _artin_images.__wrapped__(n, u * 4, stored + 1) == _letter_path(n, u * 4)
+
+    def test_small_n_and_short_words_never_look_for_a_period(self, monkeypatch):
+        def period(*args):
+            raise AssertionError("looked")
+
+        monkeypatch.setattr("spherebraid.freegroup._period", period)
+        for n in range(2, 9):
+            for w in (named_element("full_twist", n), named_element("alpha1", n) ** (n - 1)):
+                assert _artin_images.__wrapped__(n, w.letters) == _letter_path(n, w.letters)
+        short = (1,) * 17  # 2n - 1 letters at n = 9
+        assert _artin_images.__wrapped__(9, short) == _letter_path(9, short)
+        with pytest.raises(AssertionError, match="looked"):
+            _artin_images.__wrapped__(9, short + (1,))
+
+    def test_long_periods_are_never_composed(self, monkeypatch):
+        def power_images(*args):
+            raise AssertionError("composed")
+
+        monkeypatch.setattr("spherebraid.freegroup._power_images", power_images)
+        rng = random.Random(5011)
+        for n in range(9, 14):
+            alphabet = [k for k in range(-(n - 1), n) if k]
+            x = named_element("half_twist", n)  # n(n-1)/2 >= 4n letters
+            u = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(CHUNK_LETTERS_PER_STRAND * n)))
+            for w in (x * x, x**-3, u * u):
+                assert _artin_images.__wrapped__(n, w.letters) == _letter_path(n, w.letters)
+        with pytest.raises(AssertionError, match="composed"):
+            _artin_images.__wrapped__(9, named_element("full_twist", 9).letters)
 
 
 class TestEngineIndependence:
