@@ -265,10 +265,6 @@ class TestVerifyCommand:
     # (q8) or stand alone (torsion, background).  A budget-abort step has
     # method "budget"; it had "arithmetic" when these were first pinned.
     PINNED_BUDGET_DIGESTS = {
-        ("torsion", "--n", "24", "--max-endo-letters", "50"):
-            "e594bfc0ca672f494571f03e79395ca99d1d5d47cd53ceee5e0887cf1f908909",
-        ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "40"):
-            "8ac831ad9e07ece2a23d452db28382b9d51f29ffb05716d179f03d16141dedf4",
         ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "25"):
             "392cb7f63176a141809b4381f6901870d0e0ee20f42e1b4a0a30534ba1d456bf",
         ("background", "--n", "3", "--max-cosets", "5"):
@@ -283,8 +279,6 @@ class TestVerifyCommand:
         # an image budget hit on words long enough for the chunked Artin action
         ("q8", "--n", "24", "--max-endo-letters", "60"):
             "b41659ade8c2f14d8a523f59113b0de7301783cd6cef4e89eef503b603def5f1",
-        ("dicyclic", "--n", "24", "--max-endo-letters", "60"):
-            "fd31fc3c0457826eac7cbc554a573728fde2b0063e726444234c84131a55a2e5",
         ("background", "--n", "22", "--max-endo-letters", "40"):
             "8df97cea368e679875100f6aead5bc44ddeb1752716bb01f9f3db158894a9891",
         # an image budget hit on the alpha-power words
@@ -303,6 +297,24 @@ class TestVerifyCommand:
             assert result.stderr == "", claim
             assert hashlib.sha256(result.output.encode()).hexdigest() == digest, claim
 
+    # runs that hit an image budget until powers of a short word were
+    # composed a period at a time; each now completes, as the default
+    # budget does
+    COMPLETING_BUDGET_RUNS = (
+        ("torsion", "--n", "24", "--max-endo-letters", "50"),
+        ("dicyclic", "--n", "24", "--max-endo-letters", "60"),
+        ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "40"),
+    )
+
+    def test_budget_runs_that_complete_match_the_default_budget(self, runner):
+        for claim, *args in self.COMPLETING_BUDGET_RUNS:
+            result = runner.invoke(main, ["verify", "--claim", claim, *args, "--format", "machine"])
+            default = runner.invoke(main, ["verify", "--claim", claim, *args[:-2], "--format", "machine"])
+            assert result.exit_code == default.exit_code == 0, claim
+            assert result.stderr == "", claim
+            certificates = json.loads(result.output)["certificates"]
+            assert certificates == json.loads(default.output)["certificates"], claim
+
     def test_a_budget_never_gives_another_verdict(self, runner):
         # a run out of budget exits 3; any other run prints exactly the
         # default-budget certificates, with the same exit code
@@ -318,7 +330,7 @@ class TestVerifyCommand:
                         assert json.loads(result.output)["certificates"] == certificates, (claim, n, budget)
 
     # sha256 of `verify --format text`, the one report that lists each
-    # certificate's cited axioms; the last three runs hit a budget and exit 3.
+    # certificate's cited axioms; the last two runs hit a budget and exit 3.
     PINNED_TEXT_DIGESTS = {
         ("q8", "--from", "3", "--to", "12"):
             (0, "62335b4e648d611bdcabdff2af6773fdd9a1c6bc5242c567f3a8a0f02debeaa3"),
@@ -330,8 +342,6 @@ class TestVerifyCommand:
             (0, "70e4969f671ddbc6a524538eb30c57eebf5a4934b1dfbfe5e55d9a16863bd64d"),
         ("odd-obstruction", "--from", "3", "--to", "13"):
             (0, "cb4b009dfcc2404b3fe835caffb5512735109c4370c37b58be729cf28a0f82b2"),
-        ("torsion", "--n", "24", "--max-endo-letters", "50"):
-            (3, "e83ccc289d7e486dedb284feef7c5ab302549ca329e280d70620f493d73e7460"),
         ("torsion", "--n", "24", "--max-endo-letters", "45"):
             (3, "f8c6a60be2b99d9c1186b7d08f329deb3a5b9b18ce7c9de7e74e48682eae0a6a"),
         ("q8", "--n", "4", "--max-cosets", "5"):
@@ -634,7 +644,7 @@ class TestConsoleEntryPoint:
         assert self._run(*args).returncode == 3
 
     def test_letter_budget_exits_3(self):
-        args = ("verify", "--claim", "torsion", "--n", "24", "--max-endo-letters", "50")
+        args = ("verify", "--claim", "torsion", "--n", "24", "--max-endo-letters", "45")
         assert self._run(*args).returncode == 3
 
     def test_usage_error_exits_2(self):
