@@ -396,8 +396,9 @@ def _power_images(base: list[tuple], period: int, k: int, budget: int | None) ->
     and period, the conjugation included, against about n letter steps.
     Returns None, having built no image, when a period would take more
     factors and conjugations than it has letters, each of which costs
-    the letter path one conjugation.  D is built once, and every stored
-    letter is sliced from an existing list.
+    the letter path one conjugation.  D and D^-1 are built once per
+    action and shared by every product, whose letters are sliced from
+    them and from the images.
 
     Every image stored at a period boundary and every product of two or
     more factors is held to the budget; a single factor is a stored
@@ -455,8 +456,8 @@ def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | Non
     long, and neither a period nor a chunk is looked for; nor is the
     period of a word shorter than 2n.
 
-    Every stored image, every Q_m of a chunk and every partial product
-    of a composed period is held to the budget.  The images stored at
+    Every stored image, every Q_m of a chunk and every product of two or
+    more factors in a composed period is held to the budget.  The images stored at
     period boundaries equal the letter path's there, since the
     conjugator form is unique.  The images the letter path would pass
     through inside a chunk or a composed period are never built, so
