@@ -247,6 +247,7 @@ class TestVerifyCommand:
         ("torsion", 64, 64): "77ab7db63ec7c72c2248a2e7e88dc4412eb5aa6d89947218090e4c08e0a75cca",
         # background past the benchmark grid, where b4's words are longest
         ("background", 23, 32): "305d9f04f65c551574bcdecb046c8710249c93270d4ce0ca33f49502cfc453a3",
+        ("background", 33, 48): "ef0c409b8622520fb54c607216aa9590d24d6329b16a713b245460e6c4d67368",
         # the alpha-power words, alpha0^n among them, at the frontier
         ("q8", 128, 128): "4c04db55aa07bf56b2b89767ae6a5f2c8783700f8f35e68cfa95ef652f123c96",
         ("dicyclic", 128, 128): "bda952ea890e04477e8d1967db91f993d847672689bde4e3c8decfc3e05d9f89",
@@ -410,6 +411,49 @@ class TestActCommand:
         for (n, fmt), digest in self.PINNED_DISK_DIGESTS.items():
             args = ["act", "--target", "disk"]
             assert _word_outputs_digest(runner, args, n, fmt) == digest, (n, fmt)
+
+    @staticmethod
+    def _conjugation_words(n):
+        """Step b4's words x sigma_i x^-1 and their mirror x^-1 sigma_i x, x the
+        half twist, for i = 1, n // 2 and n - 1."""
+        x = named_element("half_twist", n)
+        for i in (1, n // 2, n - 1):
+            s = BraidWord(n, (i,))
+            yield x * s * x.inverse()
+            yield x.inverse() * s * x
+
+    # the largest budget at which each of `_conjugation_words(n)` runs out, in order
+    CONJUGATION_ABORT_BUDGETS = {
+        9: (16, 18, 16, 16, 16, 16),
+        16: (30, 32, 30, 30, 30, 30),
+        24: (46, 48, 46, 46, 46, 46),
+    }
+
+    # sha256 of `act --target disk` over `_conjugation_words(n)`, each at the
+    # default budget and at its largest aborting one: exit code, stdout and
+    # stderr of every run, concatenated in order.
+    PINNED_CONJUGATION_DIGESTS = {
+        (9, "machine"): "97a09a6a19b810e84f3d7e8f17035a64cc3de7d6af7f3ae43e7dd431bbd34db4",
+        (9, "text"): "502c010090dd5ef3b03fef820fbf22d3d8e419bec6cbd6b131d5960a427147e2",
+        (16, "machine"): "40963d98c419be649074c1fb22101f5ef87f5629d1e54640bbcbeb9839046554",
+        (16, "text"): "2ec0b478285310e8b3badf65e2b55c5245714da66fc6f5fbd326016ee1d52d07",
+        (24, "machine"): "e4098774b72edad5b6caec886aae67a11c9c6a48598690682fc3bb6d3606d073",
+        (24, "text"): "0a6adf272d1cf94acb150944d90fe5194807d605bf0a8ae419fc0390ba2e773b",
+    }
+
+    def test_conjugation_words_match_pinned_digests(self, capsys):
+        for (n, fmt), digest in self.PINNED_CONJUGATION_DIGESTS.items():
+            out = []
+            for w, budget in zip(self._conjugation_words(n), self.CONJUGATION_ABORT_BUDGETS[n]):
+                args = ["act", "--target", "disk", "--n", str(n), "--word", w.to_text(), "--format", fmt]
+                for limit in ([], ["--max-endo-letters", str(budget)]):
+                    code = cli.run([*args, *limit])
+                    captured = capsys.readouterr()
+                    out.append(f"{code}\n{captured.out}{captured.err}")
+                assert out[-1].startswith("3\n"), (n, w.to_text())
+                assert cli.run([*args, "--max-endo-letters", str(budget + 1)]) == 0, (n, w.to_text())
+                capsys.readouterr()
+            assert hashlib.sha256("".join(out).encode()).hexdigest() == digest, (n, fmt)
 
     def test_budget_exit_3_through_run(self, capsys):
         word = " ".join(["1 2 3 4 5"] * 40)
