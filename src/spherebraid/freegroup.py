@@ -30,11 +30,14 @@ x_k over an index set read off pi.  When every index set is an interval
 phi(x_a..x_b) = Q_{a-1}^-1 Q_b, where Q_m = phi(x_lo..x_m) and lo is
 the least a, so a chunk costs about one junction per strand instead of
 one per letter.  Walking the letters right to left, the engine splits
-them into maximal permutation-braid chunks of one sign; a chunk of at
-least CHUNK_LETTERS_PER_STRAND * n letters takes the closed form, and
-every other letter the letter step.  The walk repeats garside's
-permutation-braid test in a few lines of its own, so the two engines
-share no code.
+them into maximal permutation-braid chunks of one sign, and each chunk
+grows to the right over the letters of the chunk after it while it
+stays one, if that chunk is too short for the closed form or would keep
+one letter (`_long_chunks`); so x sigma_i x^-1 splits as x, sigma_i and
+x^-1.  A chunk of at least CHUNK_LETTERS_PER_STRAND * n letters takes
+the closed form, and every other letter the letter step.  The walk
+repeats garside's permutation-braid test in a few lines of its own, so
+the two engines share no code.
 
 The torsion roots' words alpha0^n, alpha1^(n-1) and alpha2^(n-2) split
 into chunks of about 2n letters, too short for the closed form.  So at
@@ -66,6 +69,14 @@ BudgetExceededError, which is not cached.
 ends, so a plan never reuses another's work and leaves no images
 behind; outside plans the memo holds at most two image sets.  Results
 are shared: callers read them and never change a stored list.
+
+The closed forms are memoized too: `_chunk_form` keeps the index sets
+of the last two permutation braids with their action on the identity
+images, keyed on the permutation and the sign.  Step b4's words
+x sigma_i x^-1 all take the closed forms of x and x^-1, and a word's
+first chunk, with no letter to its right, takes the memoized images as
+they are, held to the budget as the chunk step holds them.
+`_run_plan` empties this memo with the other one.
 """
 
 from __future__ import annotations
@@ -74,6 +85,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 from .words import check_comparable
 
@@ -257,36 +269,81 @@ def _letter_steps(imgs: list[tuple], letters, budget: int | None) -> None:
             imgs[i] = b
 
 
-def _chunk_step(imgs: list[tuple], perm: list[int], positive: bool, budget: int | None) -> bool:
-    """Compose the images phi with the action of a permutation braid P of one sign, in place.
+class _ChunkForm(NamedTuple):
+    """A permutation braid's closed form, and its action on the identity images."""
 
-    perm is P's strand permutation (images, 1-based, word order).  P
-    sends x_j to W_j x_perm(j) W_j^-1, where W_j is
-      positive P: the increasing product of x_k over
-                  k in {perm(i) : i > j, perm(i) < perm(j)};
-      negative P: the decreasing product of x_k^-1 over
-                  k in {perm(i) : i < j, perm(i) > perm(j)}.
-    So phi o P sends x_j to phi(W_j) phi(x_perm(j)) phi(W_j)^-1.  When
-    every index set is an interval [a, b], phi(x_a..x_b) = Q_{a-1}^-1 Q_b
-    with Q_m the reduced phi(x_lo..x_m), lo the least a: one junction per
-    Q_m and per image.  Each Q_m is held to the budget.  Returns False,
-    with the images unchanged, if some index set is not an interval.
+    spans: list[tuple[int, int, int]]  # (j, a, b): W_j = (x_a..x_b)^{+-1}, j 0-based
+    lo: int  # the least a
+    hi: int  # the largest b
+    images: list[tuple]  # the images of x_1..x_n under the braid alone
+    peak: int  # the longest of those images and of the Q_m = x_lo..x_m
+
+
+@lru_cache(maxsize=2)
+def _chunk_form(perm: tuple[int, ...], positive: bool) -> _ChunkForm | None:
+    """The closed form of the permutation braid of one sign with strand permutation perm; None if
+    some index set is not an interval.
+
+    perm is given as images, 1-based, in word order.  The braid sends x_j
+    to W_j x_perm(j) W_j^-1, where W_j is
+      positive: the increasing product of x_k over
+                k in {perm(i) : i > j, perm(i) < perm(j)};
+      negative: the decreasing product of x_k^-1 over
+                k in {perm(i) : i < j, perm(i) > perm(j)}.
+    On the identity images, W_j is the image's conjugator itself, since
+    no index in its set is perm(j), so it cannot end in x_perm(j)^+-1.
+
+    Memoized on (perm, positive), the last two: step b4's words
+    x sigma_i x^-1 all take the closed forms of the half twist x and of
+    x^-1, so two keep them for every pair, where one would compute them
+    again for each (68 against 1,724 forms over background at
+    n = 9..40, 48 and 64).  Larger sizes save little: q8 computes a few
+    forms twice at n >= 34, where the halves of the bipolar twist become
+    chunks of their own, 78 forms at size 2 or 3 against 72 at size 4,
+    at about 60 microseconds each at n = 64.  The result and its lists
+    are shared, so no caller may change them.  `theorems._run_plan`
+    empties this memo with the Artin memo.
     """
-    spans = []  # (j, a, b): W_j = (x_a..x_b)^{+-1}, j 0-based
+    n = len(perm)
+    spans = []
     passed: list[int] = []  # the perm values already walked past, sorted
-    for j in range(len(perm) - 1, -1, -1) if positive else range(len(perm)):
+    for j in range(n - 1, -1, -1) if positive else range(n):
         pj = perm[j]
         t = bisect_left(passed, pj)
         ks = passed[:t] if positive else passed[t:]
         if ks:
             if ks[-1] - ks[0] + 1 != len(ks):
-                return False
+                return None
             spans.append((j, ks[0], ks[-1]))
         passed.insert(t, pj)
-    lo = min(a for _, a, _ in spans)
+    empty: list[int] = []
+    images = [(empty, p, empty) for p in perm]
+    for j, a, b in spans:
+        W, W_inv = list(range(a, b + 1)), list(range(-b, -a + 1))
+        images[j] = (W, perm[j], W_inv) if positive else (W_inv, perm[j], W)
+    lo, hi = min(a for _, a, _ in spans), max(b for _, _, b in spans)
+    longest = max(b - a + 1 for _, a, b in spans)
+    return _ChunkForm(spans, lo, hi, images, max(hi - lo + 1, 2 * longest + 1))
+
+
+def _chunk_step(imgs: list[tuple], perm: list[int], positive: bool, budget: int | None) -> bool:
+    """Compose the images phi with the action of a permutation braid P of one sign, in place.
+
+    perm is P's strand permutation (images, 1-based, word order); the
+    index sets of P's closed form come from `_chunk_form`'s memo.  phi o P
+    sends x_j to phi(W_j) phi(x_perm(j)) phi(W_j)^-1.  When every index
+    set is an interval [a, b], phi(x_a..x_b) = Q_{a-1}^-1 Q_b with Q_m the
+    reduced phi(x_lo..x_m), lo the least a: one junction per Q_m and per
+    image.  Each Q_m is held to the budget.  Returns False, with the
+    images unchanged, if some index set is not an interval.
+    """
+    form = _chunk_form(tuple(perm), positive)
+    if form is None:
+        return False
+    lo = form.lo
     Q: list[list[int]] = [[]]  # Q[m - lo + 1] is Q_m
     Q_inv: list[list[int]] = [[]]
-    for A, p, A_inv in imgs[lo - 1 : max(b for _, _, b in spans)]:
+    for A, p, A_inv in imgs[lo - 1 : form.hi]:
         q, q_inv = Q[-1], Q_inv[-1]
         v, v_inv = [*A, p, *A_inv], [*A, -p, *A_inv]
         c = _junction(q, v_inv)
@@ -295,7 +352,7 @@ def _chunk_step(imgs: list[tuple], perm: list[int], positive: bool, budget: int 
         if budget is not None and len(Q[-1]) > budget:
             raise _over_budget(budget)
     new = [imgs[p - 1] for p in perm]
-    for j, a, b in spans:
+    for j, a, b in form.spans:
         # Q_{a-1}^-1 Q_b cancels the common prefix of Q_{a-1} and Q_b
         head, head_inv, tail, tail_inv = Q[a - lo], Q_inv[a - lo], Q[b - lo + 1], Q_inv[b - lo + 1]
         c = _junction(head_inv, tail_inv)
@@ -308,20 +365,18 @@ def _chunk_step(imgs: list[tuple], perm: list[int], positive: bool, budget: int 
     return True
 
 
-def _long_chunks(letters: tuple[int, ...], n: int, least: int):
-    """The maximal permutation-braid chunks of one sign with at least `least` letters, right to left.
+def _walk(letters: tuple[int, ...], n: int):
+    """The maximal permutation-braid chunks of one sign, walking the letters right to left.
 
-    Walking the letters right to left, a letter joins the open chunk
-    while it has the chunk's sign and its two strands have not crossed
-    in it; otherwise it opens the next chunk.  Yields (start, end,
-    positive, perm) for each chunk letters[start:end] that long, perm
-    its strand permutation (images, 1-based, word order).  This is the
-    permutation-braid test of garside's chunk entry, kept here so that
-    the two engines share no code.
+    A letter joins the open chunk while it has the chunk's sign and its
+    two strands have not crossed in it; otherwise it opens the next
+    chunk.  Yields [start, end, sign, perm] for each chunk
+    letters[start:end], perm[i] the position where the strand starting
+    at position i ends (perm[0] = 0).  This is the permutation-braid test
+    of garside's chunk entry, kept here so that the two engines share no
+    code.
     """
-    if len(letters) < least:
-        return
-    identity = list(range(n + 1))  # perm[i]: where the strand at position i ends
+    identity = list(range(n + 1))
     end, sign, perm = len(letters), 1 if letters[-1] > 0 else -1, identity[:]
     t = len(letters)
     for k in reversed(letters):
@@ -332,16 +387,72 @@ def _long_chunks(letters: tuple[int, ...], n: int, least: int):
             if a < b:  # the strands at i and i + 1 have not crossed: join
                 perm[i], perm[i + 1] = b, a
                 continue
-        if end - t - 1 >= least:
-            yield t + 1, end, sign > 0, perm[1:]
-        if t + 1 < least:
-            return  # no chunk that long fits in the letters left
+        yield [t + 1, end, sign, perm]
         if i < 0:
             sign, i = -sign, -i
         end, perm = t + 1, identity[:]
         perm[i], perm[i + 1] = i + 1, i
-    if end >= least:
-        yield 0, end, sign > 0, perm[1:]
+    yield [0, end, sign, perm]
+
+
+def _grow(letters: tuple[int, ...], chunk: list, after: list, least: int) -> None:
+    """Let chunk take in letters of the chunk after it, while it stays a permutation braid of its
+    sign, if the chunk after it has fewer than `least` letters or would keep one; both change in
+    place and stay chunks of the letters.
+
+    Letters of a chunk shorter than `least` go letter by letter, so
+    taking them in moves them into a closed form.  A longer chunk keeps
+    its closed form unless all but one letter goes: then one letter step
+    replaces it, as in x sigma_i x^-1, where the walk closes x's last
+    letters with sigma_i.  A letter on the right crosses the strands that
+    end at its two positions, which have not crossed yet iff they started
+    in order.  The chunk after gives up letters from its left and keeps
+    at least one: the walk closed it because chunk's last letter could
+    not join it.  It is then shorter than `least`, so its permutation,
+    left as it was, is never read.
+    """
+    _, end, sign, perm = chunk
+    if letters[end] * sign < 0:
+        return
+    start_of = sorted(range(len(perm)), key=perm.__getitem__)  # perm[start_of[q]] = q
+    grown = end
+    while grown < after[1] and (i := letters[grown] * sign) > 0:
+        a, b = start_of[i], start_of[i + 1]
+        if a > b:
+            break
+        start_of[i], start_of[i + 1] = b, a
+        grown += 1
+    if grown == end or (after[1] - after[0] >= least and after[1] - grown > 1):
+        return
+    for q, i in enumerate(start_of):
+        perm[i] = q
+    chunk[1] = after[0] = grown
+
+
+def _long_chunks(letters: tuple[int, ...], n: int, least: int):
+    """The permutation-braid chunks of one sign with at least `least` letters, right to left.
+
+    The chunks are those of `_walk`, each grown to the right (`_grow`):
+    it takes in letters of the chunk after it while it stays a
+    permutation braid of its sign, if that chunk is too short for the
+    closed form or would keep one letter.  So x sigma_i x^-1 and x sigma_i x
+    split as x, sigma_i and x^+-1 for a half twist x; the walk alone
+    splits off x's last letters with sigma_i.  A chunk is yielded once
+    the chunk before it has grown, as (start, end, positive, perm) for
+    letters[start:end], perm its strand permutation (images, 1-based,
+    word order).
+    """
+    if len(letters) < least:
+        return
+    after = None
+    for chunk in _walk(letters, n):
+        if after is not None:
+            _grow(letters, chunk, after, least)
+            if after[1] - after[0] >= least:
+                yield after[0], after[1], after[2] > 0, after[3][1:]
+        after = chunk
+    if after[1] - after[0] >= least:
+        yield after[0], after[1], after[2] > 0, after[3][1:]
 
 
 def _period(letters: tuple[int, ...], least: int) -> int:
@@ -450,14 +561,16 @@ def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | Non
     composed period costs more than u's letters.  Otherwise a
     permutation-braid chunk of one sign with at least
     CHUNK_LETTERS_PER_STRAND * n letters (`_long_chunks`) goes through
-    its closed form (`_chunk_step`); every other letter goes letter by
+    its closed form (`_chunk_step`), the word's first chunk straight from
+    the memo of `_chunk_form`; every other letter goes letter by
     letter (`_letter_steps`), touching two images.  Below
     n = 2 * CHUNK_LETTERS_PER_STRAND + 1 no permutation braid is that
     long, and neither a period nor a chunk is looked for; nor is the
     period of a word shorter than 2n.
 
-    Every stored image, every Q_m of a chunk and every product of two or
-    more factors in a composed period is held to the budget.  The images stored at
+    Every stored image, every Q_m of a chunk (the first chunk's among
+    them) and every product of two or more factors in a composed period
+    is held to the budget.  The images stored at
     period boundaries equal the letter path's there, since the
     conjugator form is unique.  The images the letter path would pass
     through inside a chunk or a composed period are never built, so
@@ -483,8 +596,16 @@ def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | Non
                 return powered
             done -= period
         for start, end, positive, perm in _long_chunks(letters[:done], n, least):
-            _letter_steps(imgs, reversed(letters[end:done]), budget)
-            done = start if _chunk_step(imgs, perm, positive, budget) else end
+            if end < len(letters):
+                _letter_steps(imgs, reversed(letters[end:done]), budget)
+                done = start if _chunk_step(imgs, perm, positive, budget) else end
+            elif form := _chunk_form(tuple(perm), positive):
+                # no letter to its right: the images are its own, from the memo
+                if budget is not None and form.peak > budget:
+                    raise _over_budget(budget)
+                imgs, done = form.images[:], start
+            else:
+                done = end
     _letter_steps(imgs, reversed(letters[:done]), budget)
     return imgs
 

@@ -30,7 +30,7 @@ import math
 
 from . import freegroup, garside
 from .certificates import ProofStep, Verdict, VerificationCertificate
-from .freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _artin_images, _extend, _inv
+from .freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _artin_images, _extend, _inv, _letter_steps
 from .words import (
     BraidWord,
     check_comparable,
@@ -150,6 +150,34 @@ def inner_conjugator(e: EndoOnBasis) -> tuple[int, ...] | None:
     return _common_conjugator(conjugators)
 
 
+def _on_touched_strands(letters: tuple[int, ...], generators: set[int], budget) -> bool | None:
+    """acts_trivially decided on the strands the word touches, where no sphere action is needed.
+
+    The letters are renumbered onto the touched strands in order: the
+    r-th touched strand becomes strand r.  A letter sigma_k touches k and
+    k + 1, which stay neighbours, so the renumbered word is a braid on the
+    touched strands alone, and its images are those of the touched x_j
+    with the generators renumbered, of the same lengths.  The untouched
+    strands keep their places and their images x_j.  Returns False if
+    the strand permutation is nontrivial and True if every touched image
+    is x_j, which is the disk-identity rule; None if neither.
+    """
+    strands = sorted({*generators, *(k + 1 for k in generators)})
+    rank = {s: r for r, s in enumerate(strands, start=1)}
+    short = [rank[k] if k > 0 else -rank[-k] for k in letters]
+    positions = list(range(len(strands) + 1))
+    at = positions[:]  # at[q]: the strand now at position q
+    for k in short:
+        i = abs(k)
+        at[i], at[i + 1] = at[i + 1], at[i]
+    if at != positions:
+        return False
+    empty: list[int] = []
+    images = [(empty, j, empty) for j in positions[1:]]
+    _letter_steps(images, reversed(short), budget)
+    return True if not any(W for W, _, _ in images) else None
+
+
 def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> bool:
     """True iff w acts trivially on the punctured sphere (outer action).
 
@@ -163,10 +191,26 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
     a word is 1 in B_n already.  Otherwise every image C_j x_j C_j^-1
     (C_j: S_j without trailing x_j^+-1) is held to the budget before the
     C_j are compared.
+
+    A word shorter than 2n that leaves out a generator, as every defining
+    relator but the surface relator does, is first decided on the strands
+    it touches (`_on_touched_strands`): the permutation test and the
+    disk-identity rule there cost what its letters touch, not n.  That is
+    exact, and so is the budget: the engine takes a word that short letter
+    by letter (no period is looked for below 2n letters, and no 4n-letter
+    chunk fits), and an untouched image takes part in no letter step, so
+    the touched images meet the same budget checks in the same order.  A
+    word the rule leaves open takes the whole path below.
     """
     n = w.strand_count
     if n < 3:
         raise ValueError(f"acts_trivially needs n >= 3, got n = {n}")
+    if len(w.letters) < 2 * n:
+        generators = {abs(k) for k in w.letters}
+        if len(generators) < n - 1:
+            touched = _on_touched_strands(w.letters, generators, max_image_letters)
+            if touched is not None:
+                return touched
     if not permutation(w).is_identity():
         return False
     disk_images = _artin_images(n, w.letters, max_image_letters)

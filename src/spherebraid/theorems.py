@@ -13,8 +13,9 @@ base of every step is as small as possible.
 Every plan runs through `_run_plan`, which checks n, makes the certificate
 and returns it INCONCLUSIVE instead of raising when a configured budget
 (coset cap, endomorphism letter cap) runs out.  Each plan starts and ends
-with an empty disk-action memo (`freegroup._artin_images`), so it reuses
-only its own work.
+with empty memos, the disk actions (`freegroup._artin_images`) and the
+permutation-braid closed forms (`freegroup._chunk_form`), so it reuses
+only its own work and leaves none behind.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple
 
 from . import presentations, sphere
 from .certificates import ProofStep, Verdict, VerificationCertificate
-from .freegroup import BudgetExceededError, _artin_images
+from .freegroup import BudgetExceededError, _artin_images, _chunk_form
 from .presentations import CayleyTable, presentation_library, todd_coxeter
 from .sphere import (
     DEFAULT_MAX_IMAGE_LETTERS,
@@ -46,7 +47,7 @@ def _run_plan(key: str, n: int, body: Callable[[], tuple]) -> VerificationCertif
     """
     plan = PLANS[key]
     plan.check_n(n)
-    _artin_images.cache_clear()
+    _clear_memos()
     try:
         verdict, steps, flags = body()
     except BudgetExceededError as exc:
@@ -60,8 +61,14 @@ def _run_plan(key: str, n: int, body: Callable[[], tuple]) -> VerificationCertif
         )
         verdict, steps, flags = Verdict.INCONCLUSIVE, [step], None
     finally:
-        _artin_images.cache_clear()
+        _clear_memos()
     return VerificationCertificate(plan.claim, n, verdict, steps, flags or {})
+
+
+def _clear_memos() -> None:
+    """Empty the disk-action memo and the memo of permutation-braid closed forms."""
+    _artin_images.cache_clear()
+    _chunk_form.cache_clear()
 
 
 def _verdict(steps: list[ProofStep]) -> Verdict:

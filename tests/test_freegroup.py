@@ -16,6 +16,7 @@ from spherebraid.freegroup import (
     EndoOnBasis,
     FreeWord,
     _artin_images,
+    _chunk_form,
     _chunk_step,
     _letter_steps,
     _long_chunks,
@@ -169,11 +170,16 @@ def _reference_is_permutation_braid(n, letters):
 
 
 def _reference_chunks(n, letters):
-    """(start, end) of the maximal one-sign permutation braids, right to left.
+    """(start, end) of the chunks the walk splits the letters into, right to left.
 
-    A piece of a permutation braid is one, so each chunk is the longest
-    such suffix of the letters not yet split off, found by bisection."""
-    chunks, end = [], len(letters)
+    A piece of a permutation braid is one, so the walk's chunk is the
+    longest such suffix of the letters not yet split off, found by
+    bisection.  Then each chunk grows to the right, to where the longest
+    one-sign permutation braid that starts where it starts ends, and the
+    chunk after it keeps the rest; but a chunk after it with at least
+    CHUNK_LETTERS_PER_STRAND * n letters gives up none unless it keeps
+    just one."""
+    starts, end = [], len(letters)
     while end:
         lo, hi = 0, end - 1  # letters[hi:end] is one letter, a permutation braid
         while lo < hi:
@@ -182,9 +188,15 @@ def _reference_chunks(n, letters):
                 hi = mid
             else:
                 lo = mid + 1
-        chunks.append((lo, end))
+        starts.append(lo)
         end = lo
-    return chunks
+    ends = [len(letters)]
+    for before, start in zip(starts, starts[1:]):
+        grown = before
+        while grown < len(letters) and _reference_is_permutation_braid(n, letters[start : grown + 1]):
+            grown += 1
+        ends.append(grown if ends[-1] - before < CHUNK_LETTERS_PER_STRAND * n or ends[-1] - grown == 1 else before)
+    return list(zip([*ends[1:], 0], ends))
 
 
 def _reference_index_sets(n, letters):
@@ -477,6 +489,66 @@ class TestChunkPath:
         composed = list(imgs)
         assert _chunk_step(composed, [2, 1, 3], True, q_1)
         assert composed == [([], 2, []), imgs[0], imgs[2]]
+
+    def test_first_chunk_takes_the_memoized_images(self):
+        # a word that is one long chunk takes its images from the memo; they
+        # equal the closed form on the identity images, and the budget
+        # raises at the same limits
+        rng = random.Random(4133)
+        seen, q_decides = 0, 0
+        for n in [*range(9, 21), 30, 40]:
+            # the half twist on strands lo..n; half twists on the first and
+            # last k strands, whose longest Q_m (x_1..x_(n-1) on the identity)
+            # outgrows every image; then random permutations
+            perms = [[*range(1, lo), *range(n, lo - 1, -1)] for lo in (1, 2, 3)]
+            k = n // 2 - 2
+            perms.append([*range(k, 0, -1), *range(k + 1, n - k + 1), *range(n, n - k, -1)])
+            for _ in range(30):
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                perms.append(perm)
+            for perm in perms:
+                for sign in (1, -1):
+                    letters = tuple(_permutation_braid(perm, sign))
+                    form = _chunk_form(tuple(perm), sign > 0)
+                    if form is None or len(letters) < CHUNK_LETTERS_PER_STRAND * n:
+                        continue
+                    q_decides += form.peak > max(2 * len(W) + 1 for W, _, _ in form.images)
+                    identity = [([], j, []) for j in range(1, n + 1)]
+                    imgs = list(identity)
+                    assert _chunk_step(imgs, perm, sign > 0, None)
+                    assert imgs == form.images == _artin_images.__wrapped__(n, letters) == _letter_path(n, letters)
+                    for budget in range(form.peak - 3, form.peak + 2):
+                        try:
+                            _chunk_step(list(identity), perm, sign > 0, budget)
+                        except BudgetExceededError:
+                            with pytest.raises(BudgetExceededError):
+                                _artin_images.__wrapped__(n, letters, budget)
+                            assert budget < form.peak
+                        else:
+                            assert _artin_images.__wrapped__(n, letters, budget) == form.images
+                            assert budget >= form.peak
+                    seen += 1
+        assert seen >= 40 and q_decides >= 2, (seen, q_decides)
+
+    def test_conjugation_words_split_at_the_letter(self):
+        # x sigma_i x^+-1, x the half twist: the chunk of x's head takes in
+        # the letters of x's tail that the walk closed with sigma_i
+        for n in range(9, 41):
+            x = named_element("half_twist", n)
+            length = len(x)
+            for i in range(1, n):
+                for right in (x.inverse(), x):
+                    letters = (x * BraidWord(n, (i,)) * right).letters
+                    chunks = [(a, b, positive) for a, b, positive, _ in _long_chunks(letters, n, CHUNK_LETTERS_PER_STRAND * n)]
+                    assert chunks == [(length + 1, 2 * length + 1, right is x), (0, length, True)], (n, i)
+        # a long chunk that would keep more than one letter gives up none: in
+        # x y x^-1 at n = 24 (y the bipolar twist) the negative half of y
+        # could take in 90 letters of x^-1, which keeps its closed form
+        n = 24
+        x, y = named_element("half_twist", n), named_element("bipolar_twist", n)
+        letters = (x * y * x.inverse()).letters
+        assert [(a, b) for a, b, _, _ in _long_chunks(letters, n, 4 * n)] == [(408, 684), (0, 276)]
 
     def test_small_n_never_walks(self, monkeypatch):
         # below n = 9 no permutation braid has 4n letters, so the cross-oracle

@@ -5,10 +5,20 @@ from hypothesis import given, reject, settings, strategies as st
 
 from braid_strategies import braid_letters
 from spherebraid.certificates import AXIOMS, Verdict
-from spherebraid.freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _extend, _inv
+from spherebraid import sphere
+from spherebraid.freegroup import (
+    BudgetExceededError,
+    EndoOnBasis,
+    FreeWord,
+    _artin_images,
+    _conjugator_length,
+    _extend,
+    _inv,
+)
 from spherebraid.presentations import presentation_library
 from spherebraid.selftest import random_word
 from spherebraid.sphere import (
+    DEFAULT_MAX_IMAGE_LETTERS,
     acts_trivially,
     eq_mod_center,
     inner_conjugator,
@@ -156,7 +166,95 @@ class TestInnerConjugator:
         assert min(tally.values()) > 100, tally
 
 
+def _reference_acts_trivially(w, budget):
+    """acts_trivially by the whole path alone: the strand permutation of
+    every strand, then the disk action of every image, then the sphere
+    conjugators.  Returns the bool, or the message of the budget error."""
+    n = w.strand_count
+    try:
+        if not permutation(w).is_identity():
+            return False
+        disk_images = _artin_images.__wrapped__(n, w.letters, budget)
+        if not any(W for W, _, _ in disk_images):
+            return True
+        conjugators = [S[: _conjugator_length(S, p)] for S, p in sphere._sphere_conjugators(n, disk_images)]
+        sphere._check_image(2 * max(map(len, conjugators)) + 1, budget)
+        return sphere._common_conjugator(conjugators) is not None
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def _outcome(w, budget):
+    try:
+        return acts_trivially(w, budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def _short_words(n, rng):
+    """Seeded words shorter than 2n at n: relators conjugated by short words,
+    commutators of letters far apart, pure braids and random words; most
+    have a trivial strand permutation and leave out a generator."""
+    relators = presentation_library("sphere_braid", n).relators
+    words = []
+    for _ in range(12):
+        lo = rng.randint(1, n - 2)
+        alphabet = [k for k in range(-(lo + 3), lo + 4) if k and abs(k) < n]
+        g = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 3)))
+        r = rng.choice(relators[:-1])
+        i, j = rng.sample(range(1, n), 2)
+        kind = rng.randrange(4)
+        if kind == 0:
+            letters = g + r + tuple(-k for k in reversed(g))
+        elif kind == 1:
+            letters = (i, j, -i, -j) + (i, i)
+        elif kind == 2:
+            letters = g + (i, i) * rng.randint(1, 3) + tuple(-k for k in reversed(g))
+        else:
+            letters = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 2 * n - 1)))
+        words.append(BraidWord(n, letters[: 2 * n - 1]))
+    return words
+
+
 class TestActsTrivially:
+    def test_relators_match_the_whole_path(self):
+        for n in range(3, 41):
+            for rel in presentation_library("sphere_braid", n).relators:
+                w = BraidWord(n, rel)
+                assert _outcome(w, DEFAULT_MAX_IMAGE_LETTERS) == _reference_acts_trivially(w, DEFAULT_MAX_IMAGE_LETTERS) is True
+                if n <= 12:
+                    for budget in range(1, 2 * n + 2):
+                        assert _outcome(w, budget) == _reference_acts_trivially(w, budget), (n, rel, budget)
+
+    def test_short_words_match_the_whole_path(self):
+        rng = random.Random(6007)
+        outcomes = set()
+        for n in range(9, 31):
+            for w in _short_words(n, rng):
+                for budget in range(1, 3 * n + 1):
+                    expected = _reference_acts_trivially(w, budget)
+                    assert _outcome(w, budget) == expected, (w.letters, budget)
+                    outcomes.add(expected if isinstance(expected, bool) else "raised")
+        # every outcome occurs: False, True, and a budget that runs out
+        assert outcomes == {False, True, "raised"}
+
+    def test_only_the_surface_relator_takes_the_whole_path(self, monkeypatch):
+        # from n = 4 on every other relator leaves out a generator, so it is
+        # decided on the strands it touches, without the n-strand
+        # permutation or the n disk images (at n = 3 the braid relation
+        # sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2 touches both)
+        whole = []
+        monkeypatch.setattr(sphere, "permutation", lambda w: whole.append(w.letters) or permutation(w))
+        monkeypatch.setattr(
+            sphere, "_artin_images", lambda n, letters, budget: whole.append(letters) or _artin_images(n, letters, budget)
+        )
+        for n in range(4, 41):
+            whole.clear()
+            for rel in presentation_library("sphere_braid", n).relators:
+                assert acts_trivially(BraidWord(n, rel)) is True
+            surface = named_element("surface_relator", n).letters
+            assert whole == [surface, surface], n
+
     def test_full_twist_in_center_set(self):
         for n in range(3, 9):
             assert acts_trivially(named_element("full_twist", n)) is True

@@ -1,10 +1,11 @@
 import copy
+import sys
 
 import pytest
 
 from spherebraid import cli, garside, theorems
 from spherebraid.certificates import ProofStep, Verdict, to_json
-from spherebraid.freegroup import _artin_images
+from spherebraid.freegroup import _artin_images, _chunk_form
 from spherebraid.presentations import presentation_library, todd_coxeter
 from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, EngineDisagreementError, torsion_order
 from spherebraid.theorems import (
@@ -399,6 +400,7 @@ class TestArtinMemo:
             keys = [key for key, _ in artin_body_calls]
             assert len(keys) == len(set(keys)), (claim, n)
             assert _artin_images.cache_info().currsize == 0, (claim, n)
+            assert _chunk_form.cache_info().currsize == 0, (claim, n)
 
     def test_a_plan_reuses_no_earlier_work(self, artin_body_calls):
         # the memo holds the plan's own first actions when its replay
@@ -425,7 +427,9 @@ class TestArtinMemo:
             assert max(lengths) <= n * (n - 1), n
 
     def test_budget_abort_empties_the_memo(self, artin_body_calls):
-        cert = verify_background(16, max_image_letters=30)
+        # a background run cannot show this: its first action, the surface
+        # relator's, needs the largest budget of the plan
+        cert = verify_q8(16, max_image_letters=40)
         assert cert.verdict is Verdict.INCONCLUSIVE
         (step,) = cert.steps
         assert (step.id, step.method, step.ok) == ("budget", "budget", False)
@@ -433,3 +437,26 @@ class TestArtinMemo:
         *fitted, (_, raised) = artin_body_calls
         assert fitted and raised is None
         assert _artin_images.cache_info().currsize == 0
+        assert _chunk_form.cache_info().currsize == 0
+
+    def test_b4_computes_two_closed_forms(self):
+        # every pair x sigma_i x^-1 takes the closed forms of x and x^-1
+        # from the memo, which the plan leaves empty
+        body = _chunk_form.__wrapped__.__code__
+        forms = []
+
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code is body:
+                forms.append((frame.f_locals["perm"], frame.f_locals["positive"]))
+
+        for n in (9, 22, 40):
+            forms.clear()
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                verify_background(n)
+            finally:
+                sys.setprofile(previous)
+            reversal = tuple(range(n, 0, -1))
+            assert sorted(forms) == [(reversal, False), (reversal, True)], n
+            assert _chunk_form.cache_info().currsize == 0
