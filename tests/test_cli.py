@@ -307,6 +307,29 @@ class TestVerifyCommand:
         ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "40"),
     )
 
+    # the largest budget at which q8 and dicyclic run out at n = 40, where the
+    # halves of the bipolar twist are chunks of their own, with the sha256 of
+    # `verify --format machine` at that budget (exit 3) and at the next (exit 0)
+    PINNED_LARGEST_ABORTS = {
+        ("q8", 40, 80): (
+            "c3b119ce110b16e99eca5df77e4d7a2f111bcf692ab335ef7a5a55b1cc732fd2",
+            "df8afaba8dd9bf430d597cf1eeb460556d7bb0d41db33487fc61fc90c593a913",
+        ),
+        ("dicyclic", 40, 80): (
+            "c13f73290b669992975d9ef786959bb0419a85866e16c3fb74c686ec70c0a1c8",
+            "f419134098a007c844237a926794440cc011f0c51e3d417388ddc74a5032364e",
+        ),
+    }
+
+    def test_largest_aborting_budget_matches_pinned_digests(self, runner):
+        for (claim, n, budget), digests in self.PINNED_LARGEST_ABORTS.items():
+            for code, limit, digest in zip((3, 0), (budget, budget + 1), digests):
+                args = ["verify", "--claim", claim, "--n", str(n), "--max-endo-letters", str(limit)]
+                result = runner.invoke(main, [*args, "--format", "machine"])
+                assert result.exit_code == code, (claim, limit)
+                assert result.stderr == "", (claim, limit)
+                assert hashlib.sha256(result.output.encode()).hexdigest() == digest, (claim, limit)
+
     def test_budget_runs_that_complete_match_the_default_budget(self, runner):
         for claim, *args in self.COMPLETING_BUDGET_RUNS:
             result = runner.invoke(main, ["verify", "--claim", claim, *args, "--format", "machine"])
