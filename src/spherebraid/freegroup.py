@@ -72,11 +72,21 @@ are shared: callers read them and never change a stored list.
 
 The closed forms are memoized too: `_chunk_form` keeps the index sets
 of the last two permutation braids with their action on the identity
-images, keyed on the permutation and the sign.  Step b4's words
-x sigma_i x^-1 all take the closed forms of x and x^-1, and a word's
-first chunk, with no letter to its right, takes the memoized images as
-they are, held to the budget as the chunk step holds them.
-`_run_plan` empties this memo with the other one.
+images, keyed on the permutation and the sign.  A word's first chunk,
+with no letter to its right, takes the memoized images as they are,
+held to the budget as the chunk step holds them.
+
+A product of words (`words.BraidWord.product`) acts factor by factor
+(`_images`): the last factor's images come from `_artin_images`, with
+its memo, and each earlier factor acts on them, right to left, by its
+own chunk split, which `_factor_chunks` keeps for the last two long
+factors.  Step b4's words x sigma_i x^-1 are such products, so the
+action of x^-1 is computed once per plan and x's split is walked once,
+where the flat word walked some n^2 letters in every pair; the
+conjugations x y x^-1 and x alpha0 x^-1 and the squares x x of q8 and
+dicyclic are products too.  No walk of these words puts a chunk across
+a factor boundary, so the product meets the flat word's budget checks
+in the same order.  `_run_plan` empties both memos with the Artin memo.
 """
 
 from __future__ import annotations
@@ -293,11 +303,13 @@ def _chunk_form(perm: tuple[int, ...], positive: bool) -> _ChunkForm | None:
     On the identity images, W_j is the image's conjugator itself, since
     no index in its set is perm(j), so it cannot end in x_perm(j)^+-1.
 
-    Memoized on (perm, positive), the last two: step b4's words
-    x sigma_i x^-1 all take the closed forms of the half twist x and of
-    x^-1, so two keep them for every pair, where one would compute them
-    again for each (68 against 1,724 forms over background at
-    n = 9..40, 48 and 64).  Larger sizes save little: q8 computes a few
+    Memoized on (perm, positive), the last two.  Step b4's products
+    x sigma_i x^-1 ask for x's form once a pair and for x^-1's only when
+    the Artin memo computes x^-1's action, so one entry would keep b4 at
+    68 forms over background at n = 9..40, 48 and 64 (when b4's words
+    were walked flat, one entry gave 1,724).  q8 and dicyclic use the
+    second: over the same n they compute 102 forms each at size 1, and
+    78 and 68 at size 2.  Larger sizes save little: q8 computes a few
     forms twice at n >= 34, where the halves of the bipolar twist become
     chunks of their own, 78 forms at size 2 or 3 against 72 at size 4,
     at about 60 microseconds each at n = 64.  The result and its lists
@@ -595,25 +607,66 @@ def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | Non
             if powered is not None:
                 return powered
             done -= period
-        for start, end, positive, perm in _long_chunks(letters[:done], n, least):
-            if end < len(letters):
-                _letter_steps(imgs, reversed(letters[end:done]), budget)
-                done = start if _chunk_step(imgs, perm, positive, budget) else end
-            elif form := _chunk_form(tuple(perm), positive):
-                # no letter to its right: the images are its own, from the memo
-                if budget is not None and form.peak > budget:
-                    raise _over_budget(budget)
-                imgs, done = form.images[:], start
-            else:
-                done = end
+        chunks = _long_chunks(letters[:done], n, least)
+        first = next(chunks, None)
+        if first and first[1] == len(letters) and (form := _chunk_form(tuple(first[3]), first[2])):
+            # no letter to its right: the images are its own, from the memo
+            if budget is not None and form.peak > budget:
+                raise _over_budget(budget)
+            imgs, done = form.images[:], first[0]
+        elif first:
+            chunks = chain((first,), chunks)
+        _compose(imgs, letters[:done], chunks, budget)
+        return imgs
+    _letter_steps(imgs, reversed(letters), budget)
+    return imgs
+
+
+def _compose(imgs: list[tuple], letters: tuple[int, ...], chunks, budget: int | None) -> None:
+    """Compose the images with the action of the letters, in place: each of the chunks, given
+    right to left as `_long_chunks` yields them, through its closed form, and every other letter
+    by the letter step."""
+    done = len(letters)
+    for start, end, positive, perm in chunks:
+        _letter_steps(imgs, reversed(letters[end:done]), budget)
+        done = start if _chunk_step(imgs, perm, positive, budget) else end
     _letter_steps(imgs, reversed(letters[:done]), budget)
+
+
+@lru_cache(maxsize=2)
+def _factor_chunks(letters: tuple[int, ...], n: int, least: int) -> tuple:
+    """`_long_chunks` of the last two long factors of products, b4's x and x^-1, kept."""
+    return tuple(_long_chunks(letters, n, least))
+
+
+def _images(w, budget: int | None) -> list[tuple]:
+    """The disk images of w in conjugator form; a product (`BraidWord.product`) by its factors.
+
+    The last factor's images come from `_artin_images`, with its memo,
+    its power path and its first-chunk rule; each earlier factor then
+    acts on them, right to left, by its own `_long_chunks` split, kept by
+    `_factor_chunks` when the factor is long enough to have a chunk.
+    The flat walk puts no chunk across the factor boundaries of the plan
+    words x sigma_i x^-1, x x, x y x^-1 and x alpha0 x^-1, so those
+    images meet the same budget checks in the same order as the flat
+    word's.  The product's images are not memoized.
+    """
+    n = w.strand_count
+    if not w.factors:
+        return _artin_images(n, w.letters, budget)
+    *rest, last = w.factors
+    imgs = _artin_images(n, last.letters, budget)[:]
+    least = CHUNK_LETTERS_PER_STRAND * n
+    for f in reversed(rest):
+        long = n * (n - 1) // 2 >= least and len(f.letters) >= least
+        _compose(imgs, f.letters, _factor_chunks(f.letters, n, least) if long else (), budget)
     return imgs
 
 
 def artin_disk_endo(w, max_image_letters: int | None = None) -> EndoOnBasis:
     """The action of a braid word on the rank-n free group (n = strand count)."""
     n = w.strand_count
-    imgs = _artin_images(n, w.letters, max_image_letters)
+    imgs = _images(w, max_image_letters)
     return EndoOnBasis(n, tuple(FreeWord(n, (*W, p, *W_inv)) for W, p, W_inv in imgs))
 
 
@@ -626,6 +679,4 @@ def eq_Bn(w, v, max_image_letters: int | None = None) -> bool:
     on it without expanding the images.
     """
     check_comparable(w, v)
-    return _artin_images(w.strand_count, w.letters, max_image_letters) == _artin_images(
-        v.strand_count, v.letters, max_image_letters
-    )
+    return _images(w, max_image_letters) == _images(v, max_image_letters)

@@ -35,7 +35,15 @@ Representation choices:
   * the slide of one pair keeps both descent masks and updates only the
     three bits next to each crossing it moves; its results are memoized
     in one lru_cache of SLIDE_MEMO_SIZE entries, which bounds the memory
-    the engine keeps between calls.
+    the engine keeps between calls;
+  * a product of words (`words.BraidWord.product`) is normalized from its
+    factors' normal forms by the rule
+        Delta^p A Delta^q B = Delta^(p+q) tau^q(A) B
+    (`_product_form`).  The forms of the last two factors of at least n
+    letters are memoized (`_factor_form`), so step b4's words
+    x sigma_i x^-1 normalize x and x^-1 once per plan, and each pair is
+    one tau-flipped simple instead of a walk over some n^2 letters.
+    `theorems._run_plan` empties that memo before and after each plan.
 """
 
 from __future__ import annotations
@@ -159,12 +167,8 @@ def _normalize_factors(n: int, simples: list[tuple[int, ...]]) -> tuple[int, lis
     return lead, factors[lead:]
 
 
-def normal_form(w: BraidWord) -> GarsideNormalForm:
-    """The left-canonical form of the element represented by w."""
-    n = w.strand_count
-    if n < 2:
-        return GarsideNormalForm(n, 0, ())
-    letters = w.letters
+def _letters_form(n: int, letters: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """The normal form of a word on n >= 2 strands: (Delta power, other factors)."""
     identity, delta = list(range(1, n + 1)), list(range(n, 0, -1))
     # Walking right to left, `flips` counts the Delta^-1 of the closed
     # negative chunks: moving them to the front conjugates everything to
@@ -204,7 +208,46 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     flips += negative
     simples.reverse()
     lead, factors = _normalize_factors(n, simples)
-    return GarsideNormalForm(n, lead - flips, tuple(factors))
+    return lead - flips, factors
+
+
+# The normal forms of the last two long factors of products: b4's x and x^-1.
+_factor_form = lru_cache(maxsize=2)(_letters_form)
+
+
+def _tau(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The simple Delta p Delta^-1: every sigma_i of p becomes sigma_{n-i}."""
+    top = len(p) + 1
+    return tuple(top - v for v in reversed(p))
+
+
+def _product_form(n: int, words) -> tuple[int, list[tuple[int, ...]]]:
+    """The normal form of the product of the words, from each word's normal form.
+
+    Delta^p A Delta^q B = Delta^(p+q) tau^q(A) B (Epstein et al., ch. 9):
+    walking right to left, the Delta powers add up, and the simples of a
+    word are twisted by tau when the sum to their right is odd.  The
+    simples are then normalized as a word's are.  A word of n letters or
+    more takes its form from `_factor_form`; a shorter one costs less
+    than the memo lookup would, and leaves the memo to the long factors.
+    """
+    power, simples = 0, []
+    for w in reversed(words):
+        p, factors = (_factor_form if len(w.letters) >= n else _letters_form)(n, w.letters)
+        simples.extend(reversed([_tau(f) for f in factors] if power & 1 else factors))
+        power += p
+    simples.reverse()
+    lead, factors = _normalize_factors(n, simples)
+    return power + lead, factors
+
+
+def normal_form(w: BraidWord) -> GarsideNormalForm:
+    """The left-canonical form of the element represented by w; a product by its factors."""
+    n = w.strand_count
+    if n < 2:
+        return GarsideNormalForm(n, 0, ())
+    power, factors = _product_form(n, w.factors) if w.factors else _letters_form(n, w.letters)
+    return GarsideNormalForm(n, power, tuple(factors))
 
 
 def equal_Bn(w: BraidWord, v: BraidWord) -> bool:

@@ -13,9 +13,13 @@ base of every step is as small as possible.
 Every plan runs through `_run_plan`, which checks n, makes the certificate
 and returns it INCONCLUSIVE instead of raising when a configured budget
 (coset cap, endomorphism letter cap) runs out.  Each plan starts and ends
-with empty memos, the disk actions (`freegroup._artin_images`) and the
-permutation-braid closed forms (`freegroup._chunk_form`), so it reuses
-only its own work and leaves none behind.
+with empty memos, the disk actions (`freegroup._artin_images`), the
+permutation-braid closed forms (`freegroup._chunk_form`), and the normal
+forms (`garside._factor_form`) and chunk splits (`freegroup._factor_chunks`)
+of the long factors of products, so it reuses only its own work and leaves
+none behind.  The conjugations by the half twist x (x sigma_i x^-1 in b4,
+x y x^-1, x alpha0 x^-1) and the squares x x are built as products
+(`BraidWord.product`), so both engines read x and x^-1 once per plan.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from typing import Callable, NamedTuple
 
 from . import presentations, sphere
 from .certificates import ProofStep, Verdict, VerificationCertificate
-from .freegroup import BudgetExceededError, _artin_images, _chunk_form
+from .freegroup import BudgetExceededError, _artin_images, _chunk_form, _factor_chunks
+from .garside import _factor_form
 from .presentations import CayleyTable, presentation_library, todd_coxeter
 from .sphere import (
     DEFAULT_MAX_IMAGE_LETTERS,
@@ -66,9 +71,12 @@ def _run_plan(key: str, n: int, body: Callable[[], tuple]) -> VerificationCertif
 
 
 def _clear_memos() -> None:
-    """Empty the disk-action memo and the memo of permutation-braid closed forms."""
+    """Empty the plan memos: the disk actions and the permutation-braid closed forms, and the
+    normal forms and chunk splits of the long factors of products (`BraidWord.product`)."""
     _artin_images.cache_clear()
     _chunk_form.cache_clear()
+    _factor_form.cache_clear()
+    _factor_chunks.cache_clear()
 
 
 def _verdict(steps: list[ProofStep]) -> Verdict:
@@ -96,7 +104,9 @@ def _half_twist_square_step(step_id: str, x: BraidWord, max_image_letters) -> Pr
     """The exact step x^2 = Delta^2 for the half twist x: s1 of q8, d2 of dicyclic."""
     n = x.strand_count
     statement = f"the square of the half twist equals the full-twist word in B_{n}"
-    return _exact_step(step_id, statement, [(x * x, named_element("full_twist", n))], max_image_letters)
+    return _exact_step(
+        step_id, statement, [(BraidWord.product(x, x), named_element("full_twist", n))], max_image_letters
+    )
 
 
 def verify_q8(
@@ -127,7 +137,7 @@ def verify_q8(
             "s2",
             f"conjugating the bipolar twist by the half twist inverts it in B_{n}: "
             f"x y x^-1 equals the mirror of y, and the mirror of y equals y^-1",
-            [(x * y * x.inverse(), mirror(y)), (mirror(y), y.inverse())],
+            [(BraidWord.product(x, y, x.inverse()), mirror(y)), (mirror(y), y.inverse())],
             max_image_letters,
         )
         s3 = square_rule(y, max_image_letters)
@@ -310,7 +320,7 @@ def verify_dicyclic(
         d3a = _exact_step(
             "d3a",
             f"conjugating the cycle word by the half twist mirrors it in B_{n}",
-            [(x * a * x.inverse(), mirror(a))],
+            [(BraidWord.product(x, a, x.inverse()), mirror(a))],
             max_image_letters,
         )
         product = a * mirror(a)
@@ -495,7 +505,9 @@ def verify_background(
         )
         x = named_element("half_twist", n)
         x_inv = x.inverse()
-        pairs = [(x * BraidWord(n, (i,)) * x_inv, BraidWord(n, (n - i,))) for i in range(1, n)]
+        pairs = [
+            (BraidWord.product(x, BraidWord(n, (i,)), x_inv), BraidWord(n, (n - i,))) for i in range(1, n)
+        ]
         steps.append(
             _exact_step(
                 "b4",

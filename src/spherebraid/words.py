@@ -16,7 +16,8 @@ composition "permutation of u, then permutation of v".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class WordSyntaxError(ValueError):
@@ -37,10 +38,15 @@ def check_comparable(w: BraidWord, v: BraidWord) -> None:
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A word in the generators sigma_1 .. sigma_{n-1} of the n-strand braid group."""
+    """A word in the generators sigma_1 .. sigma_{n-1} of the n-strand braid group.
+
+    `factors` is empty, except on a word made by `product`, which keeps the
+    words it was made from; it takes no part in equality, hashing or repr.
+    """
 
     strand_count: int
     letters: tuple[int, ...] = ()
+    factors: tuple["BraidWord", ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.strand_count < 1:
@@ -73,8 +79,42 @@ class BraidWord:
         base = self if exponent >= 0 else self.inverse()
         return BraidWord(self.strand_count, base.letters * abs(exponent))
 
+    @classmethod
+    def product(cls, *factors: "BraidWord") -> "BraidWord":
+        """The word whose letters are the factors' letters in order, keeping the factors.
+
+        Both exact engines take a product by its factors: garside from the
+        factors' memoized normal forms, freegroup by applying each factor's
+        memoized chunks to the images of the next.  A plan step whose words
+        share long factors, as b4's x sigma_i x^-1 share x and x^-1, so
+        reads them once.  Anything else treats it as the flat word.
+        """
+        n, letters = factors[0].strand_count, factors[0].letters
+        for f in factors[1:]:
+            if f.strand_count != n:
+                raise StrandCountMismatchError(
+                    f"cannot concatenate words on {n} and {f.strand_count} strands"
+                )
+            letters += f.letters
+        # the factors' letters are already checked, and checking them again
+        # costs many times what concatenating them does, so __init__ is skipped
+        word = object.__new__(cls)
+        for name, value in (("strand_count", n), ("letters", letters), ("factors", factors)):
+            object.__setattr__(word, name, value)
+        return word
+
     def to_text(self) -> str:
-        """Serialize to the whitespace-separated signed-integer syntax."""
+        """Serialize to the whitespace-separated signed-integer syntax.
+
+        A word keeps its text, and a product joins its factors' texts, so
+        the factors of many products are written out once.
+        """
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        if self.factors:
+            return " ".join(f.to_text() for f in self.factors if f.letters)
         return " ".join(str(k) for k in self.letters)
 
     @classmethod

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import spherebraid
-from braid_strategies import braid_letters
+from braid_strategies import braid_letters, seeded_products
 from spherebraid.cli import main
 from spherebraid.freegroup import (
     CHUNK_LETTERS_PER_STRAND,
@@ -18,6 +18,7 @@ from spherebraid.freegroup import (
     _artin_images,
     _chunk_form,
     _chunk_step,
+    _images,
     _letter_steps,
     _long_chunks,
     artin_disk_endo,
@@ -670,6 +671,59 @@ class TestPowerPath:
                 assert _artin_images.__wrapped__(n, w.letters) == _letter_path(n, w.letters)
         with pytest.raises(AssertionError, match="composed"):
             _artin_images.__wrapped__(9, named_element("full_twist", 9).letters)
+
+
+def _plan_products(n):
+    """The products the plans build: x sigma_i x^-1 (b4) for i in {1, n/2, n - 1}, x x (s1, d2),
+    x y x^-1 (s2, even n) and x alpha0 x^-1 (d3a), for x the half twist."""
+    x = named_element("half_twist", n)
+    products = [(x, BraidWord(n, (i,)), x.inverse()) for i in (1, n // 2, n - 1)]
+    products += [(x, x), (x, named_element("alpha0", n), x.inverse())]
+    if n % 2 == 0:
+        products.append((x, named_element("bipolar_twist", n), x.inverse()))
+    return products
+
+
+def _least_completing_budget(images_at, top):
+    """The least budget at which images_at does not raise, by bisection; it must not raise at top."""
+    lo, hi = 0, top  # raises at lo, completes at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            images_at(mid)
+        except BudgetExceededError:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestProductPath:
+    """A product (`BraidWord.product`) acts factor by factor, as its flat word does."""
+
+    def test_matches_the_flat_word(self):
+        rng = random.Random(1911)
+        for n in range(2, 13):
+            for factors in seeded_products(n, rng, 60):
+                flat = BraidWord(n, sum((f.letters for f in factors), ()))
+                product = BraidWord.product(*factors)
+                assert _images(product, DEFAULT_MAX_IMAGE_LETTERS) == _letter_path(n, flat.letters), (n, factors)
+        for n in (9, 16, 23, 24):
+            for factors in _plan_products(n):
+                flat = BraidWord(n, sum((f.letters for f in factors), ()))
+                assert artin_disk_endo(BraidWord.product(*factors)) == artin_disk_endo(flat), n
+
+    def test_raises_at_the_flat_words_budgets(self):
+        # raising is monotone in the budget, so the least completing budget
+        # says at which budgets each raises
+        for n in range(9, 41):
+            for factors in _plan_products(n):
+                flat = BraidWord(n, sum((f.letters for f in factors), ()))
+                product = BraidWord.product(*factors)
+                least = _least_completing_budget(lambda b: _artin_images.__wrapped__(n, flat.letters, b), n * n)
+                with pytest.raises(BudgetExceededError):
+                    _images(product, least - 1)
+                assert _images(product, least) == _images(flat, least), n
 
 
 class TestEngineIndependence:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braid_strategies import braid_letters
+from braid_strategies import braid_letters, seeded_products
 from spherebraid import freegroup, garside
 from spherebraid.garside import GarsideNormalForm, equal_Bn, normal_form
 from spherebraid.selftest import random_word, rewrite_equivalent
@@ -287,6 +287,27 @@ class TestNormalForm:
         n, letters = data
         w = BraidWord(n, tuple(letters))
         assert freegroup.eq_Bn(nf_word(normal_form(w)), w)
+
+
+class TestProductForm:
+    """A product (`BraidWord.product`) is normalized from its factors' normal forms."""
+
+    def test_matches_the_flat_word(self):
+        rng = random.Random(1909)
+        for n in range(2, 13):
+            for factors in seeded_products(n, rng, 60):
+                flat = BraidWord(n, sum((f.letters for f in factors), ()))
+                assert normal_form(BraidWord.product(*factors)) == normal_form(flat), (n, factors)
+
+    def test_conjugation_by_the_half_twist_reads_no_letter_of_it_twice(self):
+        # x sigma_i x^-1 is one tau-flipped simple, with x and x^-1 from the memo
+        n = 12
+        x = named_element("half_twist", n)
+        garside._factor_form.cache_clear()
+        for i in range(1, n):
+            nf = normal_form(BraidWord.product(x, BraidWord(n, (i,)), x.inverse()))
+            assert nf == normal_form(BraidWord(n, (n - i,)))
+        assert garside._factor_form.cache_info()[:2] == (2 * (n - 2), 2)  # (hits, misses)
 
 
 class TestEqualBn:

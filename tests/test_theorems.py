@@ -5,7 +5,8 @@ import pytest
 
 from spherebraid import cli, garside, theorems
 from spherebraid.certificates import ProofStep, Verdict, to_json
-from spherebraid.freegroup import _artin_images, _chunk_form
+from spherebraid.freegroup import _artin_images, _chunk_form, _factor_chunks
+from spherebraid.garside import _factor_form
 from spherebraid.presentations import presentation_library, todd_coxeter
 from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, EngineDisagreementError, torsion_order
 from spherebraid.theorems import (
@@ -389,6 +390,9 @@ MEMO_GRID = [
     (claim, n) for n in [*range(3, 13), 24] for claim, plan in PLANS.items() if _runs_at(plan, n)
 ]
 
+# every memo a plan fills, which `_run_plan` empties before and after it
+PLAN_MEMOS = (_artin_images, _chunk_form, _factor_form, _factor_chunks)
+
 
 class TestArtinMemo:
     """The disk-action memo computes each action once per plan and lives only in it."""
@@ -399,8 +403,8 @@ class TestArtinMemo:
             PLANS[claim].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
             keys = [key for key, _ in artin_body_calls]
             assert len(keys) == len(set(keys)), (claim, n)
-            assert _artin_images.cache_info().currsize == 0, (claim, n)
-            assert _chunk_form.cache_info().currsize == 0, (claim, n)
+            for memo in PLAN_MEMOS:
+                assert memo.cache_info().currsize == 0, (claim, n, memo)
 
     def test_a_plan_reuses_no_earlier_work(self, artin_body_calls):
         # the memo holds the plan's own first actions when its replay
@@ -433,11 +437,11 @@ class TestArtinMemo:
         assert cert.verdict is Verdict.INCONCLUSIVE
         (step,) = cert.steps
         assert (step.id, step.method, step.ok) == ("budget", "budget", False)
-        # the engine raised after computing actions that fit the budget
-        *fitted, (_, raised) = artin_body_calls
-        assert fitted and raised is None
-        assert _artin_images.cache_info().currsize == 0
-        assert _chunk_form.cache_info().currsize == 0
+        # s1's x x aborts in the product path, after both engines filled the
+        # memos of x and the action of its last factor fit the budget
+        assert artin_body_calls and all(images is not None for _, images in artin_body_calls)
+        for memo in PLAN_MEMOS:
+            assert memo.cache_info().currsize == 0, memo
 
     def test_b4_computes_two_closed_forms(self):
         # every pair x sigma_i x^-1 takes the closed forms of x and x^-1

@@ -237,3 +237,28 @@ class TestResidue:
         assert Residue(0, 6).order() == 1
         assert Residue(3, 6).order() == 2
         assert Residue(4, 6).order() == 3
+
+
+class TestProduct:
+    def test_product_is_the_flat_word(self):
+        x = named_element("half_twist", 6)
+        factors = (x, W(6, 2), x.inverse())
+        w = BraidWord.product(*factors)
+        flat = x * W(6, 2) * x.inverse()
+        assert w == flat and hash(w) == hash(flat) and repr(w) == repr(flat)
+        assert w.factors == factors and flat.factors == ()
+
+    def test_text_is_the_flat_text(self):
+        x = named_element("half_twist", 5)
+        for factors in (
+            (x, W(5, 3), x.inverse()),
+            (W(5), x, W(5), x),
+            (W(5, 1, -2), W(5)),
+            (W(5),),
+        ):
+            flat = BraidWord(5, sum((f.letters for f in factors), ()))
+            assert BraidWord.product(*factors).to_text() == flat.to_text()
+
+    def test_requires_same_strand_count(self):
+        with pytest.raises(StrandCountMismatchError):
+            BraidWord.product(W(3, 1), W(4, 1))
