@@ -657,9 +657,10 @@ def _images(w, budget: int | None) -> list[tuple]:
     *rest, last = w.factors
     imgs = _artin_images(n, last.letters, budget)[:]
     least = CHUNK_LETTERS_PER_STRAND * n
+    walks = n * (n - 1) // 2 >= least  # as in `_artin_images`
     for f in reversed(rest):
-        long = n * (n - 1) // 2 >= least and len(f.letters) >= least
-        _compose(imgs, f.letters, _factor_chunks(f.letters, n, least) if long else (), budget)
+        chunks = _factor_chunks(f.letters, n, least) if walks and len(f.letters) >= least else ()
+        _compose(imgs, f.letters, chunks, budget)
     return imgs
 
 
