@@ -30,12 +30,9 @@ x_k over an index set read off pi.  When every index set is an interval
 phi(x_a..x_b) = Q_{a-1}^-1 Q_b, where Q_m = phi(x_lo..x_m) and lo is
 the least a, so a chunk costs about one junction per strand instead of
 one per letter.  Walking the letters right to left, the engine splits
-them into maximal permutation-braid chunks of one sign, and each chunk
-grows to the right over the letters of the chunk after it while it
-stays one, if that chunk is too short for the closed form or would keep
-one letter (`_long_chunks`); so x sigma_i x^-1 splits as x, sigma_i and
-x^-1.  A chunk of at least CHUNK_LETTERS_PER_STRAND * n letters takes
-the closed form, and every other letter the letter step.  The walk
+them into maximal permutation-braid chunks of one sign (`_walk`).  A
+chunk of at least CHUNK_LETTERS_PER_STRAND * n letters takes the closed
+form (`_long_chunks`), and every other letter the letter step.  The walk
 repeats garside's permutation-braid test in a few lines of its own, so
 the two engines share no code.
 
@@ -70,23 +67,26 @@ ends, so a plan never reuses another's work and leaves no images
 behind; outside plans the memo holds at most two image sets.  Results
 are shared: callers read them and never change a stored list.
 
-The closed forms are memoized too: `_chunk_form` keeps the index sets
-of the last two permutation braids with their action on the identity
-images, keyed on the permutation and the sign.  A word's first chunk,
-with no letter to its right, takes the memoized images as they are,
-held to the budget as the chunk step holds them.
+The chunk splits are memoized too: `_long_chunks` keeps the split of
+the last two words of at least CHUNK_LETTERS_PER_STRAND * n letters at
+n >= 9, each chunk with its closed form.  A shorter word, or any word
+at smaller n, is never walked and never enters the memo, so a short
+factor such as sigma_i cannot evict a long one.  A word's first chunk,
+with no letter to its right, takes its closed form's images on the
+identity as they are, held to the budget as the chunk step holds them.
 
 A product of words (`words.BraidWord.product`) acts factor by factor
 (`_images`): the last factor's images come from `_artin_images`, with
 its memo, and each earlier factor acts on them, right to left, by its
-own chunk split, which `_factor_chunks` keeps for the last two long
-factors.  Step b4's words x sigma_i x^-1 are such products, so the
-action of x^-1 is computed once per plan and x's split is walked once,
-where the flat word walked some n^2 letters in every pair; the
-conjugations x y x^-1 and x alpha0 x^-1 and the squares x x of q8 and
-dicyclic are products too.  No walk of these words puts a chunk across
-a factor boundary, so the product meets the flat word's budget checks
-in the same order.  `_run_plan` empties both memos with the Artin memo.
+own memoized chunk split.  Step b4's words x sigma_i x^-1 are such
+products, so the action of x^-1 is computed once per plan and x is
+walked once, where the flat word walked some n^2 letters in every pair;
+the conjugations x y x^-1 and x alpha0 x^-1 and the squares x x of q8
+and dicyclic are products too.  A product's chunks end at its factor
+boundaries, where the flat word's may run across one: on the flat
+x sigma_i x^-1 the walk closes x's last letters with sigma_i.  On the
+plan words the product still meets the flat word's budgets, which the
+tests check.  `_run_plan` empties the chunk memo with the Artin memo.
 """
 
 from __future__ import annotations
@@ -282,6 +282,7 @@ def _letter_steps(imgs: list[tuple], letters, budget: int | None) -> None:
 class _ChunkForm(NamedTuple):
     """A permutation braid's closed form, and its action on the identity images."""
 
+    perm: tuple[int, ...]  # the strand permutation (images, 1-based, word order)
     spans: list[tuple[int, int, int]]  # (j, a, b): W_j = (x_a..x_b)^{+-1}, j 0-based
     lo: int  # the least a
     hi: int  # the largest b
@@ -289,7 +290,6 @@ class _ChunkForm(NamedTuple):
     peak: int  # the longest of those images and of the Q_m = x_lo..x_m
 
 
-@lru_cache(maxsize=2)
 def _chunk_form(perm: tuple[int, ...], positive: bool) -> _ChunkForm | None:
     """The closed form of the permutation braid of one sign with strand permutation perm; None if
     some index set is not an interval.
@@ -302,19 +302,8 @@ def _chunk_form(perm: tuple[int, ...], positive: bool) -> _ChunkForm | None:
                 k in {perm(i) : i < j, perm(i) > perm(j)}.
     On the identity images, W_j is the image's conjugator itself, since
     no index in its set is perm(j), so it cannot end in x_perm(j)^+-1.
-
-    Memoized on (perm, positive), the last two.  Step b4's products
-    x sigma_i x^-1 ask for x's form once a pair and for x^-1's only when
-    the Artin memo computes x^-1's action, so one entry would keep b4 at
-    68 forms over background at n = 9..40, 48 and 64 (when b4's words
-    were walked flat, one entry gave 1,724).  q8 and dicyclic use the
-    second: over the same n they compute 102 forms each at size 1, and
-    78 and 68 at size 2.  Larger sizes save little: q8 computes a few
-    forms twice at n >= 34, where the halves of the bipolar twist become
-    chunks of their own, 78 forms at size 2 or 3 against 72 at size 4,
-    at about 60 microseconds each at n = 64.  The result and its lists
-    are shared, so no caller may change them.  `theorems._run_plan`
-    empties this memo with the Artin memo.
+    The result and its lists are shared through the memo of
+    `_long_chunks`, so no caller may change them.
     """
     n = len(perm)
     spans = []
@@ -335,23 +324,18 @@ def _chunk_form(perm: tuple[int, ...], positive: bool) -> _ChunkForm | None:
         images[j] = (W, perm[j], W_inv) if positive else (W_inv, perm[j], W)
     lo, hi = min(a for _, a, _ in spans), max(b for _, _, b in spans)
     longest = max(b - a + 1 for _, a, b in spans)
-    return _ChunkForm(spans, lo, hi, images, max(hi - lo + 1, 2 * longest + 1))
+    return _ChunkForm(perm, spans, lo, hi, images, max(hi - lo + 1, 2 * longest + 1))
 
 
-def _chunk_step(imgs: list[tuple], perm: list[int], positive: bool, budget: int | None) -> bool:
+def _chunk_step(imgs: list[tuple], form: _ChunkForm, positive: bool, budget: int | None) -> None:
     """Compose the images phi with the action of a permutation braid P of one sign, in place.
 
-    perm is P's strand permutation (images, 1-based, word order); the
-    index sets of P's closed form come from `_chunk_form`'s memo.  phi o P
-    sends x_j to phi(W_j) phi(x_perm(j)) phi(W_j)^-1.  When every index
-    set is an interval [a, b], phi(x_a..x_b) = Q_{a-1}^-1 Q_b with Q_m the
-    reduced phi(x_lo..x_m), lo the least a: one junction per Q_m and per
-    image.  Each Q_m is held to the budget.  Returns False, with the
-    images unchanged, if some index set is not an interval.
+    form is P's closed form (`_chunk_form`), every index set an interval.
+    phi o P sends x_j to phi(W_j) phi(x_perm(j)) phi(W_j)^-1, and for
+    W_j = x_a..x_b, phi(x_a..x_b) = Q_{a-1}^-1 Q_b with Q_m the reduced
+    phi(x_lo..x_m), lo the least a: one junction per Q_m and per image.
+    Each Q_m is held to the budget.
     """
-    form = _chunk_form(tuple(perm), positive)
-    if form is None:
-        return False
     lo = form.lo
     Q: list[list[int]] = [[]]  # Q[m - lo + 1] is Q_m
     Q_inv: list[list[int]] = [[]]
@@ -363,7 +347,7 @@ def _chunk_step(imgs: list[tuple], perm: list[int], positive: bool, budget: int 
         Q_inv.append(v_inv[: len(v) - c] + q_inv[c:])
         if budget is not None and len(Q[-1]) > budget:
             raise _over_budget(budget)
-    new = [imgs[p - 1] for p in perm]
+    new = [imgs[p - 1] for p in form.perm]
     for j, a, b in form.spans:
         # Q_{a-1}^-1 Q_b cancels the common prefix of Q_{a-1} and Q_b
         head, head_inv, tail, tail_inv = Q[a - lo], Q_inv[a - lo], Q[b - lo + 1], Q_inv[b - lo + 1]
@@ -374,7 +358,6 @@ def _chunk_step(imgs: list[tuple], perm: list[int], positive: bool, budget: int 
             u, u_inv = u_inv, u
         new[j] = _conjugated(u, u_inv, new[j], budget)
     imgs[:] = new
-    return True
 
 
 def _walk(letters: tuple[int, ...], n: int):
@@ -382,7 +365,7 @@ def _walk(letters: tuple[int, ...], n: int):
 
     A letter joins the open chunk while it has the chunk's sign and its
     two strands have not crossed in it; otherwise it opens the next
-    chunk.  Yields [start, end, sign, perm] for each chunk
+    chunk.  Yields (start, end, positive, perm) for each chunk
     letters[start:end], perm[i] the position where the strand starting
     at position i ends (perm[0] = 0).  This is the permutation-braid test
     of garside's chunk entry, kept here so that the two engines share no
@@ -399,72 +382,43 @@ def _walk(letters: tuple[int, ...], n: int):
             if a < b:  # the strands at i and i + 1 have not crossed: join
                 perm[i], perm[i + 1] = b, a
                 continue
-        yield [t + 1, end, sign, perm]
+        yield t + 1, end, sign > 0, perm
         if i < 0:
             sign, i = -sign, -i
         end, perm = t + 1, identity[:]
         perm[i], perm[i + 1] = i + 1, i
-    yield [0, end, sign, perm]
+    yield 0, end, sign > 0, perm
 
 
-def _grow(letters: tuple[int, ...], chunk: list, after: list, least: int) -> None:
-    """Let chunk take in letters of the chunk after it, while it stays a permutation braid of its
-    sign, if the chunk after it has fewer than `least` letters or would keep one; both change in
-    place and stay chunks of the letters.
+def _long_chunks(letters: tuple[int, ...], n: int) -> tuple:
+    """The chunks of `_walk` with at least CHUNK_LETTERS_PER_STRAND * n letters, right to left,
+    each as (start, end, positive, form) with form its closed form or None (`_chunk_form`).
 
-    Letters of a chunk shorter than `least` go letter by letter, so
-    taking them in moves them into a closed form.  A longer chunk keeps
-    its closed form unless all but one letter goes: then one letter step
-    replaces it, as in x sigma_i x^-1, where the walk closes x's last
-    letters with sigma_i.  A letter on the right crosses the strands that
-    end at its two positions, which have not crossed yet iff they started
-    in order.  The chunk after gives up letters from its left and keeps
-    at least one: the walk closed it because chunk's last letter could
-    not join it.  It is then shorter than `least`, so its permutation,
-    left as it was, is never read.
+    Below n = 2 * CHUNK_LETTERS_PER_STRAND + 1 no permutation braid is
+    that long, so neither a word there nor a shorter word is walked, and
+    neither enters the memo (`_split`).
     """
-    _, end, sign, perm = chunk
-    if letters[end] * sign < 0:
-        return
-    start_of = sorted(range(len(perm)), key=perm.__getitem__)  # perm[start_of[q]] = q
-    grown = end
-    while grown < after[1] and (i := letters[grown] * sign) > 0:
-        a, b = start_of[i], start_of[i + 1]
-        if a > b:
-            break
-        start_of[i], start_of[i + 1] = b, a
-        grown += 1
-    if grown == end or (after[1] - after[0] >= least and after[1] - grown > 1):
-        return
-    for q, i in enumerate(start_of):
-        perm[i] = q
-    chunk[1] = after[0] = grown
+    least = CHUNK_LETTERS_PER_STRAND * n
+    if n * (n - 1) // 2 < least or len(letters) < least:
+        return ()
+    return _split(letters, n, least)
 
 
-def _long_chunks(letters: tuple[int, ...], n: int, least: int):
-    """The permutation-braid chunks of one sign with at least `least` letters, right to left.
+@lru_cache(maxsize=2)
+def _split(letters: tuple[int, ...], n: int, least: int) -> tuple:
+    """`_long_chunks` of the last two long words it was asked for, with their closed forms.
 
-    The chunks are those of `_walk`, each grown to the right (`_grow`):
-    it takes in letters of the chunk after it while it stays a
-    permutation braid of its sign, if that chunk is too short for the
-    closed form or would keep one letter.  So x sigma_i x^-1 and x sigma_i x
-    split as x, sigma_i and x^+-1 for a half twist x; the walk alone
-    splits off x's last letters with sigma_i.  A chunk is yielded once
-    the chunk before it has grown, as (start, end, positive, perm) for
-    letters[start:end], perm its strand permutation (images, 1-based,
-    word order).
+    Step b4's products x sigma_i x^-1 ask for x's split once a pair and
+    for x^-1's only when the Artin memo computes x^-1's action, and q8's
+    and dicyclic's x x reads x's split twice.  The result and its forms
+    are shared, so no caller may change them.  `theorems._run_plan`
+    empties this memo with the Artin memo.
     """
-    if len(letters) < least:
-        return
-    after = None
-    for chunk in _walk(letters, n):
-        if after is not None:
-            _grow(letters, chunk, after, least)
-            if after[1] - after[0] >= least:
-                yield after[0], after[1], after[2] > 0, after[3][1:]
-        after = chunk
-    if after[1] - after[0] >= least:
-        yield after[0], after[1], after[2] > 0, after[3][1:]
+    return tuple(
+        (start, end, positive, _chunk_form(tuple(perm[1:]), positive))
+        for start, end, positive, perm in _walk(letters, n)
+        if end - start >= least
+    )
 
 
 def _period(letters: tuple[int, ...], least: int) -> int:
@@ -573,8 +527,8 @@ def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | Non
     composed period costs more than u's letters.  Otherwise a
     permutation-braid chunk of one sign with at least
     CHUNK_LETTERS_PER_STRAND * n letters (`_long_chunks`) goes through
-    its closed form (`_chunk_step`), the word's first chunk straight from
-    the memo of `_chunk_form`; every other letter goes letter by
+    its closed form (`_chunk_step`), the word's first chunk as the images
+    its memoized form holds; every other letter goes letter by
     letter (`_letter_steps`), touching two images.  Below
     n = 2 * CHUNK_LETTERS_PER_STRAND + 1 no permutation braid is that
     long, and neither a period nor a chunk is looked for; nor is the
@@ -600,43 +554,34 @@ def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | Non
     imgs: list[tuple] = [(empty, j, empty) for j in range(1, n + 1)]
     least = CHUNK_LETTERS_PER_STRAND * n
     done = len(letters)  # letters[done:] are applied
-    if n * (n - 1) // 2 >= least:
-        if done >= 2 * n and (period := _period(letters, least)):
-            _letter_steps(imgs, reversed(letters[:period]), budget)
-            powered = _power_images(imgs, period, done // period, budget)
-            if powered is not None:
-                return powered
-            done -= period
-        chunks = _long_chunks(letters[:done], n, least)
-        first = next(chunks, None)
-        if first and first[1] == len(letters) and (form := _chunk_form(tuple(first[3]), first[2])):
-            # no letter to its right: the images are its own, from the memo
-            if budget is not None and form.peak > budget:
-                raise _over_budget(budget)
-            imgs, done = form.images[:], first[0]
-        elif first:
-            chunks = chain((first,), chunks)
-        _compose(imgs, letters[:done], chunks, budget)
-        return imgs
-    _letter_steps(imgs, reversed(letters), budget)
+    # as in `_long_chunks`: below n = 9 no period is looked for either
+    if done >= 2 * n and n * (n - 1) // 2 >= least and (period := _period(letters, least)):
+        _letter_steps(imgs, reversed(letters[:period]), budget)
+        powered = _power_images(imgs, period, done // period, budget)
+        if powered is not None:
+            return powered
+        done -= period
+    chunks = _long_chunks(letters[:done], n)
+    if chunks and chunks[0][1] == len(letters) and (form := chunks[0][3]):
+        # no letter to its right: the images are its own, from the memo
+        if budget is not None and form.peak > budget:
+            raise _over_budget(budget)
+        imgs, done, chunks = form.images[:], chunks[0][0], chunks[1:]
+    _compose(imgs, letters[:done], chunks, budget)
     return imgs
 
 
 def _compose(imgs: list[tuple], letters: tuple[int, ...], chunks, budget: int | None) -> None:
     """Compose the images with the action of the letters, in place: each of the chunks, given
-    right to left as `_long_chunks` yields them, through its closed form, and every other letter
-    by the letter step."""
+    right to left as `_long_chunks` gives them, through its closed form, and every other letter,
+    those of a chunk with no closed form among them, by the letter step."""
     done = len(letters)
-    for start, end, positive, perm in chunks:
-        _letter_steps(imgs, reversed(letters[end:done]), budget)
-        done = start if _chunk_step(imgs, perm, positive, budget) else end
+    for start, end, positive, form in chunks:
+        if form is not None:
+            _letter_steps(imgs, reversed(letters[end:done]), budget)
+            _chunk_step(imgs, form, positive, budget)
+            done = start
     _letter_steps(imgs, reversed(letters[:done]), budget)
-
-
-@lru_cache(maxsize=2)
-def _factor_chunks(letters: tuple[int, ...], n: int, least: int) -> tuple:
-    """`_long_chunks` of the last two long factors of products, b4's x and x^-1, kept."""
-    return tuple(_long_chunks(letters, n, least))
 
 
 def _images(w, budget: int | None) -> list[tuple]:
@@ -644,24 +589,25 @@ def _images(w, budget: int | None) -> list[tuple]:
 
     The last factor's images come from `_artin_images`, with its memo,
     its power path and its first-chunk rule; each earlier factor then
-    acts on them, right to left, by its own `_long_chunks` split, kept by
-    `_factor_chunks` when the factor is long enough to have a chunk.
-    The flat walk puts no chunk across the factor boundaries of the plan
-    words x sigma_i x^-1, x x, x y x^-1 and x alpha0 x^-1, so those
-    images meet the same budget checks in the same order as the flat
-    word's.  The product's images are not memoized.
+    acts on them, right to left, by its own `_long_chunks` split.  So a
+    chunk never crosses a factor boundary, and on the plan words
+    x sigma_i x^-1, x x, x y x^-1 and x alpha0 x^-1 the product meets the
+    flat word's budgets.  The product's images are not memoized.
     """
     n = w.strand_count
     if not w.factors:
         return _artin_images(n, w.letters, budget)
     *rest, last = w.factors
     imgs = _artin_images(n, last.letters, budget)[:]
-    least = CHUNK_LETTERS_PER_STRAND * n
-    walks = n * (n - 1) // 2 >= least  # as in `_artin_images`
     for f in reversed(rest):
-        chunks = _factor_chunks(f.letters, n, least) if walks and len(f.letters) >= least else ()
-        _compose(imgs, f.letters, chunks, budget)
+        _compose(imgs, f.letters, _long_chunks(f.letters, n), budget)
     return imgs
+
+
+def _clear_memos() -> None:
+    """Empty the disk-action memo and the chunk-split memo."""
+    _artin_images.cache_clear()
+    _split.cache_clear()
 
 
 def artin_disk_endo(w, max_image_letters: int | None = None) -> EndoOnBasis:

@@ -215,6 +215,11 @@ def _letters_form(n: int, letters: tuple[int, ...]) -> tuple[int, list[tuple[int
 _factor_form = lru_cache(maxsize=2)(_letters_form)
 
 
+def _clear_memos() -> None:
+    """Empty the normal-form memo of product factors; the slide memo is bounded and stays."""
+    _factor_form.cache_clear()
+
+
 def _tau(p: tuple[int, ...]) -> tuple[int, ...]:
     """The simple Delta p Delta^-1: every sigma_i of p becomes sigma_{n-i}."""
     top = len(p) + 1

@@ -13,10 +13,9 @@ base of every step is as small as possible.
 Every plan runs through `_run_plan`, which checks n, makes the certificate
 and returns it INCONCLUSIVE instead of raising when a configured budget
 (coset cap, endomorphism letter cap) runs out.  Each plan starts and ends
-with empty memos, the disk actions (`freegroup._artin_images`), the
-permutation-braid closed forms (`freegroup._chunk_form`), and the normal
-forms (`garside._factor_form`) and chunk splits (`freegroup._factor_chunks`)
-of the long factors of products, so it reuses only its own work and leaves
+with empty engine memos (`freegroup._clear_memos`: the disk actions and
+the chunk splits of long words; `garside._clear_memos`: the normal forms
+of the long factors of products), so it reuses only its own work and leaves
 none behind.  The conjugations by the half twist x (x sigma_i x^-1 in b4,
 x y x^-1, x alpha0 x^-1) and the squares x x are built as products
 (`BraidWord.product`), so both engines read x and x^-1 once per plan.
@@ -27,10 +26,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
-from . import presentations, sphere
+from . import freegroup, garside, presentations, sphere
 from .certificates import ProofStep, Verdict, VerificationCertificate
-from .freegroup import BudgetExceededError, _artin_images, _chunk_form, _factor_chunks
-from .garside import _factor_form
+from .freegroup import BudgetExceededError
 from .presentations import CayleyTable, presentation_library, todd_coxeter
 from .sphere import (
     DEFAULT_MAX_IMAGE_LETTERS,
@@ -71,12 +69,9 @@ def _run_plan(key: str, n: int, body: Callable[[], tuple]) -> VerificationCertif
 
 
 def _clear_memos() -> None:
-    """Empty the plan memos: the disk actions and the permutation-braid closed forms, and the
-    normal forms and chunk splits of the long factors of products (`BraidWord.product`)."""
-    _artin_images.cache_clear()
-    _chunk_form.cache_clear()
-    _factor_form.cache_clear()
-    _factor_chunks.cache_clear()
+    """Empty the plan memos, which each engine names in its own `_clear_memos`."""
+    freegroup._clear_memos()
+    garside._clear_memos()
 
 
 def _verdict(steps: list[ProofStep]) -> Verdict:

@@ -70,14 +70,27 @@ class BraidWord:
             raise StrandCountMismatchError(
                 f"cannot concatenate words on {self.strand_count} and {other.strand_count} strands"
             )
-        return BraidWord(self.strand_count, self.letters + other.letters)
+        return BraidWord._of_checked(self.strand_count, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strand_count, tuple(-k for k in reversed(self.letters)))
+        return BraidWord._of_checked(self.strand_count, tuple(-k for k in reversed(self.letters)))
 
     def __pow__(self, exponent: int) -> "BraidWord":
         base = self if exponent >= 0 else self.inverse()
-        return BraidWord(self.strand_count, base.letters * abs(exponent))
+        return BraidWord._of_checked(self.strand_count, base.letters * abs(exponent))
+
+    @classmethod
+    def _of_checked(cls, strand_count: int, letters: tuple[int, ...], factors: tuple = ()) -> "BraidWord":
+        """The word of letters already checked against the strand count, left unchecked.
+
+        Checking a long word's letters again costs many times what building
+        it does, so every word built from checked words or checked tokens
+        comes through here and skips `__post_init__`.
+        """
+        word = object.__new__(cls)
+        for name, value in (("strand_count", strand_count), ("letters", letters), ("factors", factors)):
+            object.__setattr__(word, name, value)
+        return word
 
     @classmethod
     def product(cls, *factors: "BraidWord") -> "BraidWord":
@@ -96,12 +109,7 @@ class BraidWord:
                     f"cannot concatenate words on {n} and {f.strand_count} strands"
                 )
             letters += f.letters
-        # the factors' letters are already checked, and checking them again
-        # costs many times what concatenating them does, so __init__ is skipped
-        word = object.__new__(cls)
-        for name, value in (("strand_count", n), ("letters", letters), ("factors", factors)):
-            object.__setattr__(word, name, value)
-        return word
+        return cls._of_checked(n, letters, factors)
 
     def to_text(self) -> str:
         """Serialize to the whitespace-separated signed-integer syntax.
@@ -136,7 +144,9 @@ class BraidWord:
                     f"[1, {strand_count - 1}] for {strand_count} strands"
                 )
             letters.append(k)
-        return cls(strand_count, tuple(letters))
+        if strand_count < 1:
+            return cls(strand_count)  # raises the strand-count error
+        return cls._of_checked(strand_count, tuple(letters))
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,7 @@ def mirror(w: BraidWord) -> BraidWord:
     if n < 2:
         raise WordSyntaxError("mirror needs n >= 2")
     flip = lambda k: (n - abs(k)) * (1 if k > 0 else -1)
-    return BraidWord(n, tuple(flip(k) for k in w.letters))
+    return BraidWord._of_checked(n, tuple(flip(k) for k in w.letters))
 
 
 def _run(lo: int, hi: int) -> tuple[int, ...]:

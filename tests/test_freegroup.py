@@ -18,9 +18,11 @@ from spherebraid.freegroup import (
     _artin_images,
     _chunk_form,
     _chunk_step,
+    _compose,
     _images,
     _letter_steps,
     _long_chunks,
+    _split,
     artin_disk_endo,
     eq_Bn,
 )
@@ -175,12 +177,8 @@ def _reference_chunks(n, letters):
 
     A piece of a permutation braid is one, so the walk's chunk is the
     longest such suffix of the letters not yet split off, found by
-    bisection.  Then each chunk grows to the right, to where the longest
-    one-sign permutation braid that starts where it starts ends, and the
-    chunk after it keeps the rest; but a chunk after it with at least
-    CHUNK_LETTERS_PER_STRAND * n letters gives up none unless it keeps
-    just one."""
-    starts, end = [], len(letters)
+    bisection."""
+    chunks, end = [], len(letters)
     while end:
         lo, hi = 0, end - 1  # letters[hi:end] is one letter, a permutation braid
         while lo < hi:
@@ -189,15 +187,9 @@ def _reference_chunks(n, letters):
                 hi = mid
             else:
                 lo = mid + 1
-        starts.append(lo)
+        chunks.append((lo, end))
         end = lo
-    ends = [len(letters)]
-    for before, start in zip(starts, starts[1:]):
-        grown = before
-        while grown < len(letters) and _reference_is_permutation_braid(n, letters[start : grown + 1]):
-            grown += 1
-        ends.append(grown if ends[-1] - before < CHUNK_LETTERS_PER_STRAND * n or ends[-1] - grown == 1 else before)
-    return list(zip([*ends[1:], 0], ends))
+    return chunks
 
 
 def _reference_index_sets(n, letters):
@@ -430,10 +422,11 @@ class TestChunkPath:
                     letters += [rng.choice(alphabet) for _ in range(rng.randint(0, 8))]
             letters = tuple(letters)
             assert _artin_images.__wrapped__(n, letters) == _letter_path(n, letters), (n, letters)
-            for start, end, positive, perm in _long_chunks(letters, n, CHUNK_LETTERS_PER_STRAND * n):
+            for start, end, positive, form in _long_chunks(letters, n):
                 assert _reference_is_permutation_braid(n, letters[start:end])
-                assert tuple(perm) == permutation(BraidWord(n, letters[start:end])).images
-                closed_forms[positive] += 1
+                if form is not None:
+                    assert form.perm == permutation(BraidWord(n, letters[start:end])).images
+                    closed_forms[positive] += 1
         # both signs went through the closed form many times
         assert min(closed_forms.values()) > 40, closed_forms
 
@@ -449,7 +442,7 @@ class TestChunkPath:
             letters = tuple(letters)
             least = CHUNK_LETTERS_PER_STRAND * n
             expected = [(a, b) for a, b in _reference_chunks(n, letters) if b - a >= least]
-            assert [(a, b) for a, b, _, _ in _long_chunks(letters, n, least)] == expected
+            assert [(a, b) for a, b, _, _ in _long_chunks(letters, n)] == expected
 
     def test_non_interval_chunk_falls_back(self):
         rng = random.Random(4127)
@@ -466,13 +459,13 @@ class TestChunkPath:
                 sets = [S for S in _reference_index_sets(n, letters) if S]
                 if all(max(S) - min(S) + 1 == len(S) for S in sets):
                     continue
-                # the whole word is one chunk, and its closed form refuses it
-                chunks = list(_long_chunks(letters, n, CHUNK_LETTERS_PER_STRAND * n))
-                assert [(a, b) for a, b, _, _ in chunks] == [(0, len(letters))]
+                # the whole word is one chunk, with no closed form, so it
+                # goes letter by letter
+                assert _long_chunks(letters, n) == ((0, len(letters), sign > 0, None),)
                 before = _letter_path(n, letters[: len(letters) // 2])  # any action will do
                 imgs = list(before)
-                assert _chunk_step(imgs, chunks[0][3], sign > 0, None) is False
-                assert imgs == before
+                _compose(imgs, letters, _long_chunks(letters, n), None)
+                assert imgs == _letter_path(n, letters + letters[: len(letters) // 2])
                 assert _artin_images.__wrapped__(n, letters) == _letter_path(n, letters)
                 seen += 1
         assert seen >= 10
@@ -485,16 +478,17 @@ class TestChunkPath:
         A, A_inv = [3, 4], [-4, -3]
         imgs = [(A, 1, A_inv), ([*A, -1, *A_inv], 2, [*A, 1, *A_inv]), ([], 3, [])]
         q_1 = len(A) + 1 + len(A_inv)
+        form = _chunk_form((2, 1, 3), True)
         with pytest.raises(BudgetExceededError):
-            _chunk_step(list(imgs), [2, 1, 3], True, q_1 - 1)
+            _chunk_step(list(imgs), form, True, q_1 - 1)
         composed = list(imgs)
-        assert _chunk_step(composed, [2, 1, 3], True, q_1)
+        _chunk_step(composed, form, True, q_1)
         assert composed == [([], 2, []), imgs[0], imgs[2]]
 
     def test_first_chunk_takes_the_memoized_images(self):
-        # a word that is one long chunk takes its images from the memo; they
-        # equal the closed form on the identity images, and the budget
-        # raises at the same limits
+        # a word that is one long chunk takes its images from its memoized
+        # closed form; they equal the chunk step on the identity images, and
+        # the budget raises at the same limits
         rng = random.Random(4133)
         seen, q_decides = 0, 0
         for n in [*range(9, 21), 30, 40]:
@@ -517,11 +511,11 @@ class TestChunkPath:
                     q_decides += form.peak > max(2 * len(W) + 1 for W, _, _ in form.images)
                     identity = [([], j, []) for j in range(1, n + 1)]
                     imgs = list(identity)
-                    assert _chunk_step(imgs, perm, sign > 0, None)
+                    _chunk_step(imgs, form, sign > 0, None)
                     assert imgs == form.images == _artin_images.__wrapped__(n, letters) == _letter_path(n, letters)
                     for budget in range(form.peak - 3, form.peak + 2):
                         try:
-                            _chunk_step(list(identity), perm, sign > 0, budget)
+                            _chunk_step(list(identity), form, sign > 0, budget)
                         except BudgetExceededError:
                             with pytest.raises(BudgetExceededError):
                                 _artin_images.__wrapped__(n, letters, budget)
@@ -532,32 +526,14 @@ class TestChunkPath:
                     seen += 1
         assert seen >= 40 and q_decides >= 2, (seen, q_decides)
 
-    def test_conjugation_words_split_at_the_letter(self):
-        # x sigma_i x^+-1, x the half twist: the chunk of x's head takes in
-        # the letters of x's tail that the walk closed with sigma_i
-        for n in range(9, 41):
-            x = named_element("half_twist", n)
-            length = len(x)
-            for i in range(1, n):
-                for right in (x.inverse(), x):
-                    letters = (x * BraidWord(n, (i,)) * right).letters
-                    chunks = [(a, b, positive) for a, b, positive, _ in _long_chunks(letters, n, CHUNK_LETTERS_PER_STRAND * n)]
-                    assert chunks == [(length + 1, 2 * length + 1, right is x), (0, length, True)], (n, i)
-        # a long chunk that would keep more than one letter gives up none: in
-        # x y x^-1 at n = 24 (y the bipolar twist) the negative half of y
-        # could take in 90 letters of x^-1, which keeps its closed form
-        n = 24
-        x, y = named_element("half_twist", n), named_element("bipolar_twist", n)
-        letters = (x * y * x.inverse()).letters
-        assert [(a, b) for a, b, _, _ in _long_chunks(letters, n, 4 * n)] == [(408, 684), (0, 276)]
-
     def test_small_n_never_walks(self, monkeypatch):
         # below n = 9 no permutation braid has 4n letters, so the cross-oracle
         # words (n <= 7) never pay for the walk
         def walk(*args):
             raise AssertionError("walked")
 
-        monkeypatch.setattr("spherebraid.freegroup._long_chunks", walk)
+        monkeypatch.setattr("spherebraid.freegroup._walk", walk)
+        _split.cache_clear()
         for n in range(2, 9):
             x = named_element("half_twist", n)
             for w in (x**4, x**-4, named_element("full_twist", n)):

@@ -5,7 +5,7 @@ import pytest
 
 from spherebraid import cli, garside, theorems
 from spherebraid.certificates import ProofStep, Verdict, to_json
-from spherebraid.freegroup import _artin_images, _chunk_form, _factor_chunks
+from spherebraid.freegroup import _artin_images, _chunk_form, _split
 from spherebraid.garside import _factor_form
 from spherebraid.presentations import presentation_library, todd_coxeter
 from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, EngineDisagreementError, torsion_order
@@ -391,7 +391,7 @@ MEMO_GRID = [
 ]
 
 # every memo a plan fills, which `_run_plan` empties before and after it
-PLAN_MEMOS = (_artin_images, _chunk_form, _factor_form, _factor_chunks)
+PLAN_MEMOS = (_artin_images, _split, _factor_form)
 
 
 class TestArtinMemo:
@@ -445,22 +445,37 @@ class TestArtinMemo:
 
     def test_b4_computes_two_closed_forms(self):
         # every pair x sigma_i x^-1 takes the closed forms of x and x^-1
-        # from the memo, which the plan leaves empty
-        body = _chunk_form.__wrapped__.__code__
-        forms = []
-
-        def profile(frame, event, arg):
-            if event == "return" and frame.f_code is body:
-                forms.append((frame.f_locals["perm"], frame.f_locals["positive"]))
-
+        # from the chunk memo, which the plan leaves empty
         for n in (9, 22, 40):
-            forms.clear()
-            previous = sys.getprofile()
-            sys.setprofile(profile)
-            try:
-                verify_background(n)
-            finally:
-                sys.setprofile(previous)
+            forms = _calls_into(_chunk_form, ("perm", "positive"), lambda: verify_background(n))
             reversal = tuple(range(n, 0, -1))
             assert sorted(forms) == [(reversal, False), (reversal, True)], n
-            assert _chunk_form.cache_info().currsize == 0
+            assert _split.cache_info().currsize == 0
+
+    def test_only_long_words_enter_the_chunk_memo(self):
+        # a word shorter than 4n, or any word at n < 9, is never walked, so
+        # b4's one-letter factor sigma_i never evicts x from the memo and x
+        # and x^-1 are each walked once per plan
+        for claim, n in [*MEMO_GRID, ("background", 22)]:
+            walked = _calls_into(_split.__wrapped__, ("letters", "n"), lambda: PLANS[claim].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS))
+            assert all(n >= 9 and len(letters) >= 4 * n for letters, _ in walked), (claim, n)
+        x = named_element("half_twist", 22)
+        assert sorted(walked) == sorted([(x.letters, 22), (x.inverse().letters, 22)])
+
+
+def _calls_into(function, names, run):
+    """The values of the named locals in each call of function's body that returns while run() runs."""
+    body = function.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is body:
+            calls.append(tuple(frame.f_locals[name] for name in names))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls

@@ -60,6 +60,9 @@ class TestTextSyntax:
     def test_empty_text_is_identity(self):
         assert BraidWord.from_text("", 4).letters == ()
         assert BraidWord.from_text("   ", 4).letters == ()
+        # the tokens are checked in the loop; the strand count still is too
+        with pytest.raises(WordSyntaxError, match=r"^strand count must be >= 1, got 0$"):
+            BraidWord.from_text("", 0)
 
     def test_out_of_range_token_named(self):
         with pytest.raises(WordSyntaxError, match="'4'"):
