@@ -37,11 +37,14 @@ repeats garside's permutation-braid test in a few lines of its own, so
 the two engines share no code.
 
 The torsion roots' words alpha0^n, alpha1^(n-1) and alpha2^(n-2) split
-into chunks of about 2n letters, too short for the closed form.  So at
-n >= 9 a power u^k of at least 2n letters with
+into chunks of about 2n letters, too short for the closed form.  A word
+built as a power u^k says so: `BraidWord.__pow__` records |u| as its
+period.  So at n >= 9 a power u^k (k >= 2) of at least 2n letters with
 |u| < CHUNK_LETTERS_PER_STRAND * n is composed one period at a time
 instead (`_power_images`): phi^(j+1) = phi^j o phi for phi = the action
-of u, substituting phi^j into the conjugators of phi.  Artin's theorem
+of u, substituting phi^j into the conjugators of phi.  A word given by
+its letters alone, as `act` parses one, declares no period and is never
+composed, however its letters repeat.  Artin's theorem
 gives the shortcut: a braid automorphism fixes the boundary word
 D = x_1..x_n, so phi^j(x_a..x_b) =
 phi^j(x_1..x_{a-1})^-1 D phi^j(x_{b+1}..x_n)^-1, and a period of an
@@ -54,7 +57,10 @@ composed period builds, not the images the letter step would pass
 through inside a chunk or a composed period.
 
 The disk action is memoized: `_artin_images` keeps its last two
-results, keyed on (strand_count, letters, budget).  The root identities
+results, keyed on (strand_count, letters, budget, period).  `_images`
+passes the declared period only where the power path runs and 0
+elsewhere, so a word's key never splits on a period the engine would
+not use.  The root identities
 behind the dicyclic and torsion certificates compare several words with
 one full twist, so one plan asks for the same action more than once;
 two is the smallest size that catches every repeat within a plan (at
@@ -75,10 +81,12 @@ factor such as sigma_i cannot evict a long one.  A word's first chunk,
 with no letter to its right, takes its closed form's images on the
 identity as they are, held to the budget as the chunk step holds them.
 
-A product of words (`words.BraidWord.product`) acts factor by factor
-(`_images`): the last factor's images come from `_artin_images`, with
-its memo, and each earlier factor acts on them, right to left, by its
-own memoized chunk split.  Step b4's words x sigma_i x^-1 are such
+`_images` is the one entry into the engine: `artin_disk_endo`, `eq_Bn`
+and the sphere layer all call it.  A product of words
+(`words.BraidWord.product`) acts factor by factor there: the last
+factor's images come from `_artin_images`, with its memo and its
+declared period, and each earlier factor acts on them, right to left,
+by its own memoized chunk split.  Step b4's words x sigma_i x^-1 are such
 products, so the action of x^-1 is computed once per plan and x is
 walked once, where the flat word walked some n^2 letters in every pair;
 the conjugations x y x^-1 and x alpha0 x^-1 and the squares x x of q8
@@ -401,11 +409,11 @@ def _long_chunks(letters: tuple[int, ...], n: int) -> tuple:
     least = CHUNK_LETTERS_PER_STRAND * n
     if n * (n - 1) // 2 < least or len(letters) < least:
         return ()
-    return _split(letters, n, least)
+    return _split(letters, n)
 
 
 @lru_cache(maxsize=2)
-def _split(letters: tuple[int, ...], n: int, least: int) -> tuple:
+def _split(letters: tuple[int, ...], n: int) -> tuple:
     """`_long_chunks` of the last two long words it was asked for, with their closed forms.
 
     Step b4's products x sigma_i x^-1 ask for x's split once a pair and
@@ -417,21 +425,8 @@ def _split(letters: tuple[int, ...], n: int, least: int) -> tuple:
     return tuple(
         (start, end, positive, _chunk_form(tuple(perm[1:]), positive))
         for start, end, positive, perm in _walk(letters, n)
-        if end - start >= least
+        if end - start >= CHUNK_LETTERS_PER_STRAND * n
     )
-
-
-def _period(letters: tuple[int, ...], least: int) -> int:
-    """The least p < least with letters = u^k for the first p letters u and some k >= 2; 0 if none."""
-    length, first, p = len(letters), letters[0], 0
-    top = min(least, length // 2 + 1)
-    while True:
-        try:
-            p = letters.index(first, p + 1, top)
-        except ValueError:
-            return 0
-        if length % p == 0 and letters[p:] == letters[:-p]:
-            return p
 
 
 def _substituted(imgs: list[tuple], letters):
@@ -515,24 +510,26 @@ def _power_images(base: list[tuple], period: int, k: int, budget: int | None) ->
 
 
 @lru_cache(maxsize=2)
-def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | None = None) -> list[tuple]:
+def _artin_images(
+    strand_count: int, letters: tuple[int, ...], budget: int | None = None, period: int = 0
+) -> list[tuple]:
     """Images of x_1..x_n under the word's action, in conjugator form.
 
     Entry j - 1 is (W, p, W^-1) for the image W x_p W^-1 of x_j, with W
     reduced and not ending in x_p^+-1; p is the strand permutation's
-    image of j.  Builds the composite right-to-left.  A word of at least
-    2n letters that is a power u^k (k >= 2) of a u shorter than
-    CHUNK_LETTERS_PER_STRAND * n (`_period`) takes u letter by letter and
-    the other k - 1 periods by composition (`_power_images`), unless a
-    composed period costs more than u's letters.  Otherwise a
+    image of j.  Builds the composite right-to-left.  A nonzero period p
+    says the letters are u^k for u their first p letters; `_images`
+    passes one only for k >= 2, at least 2n letters, n >= 9 and
+    p < CHUNK_LETTERS_PER_STRAND * n.  Such a word takes u letter by
+    letter and the other k - 1 periods by composition (`_power_images`),
+    unless a composed period costs more than u's letters.  Otherwise a
     permutation-braid chunk of one sign with at least
     CHUNK_LETTERS_PER_STRAND * n letters (`_long_chunks`) goes through
     its closed form (`_chunk_step`), the word's first chunk as the images
     its memoized form holds; every other letter goes letter by
     letter (`_letter_steps`), touching two images.  Below
     n = 2 * CHUNK_LETTERS_PER_STRAND + 1 no permutation braid is that
-    long, and neither a period nor a chunk is looked for; nor is the
-    period of a word shorter than 2n.
+    long, and no chunk is looked for.
 
     Every stored image, every Q_m of a chunk (the first chunk's among
     them) and every product of two or more factors in a composed period
@@ -544,7 +541,7 @@ def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | Non
     changed, so the identity images can share one empty list, and
     composed periods share the images they only permute.
 
-    Memoized on (strand_count, letters, budget), the last two calls:
+    Memoized on (strand_count, letters, budget, period), the last two calls:
     the fewest that catch every repeated word within one verification
     plan.  A result, its entries and their lists are shared with every
     later caller of the same key, so no caller may change them either.
@@ -552,10 +549,8 @@ def _artin_images(strand_count: int, letters: tuple[int, ...], budget: int | Non
     n = strand_count
     empty: list[int] = []
     imgs: list[tuple] = [(empty, j, empty) for j in range(1, n + 1)]
-    least = CHUNK_LETTERS_PER_STRAND * n
     done = len(letters)  # letters[done:] are applied
-    # as in `_long_chunks`: below n = 9 no period is looked for either
-    if done >= 2 * n and n * (n - 1) // 2 >= least and (period := _period(letters, least)):
+    if period:
         _letter_steps(imgs, reversed(letters[:period]), budget)
         powered = _power_images(imgs, period, done // period, budget)
         if powered is not None:
@@ -587,18 +582,25 @@ def _compose(imgs: list[tuple], letters: tuple[int, ...], chunks, budget: int | 
 def _images(w, budget: int | None) -> list[tuple]:
     """The disk images of w in conjugator form; a product (`BraidWord.product`) by its factors.
 
-    The last factor's images come from `_artin_images`, with its memo,
-    its power path and its first-chunk rule; each earlier factor then
-    acts on them, right to left, by its own `_long_chunks` split.  So a
-    chunk never crosses a factor boundary, and on the plan words
-    x sigma_i x^-1, x x, x y x^-1 and x alpha0 x^-1 the product meets the
-    flat word's budgets.  The product's images are not memoized.
+    The one entry into the engine.  The last factor's images come from
+    `_artin_images`, with its memo, its first-chunk rule and, where its
+    gate lets it run, the power path on the factor's declared period;
+    each earlier factor then acts on them, right to left, by its own
+    `_long_chunks` split.  So a chunk never crosses a factor boundary,
+    and on the plan words x sigma_i x^-1, x x, x y x^-1 and
+    x alpha0 x^-1 the product meets the flat word's budgets.  The
+    product's images are not memoized.
     """
     n = w.strand_count
-    if not w.factors:
-        return _artin_images(n, w.letters, budget)
-    *rest, last = w.factors
-    imgs = _artin_images(n, last.letters, budget)[:]
+    *rest, last = w.factors or (w,)
+    least, period = CHUNK_LETTERS_PER_STRAND * n, last.period
+    # the power path's gate: n >= 9, as in `_long_chunks`, two periods or more, at least 2n letters
+    if n * (n - 1) // 2 < least or len(last) < max(2 * n, 2 * period) or period >= least:
+        period = 0
+    imgs = _artin_images(n, last.letters, budget, period)
+    if not rest:
+        return imgs
+    imgs = imgs[:]
     for f in reversed(rest):
         _compose(imgs, f.letters, _long_chunks(f.letters, n), budget)
     return imgs

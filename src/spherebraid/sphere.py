@@ -30,7 +30,7 @@ import math
 
 from . import freegroup, garside
 from .certificates import ProofStep, Verdict, VerificationCertificate
-from .freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _artin_images, _extend, _inv, _letter_steps
+from .freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _extend, _images, _inv, _letter_steps
 from .words import (
     BraidWord,
     check_comparable,
@@ -128,7 +128,7 @@ def sphere_endo(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
         raise ValueError(f"the sphere action needs n >= 3, got n = {n}")
     closure = list(range(-(n - 1), 0))  # (x_1 .. x_{n-1})^-1
     images = []
-    for S, p in _sphere_conjugators(n, _artin_images(n, w.letters, max_image_letters)):
+    for S, p in _sphere_conjugators(n, _images(w, max_image_letters)):
         out = S[:]
         _extend(out, *((closure, _inv(closure)) if p == n else ([p], [-p])))
         _extend(out, _inv(S), S)
@@ -197,10 +197,10 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
     it touches (`_on_touched_strands`): the permutation test and the
     disk-identity rule there cost what its letters touch, not n.  That is
     exact, and so is the budget: the engine takes a word that short letter
-    by letter (no period is looked for below 2n letters, and no 4n-letter
-    chunk fits), and an untouched image takes part in no letter step, so
-    the touched images meet the same budget checks in the same order.  A
-    word the rule leaves open takes the whole path below.
+    by letter (no power of fewer than 2n letters is composed, and no
+    4n-letter chunk fits), and an untouched image takes part in no letter
+    step, so the touched images meet the same budget checks in the same
+    order.  A word the rule leaves open takes the whole path below.
     """
     n = w.strand_count
     if n < 3:
@@ -213,7 +213,7 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
                 return touched
     if not permutation(w).is_identity():
         return False
-    disk_images = _artin_images(n, w.letters, max_image_letters)
+    disk_images = _images(w, max_image_letters)
     if not any(W for W, _, _ in disk_images):
         return True
     conjugators = [
@@ -259,7 +259,7 @@ def square_rule(v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
         raise ValueError(f"square_rule needs n >= 3, got n = {v.strand_count}")
     if permutation(v).is_identity():
         return None
-    if not acts_trivially(v * v, max_image_letters):
+    if not acts_trivially(v**2, max_image_letters):
         return None
     return ProofStep(
         id="square-rule",
@@ -302,12 +302,12 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
     ]
     if not consistent:
         return steps
-    # Disambiguate 1 vs Delta^2 with the square rule when the letters of
-    # w^k split into two equal halves, a square root of w^k as a word (for
-    # even k the half is w^(k/2)).
-    half = power.letters[: len(power) // 2]
-    if half + half == power.letters:
-        sq = square_rule(BraidWord(n, half), max_image_letters)
+    # Disambiguate 1 vs Delta^2 with the square rule when w^k is a square
+    # as a word: w^(k/2) for even k, and for odd k the half of its letters
+    # when they split into two equal halves (alpha2 = sigma_1^2 at n = 3).
+    root = w ** (k // 2) if k % 2 == 0 else BraidWord(n, power.letters[: len(power) // 2])
+    if root**2 == power:
+        sq = square_rule(root, max_image_letters)
         if sq is not None:
             steps.append(
                 replace(

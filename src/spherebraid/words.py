@@ -41,12 +41,15 @@ class BraidWord:
     """A word in the generators sigma_1 .. sigma_{n-1} of the n-strand braid group.
 
     `factors` is empty, except on a word made by `product`, which keeps the
-    words it was made from; it takes no part in equality, hashing or repr.
+    words it was made from.  `period` is 0, except on a power u^k built with
+    `**`, where it is |u|; an inverse, a mirror or a power of that word
+    keeps it.  Neither takes part in equality, hashing or repr.
     """
 
     strand_count: int
     letters: tuple[int, ...] = ()
     factors: tuple["BraidWord", ...] = field(default=(), init=False, compare=False, repr=False)
+    period: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.strand_count < 1:
@@ -73,14 +76,18 @@ class BraidWord:
         return BraidWord._of_checked(self.strand_count, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord._of_checked(self.strand_count, tuple(-k for k in reversed(self.letters)))
+        letters = tuple(-k for k in reversed(self.letters))
+        return BraidWord._of_checked(self.strand_count, letters, period=self.period)
 
     def __pow__(self, exponent: int) -> "BraidWord":
         base = self if exponent >= 0 else self.inverse()
-        return BraidWord._of_checked(self.strand_count, base.letters * abs(exponent))
+        period = base.period or len(base)
+        return BraidWord._of_checked(self.strand_count, base.letters * abs(exponent), period=period)
 
     @classmethod
-    def _of_checked(cls, strand_count: int, letters: tuple[int, ...], factors: tuple = ()) -> "BraidWord":
+    def _of_checked(
+        cls, strand_count: int, letters: tuple[int, ...], factors: tuple = (), period: int = 0
+    ) -> "BraidWord":
         """The word of letters already checked against the strand count, left unchecked.
 
         Checking a long word's letters again costs many times what building
@@ -88,8 +95,7 @@ class BraidWord:
         comes through here and skips `__post_init__`.
         """
         word = object.__new__(cls)
-        for name, value in (("strand_count", strand_count), ("letters", letters), ("factors", factors)):
-            object.__setattr__(word, name, value)
+        vars(word).update(strand_count=strand_count, letters=letters, factors=factors, period=period)
         return word
 
     @classmethod
@@ -98,9 +104,10 @@ class BraidWord:
 
         Both exact engines take a product by its factors: garside from the
         factors' memoized normal forms, freegroup by applying each factor's
-        memoized chunks to the images of the next.  A plan step whose words
-        share long factors, as b4's x sigma_i x^-1 share x and x^-1, so
-        reads them once.  Anything else treats it as the flat word.
+        memoized chunks to the images of the next, and the sphere layer
+        takes a product through freegroup.  A plan step whose words share
+        long factors, as b4's x sigma_i x^-1 share x and x^-1, so reads
+        them once.  The invariants in this module read its letters.
         """
         n, letters = factors[0].strand_count, factors[0].letters
         for f in factors[1:]:
@@ -238,7 +245,7 @@ def mirror(w: BraidWord) -> BraidWord:
     if n < 2:
         raise WordSyntaxError("mirror needs n >= 2")
     flip = lambda k: (n - abs(k)) * (1 if k > 0 else -1)
-    return BraidWord._of_checked(n, tuple(flip(k) for k in w.letters))
+    return BraidWord._of_checked(n, tuple(flip(k) for k in w.letters), period=w.period)
 
 
 def _run(lo: int, hi: int) -> tuple[int, ...]:
@@ -287,7 +294,7 @@ def named_element(name: str, n: int) -> BraidWord:
             raise ValueError(f"alpha2 needs n >= 3, got n = {n}")
         return BraidWord(n, _run(1, n - 3) + (n - 2, n - 2))
     if name == "full_twist":
-        return BraidWord(n, _run(1, n - 1) * n)
+        return BraidWord(n, _run(1, n - 1)) ** n
     if name == "half_twist":
         return BraidWord(n, _half_twist(n))
     if name == "bipolar_twist":

@@ -200,15 +200,6 @@ def _reference_index_sets(n, letters):
     return [{p[i] for i in range(j) if p[i] > p[j]} for j in range(n)]
 
 
-def _reference_period(n, letters):
-    """The least p < CHUNK_LETTERS_PER_STRAND * n with letters = u^k for u = letters[:p] and k >= 2."""
-    for p in range(1, CHUNK_LETTERS_PER_STRAND * n):
-        k, r = divmod(len(letters), p)
-        if k >= 2 and r == 0 and letters == letters[:p] * k:
-            return p
-    return None
-
-
 def _reference_factors(n, W):
     """The factors of phi(W) in the power path: the letters of W, or for an
     interval x_a..x_b (or its inverse) longer than n/2 those of the boundary
@@ -228,8 +219,8 @@ def _reference_factor(imgs, f):
     return imgs[f - 1] if f > 0 else _reference_inv(imgs[-f - 1])
 
 
-def _reference_checked_lengths(n, letters):
-    """Letter by letter: the expanded images and every length on the way.
+def _reference_checked_lengths(w):
+    """Letter by letter: the expanded images of w and every length on the way.
     Also the lengths the engine holds to the budget, how many chunks take
     the closed form, and whether the word is composed as a power.
 
@@ -237,22 +228,23 @@ def _reference_checked_lengths(n, letters):
     sets are intervals contributes each Q_m = x_lo..x_m under the images
     before it (lo the least index in any set, m up to the largest) and the
     images after it; every other letter contributes the image it finishes.
-    At n >= 9, a word of at least 2n letters that is a power u^k with
-    |u| < CHUNK_LETTERS_PER_STRAND * n goes through u letter by letter.
+    At n >= 9, a word of at least 2n letters built as a power u^k, k >= 2
+    (its declared period |u|), with |u| < CHUNK_LETTERS_PER_STRAND * n
+    goes through u letter by letter.
     Then, if the factors and conjugations of one period number at most
     |u|, each later period contributes, for each image of u with a
     conjugator W, every product of the first two or more of phi(W)'s
     factors under the images before the period and that image after it;
     otherwise the rest of the word goes as any other.
     """
+    n, letters, period = w.strand_count, w.letters, w.period
     imgs = [[j] for j in range(1, n + 1)]
     lengths, checked, closed_forms = [], [], 0
     least = CHUNK_LETTERS_PER_STRAND * n
     # a permutation braid has at most n(n-1)/2 letters, so below that the
     # whole word goes letter by letter
     long_ones = n * (n - 1) // 2 >= least
-    period = _reference_period(n, letters) if long_ones and len(letters) >= 2 * n else None
-    if period:
+    if long_ones and len(letters) >= max(2 * n, 2 * period) and 0 < period < least:
         for k in reversed(letters[:period]):
             _reference_letter_step(imgs, k, None, lengths)
         checked += lengths[2::3]
@@ -310,9 +302,8 @@ class TestMatchesLetterByLetterReduction:
     def check(self, words):
         closed_forms, powers, below_letter_peak = 0, 0, 0
         for w in words:
-            n, letters = w.strand_count, w.letters
-            expected, lengths, checked, chunks, composed = _reference_checked_lengths(n, letters)
-            imgs = _artin_images(n, letters)
+            expected, lengths, checked, chunks, composed = _reference_checked_lengths(w)
+            imgs = _images(w, None)
             assert [W + [p] + W_inv for W, p, W_inv in imgs] == expected
             perm = permutation(w)
             assert [p for _, p, _ in imgs] == list(perm.images)
@@ -330,7 +321,7 @@ class TestMatchesLetterByLetterReduction:
             below_letter_peak += peak < max(lengths)
             for budget in {0, peak - 1, peak, peak + 1}:
                 try:
-                    _artin_images(n, letters, budget)
+                    _images(w, budget)
                 except BudgetExceededError as exc:
                     assert budget < peak, (w, budget)
                     assert str(exc) == (
@@ -583,8 +574,8 @@ class TestPowerPath:
         words = 0
         for n in range(9, 41):
             for u in _power_bases(n, rng):
-                letters = (u ** rng.randint(2, n)).letters
-                assert _artin_images.__wrapped__(n, letters) == _letter_path(n, letters), (n, u.letters)
+                w = u ** rng.randint(2, n)
+                assert _images(w, None) == _letter_path(n, w.letters), (n, u.letters)
                 words += 1
         assert len(composed) > words // 2, (len(composed), words)
         # every way of multiplying out a conjugator ran: D, D^-1 (each also
@@ -616,37 +607,49 @@ class TestPowerPath:
         _reference_artin_images(n, u, None, lengths)
         boundaries = [2 * len(W) + 1 for j in range(2, 5) for W, _, _ in _letter_path(n, u * j)]
         stored = max(lengths[2::3] + boundaries)
+        w = BraidWord(n, u) ** 4
         with pytest.raises(BudgetExceededError):
-            _artin_images.__wrapped__(n, u * 4, stored)
-        assert _artin_images.__wrapped__(n, u * 4, stored + 1) == _letter_path(n, u * 4)
+            _images(w, stored)
+        assert _images(w, stored + 1) == _letter_path(n, w.letters)
 
-    def test_small_n_and_short_words_never_look_for_a_period(self, monkeypatch):
-        def period(*args):
-            raise AssertionError("looked")
+    @pytest.fixture
+    def never_composed(self, monkeypatch):
+        """The power path raises, and the memo holds no action computed without it."""
 
-        monkeypatch.setattr("spherebraid.freegroup._period", period)
-        for n in range(2, 9):
-            for w in (named_element("full_twist", n), named_element("alpha1", n) ** (n - 1)):
-                assert _artin_images.__wrapped__(n, w.letters) == _letter_path(n, w.letters)
-        short = (1,) * 17  # 2n - 1 letters at n = 9
-        assert _artin_images.__wrapped__(9, short) == _letter_path(9, short)
-        with pytest.raises(AssertionError, match="looked"):
-            _artin_images.__wrapped__(9, short + (1,))
-
-    def test_long_periods_are_never_composed(self, monkeypatch):
         def power_images(*args):
             raise AssertionError("composed")
 
         monkeypatch.setattr("spherebraid.freegroup._power_images", power_images)
+        _artin_images.cache_clear()
+        yield
+        _artin_images.cache_clear()
+
+    def test_small_n_short_and_undeclared_powers_are_never_composed(self, never_composed):
+        for n in range(2, 9):
+            for w in (named_element("full_twist", n), named_element("alpha1", n) ** (n - 1)):
+                assert _images(w, None) == _letter_path(n, w.letters)
+        u = BraidWord(9, (1,))
+        for w in (u**17, u**-17, BraidWord(9, (1,) * 20) ** 1):  # under 2n letters, or one period
+            assert _images(w, None) == _letter_path(9, w.letters)
+        # the flat text of a power declares no period, however its letters repeat
+        for w in (named_element("full_twist", 9), named_element("alpha2", 16) ** 14):
+            flat = BraidWord.from_text(w.to_text(), w.strand_count)
+            assert _images(flat, None) == _letter_path(w.strand_count, w.letters)
+            with pytest.raises(AssertionError, match="composed"):
+                _images(w, None)
+        with pytest.raises(AssertionError, match="composed"):
+            _images(u**18, None)
+
+    def test_long_periods_are_never_composed(self, never_composed):
         rng = random.Random(5011)
         for n in range(9, 14):
             alphabet = [k for k in range(-(n - 1), n) if k]
             x = named_element("half_twist", n)  # n(n-1)/2 >= 4n letters
             u = BraidWord(n, tuple(rng.choice(alphabet) for _ in range(CHUNK_LETTERS_PER_STRAND * n)))
-            for w in (x * x, x**-3, u * u):
-                assert _artin_images.__wrapped__(n, w.letters) == _letter_path(n, w.letters)
+            for w in (x**2, x**-3, u**2):
+                assert _images(w, None) == _letter_path(n, w.letters)
         with pytest.raises(AssertionError, match="composed"):
-            _artin_images.__wrapped__(9, named_element("full_twist", 9).letters)
+            _images(named_element("full_twist", 9), None)
 
 
 def _plan_products(n):

@@ -13,6 +13,7 @@ from spherebraid.freegroup import (
     _artin_images,
     _conjugator_length,
     _extend,
+    _images,
     _inv,
 )
 from spherebraid.presentations import presentation_library
@@ -245,9 +246,7 @@ class TestActsTrivially:
         # sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2 touches both)
         whole = []
         monkeypatch.setattr(sphere, "permutation", lambda w: whole.append(w.letters) or permutation(w))
-        monkeypatch.setattr(
-            sphere, "_artin_images", lambda n, letters, budget: whole.append(letters) or _artin_images(n, letters, budget)
-        )
+        monkeypatch.setattr(sphere, "_images", lambda w, budget: whole.append(w.letters) or _images(w, budget))
         for n in range(4, 41):
             whole.clear()
             for rel in presentation_library("sphere_braid", n).relators:

@@ -5,7 +5,7 @@ import pytest
 
 from spherebraid import cli, garside, theorems
 from spherebraid.certificates import ProofStep, Verdict, to_json
-from spherebraid.freegroup import _artin_images, _chunk_form, _split
+from spherebraid.freegroup import _artin_images, _chunk_form, _power_images, _split
 from spherebraid.garside import _factor_form
 from spherebraid.presentations import presentation_library, todd_coxeter
 from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, EngineDisagreementError, torsion_order
@@ -461,6 +461,22 @@ class TestArtinMemo:
             assert all(n >= 9 and len(letters) >= 4 * n for letters, _ in walked), (claim, n)
         x = named_element("half_twist", 22)
         assert sorted(walked) == sorted([(x.letters, 22), (x.inverse().letters, 22)])
+
+
+def test_plan_powers_reach_the_power_path():
+    # each power a plan builds with ** declares its period, so the engine
+    # composes it a period at a time: the torsion roots alpha0^n,
+    # alpha1^(n-1) and alpha2^(n-2), dicyclic's d1 alpha0^n, and q8's full
+    # twist and y y, which the square rule builds as y^2 while |y| < 4n
+    def powers(claim, n):
+        run = lambda: PLANS[claim].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
+        return _calls_into(_power_images, ("period", "k"), run)
+
+    assert powers("torsion", 16) == [(15, 16), (16, 15), (15, 14)]
+    assert powers("dicyclic", 16) == [(15, 16)]
+    for n in range(10, 17, 2):
+        half = n // 2
+        assert powers("q8", n) == [(n - 1, n), (half * (half - 1), 2)], n
 
 
 def _calls_into(function, names, run):

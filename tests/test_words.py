@@ -265,3 +265,31 @@ class TestProduct:
     def test_requires_same_strand_count(self):
         with pytest.raises(StrandCountMismatchError):
             BraidWord.product(W(3, 1), W(4, 1))
+
+
+class TestPeriod:
+    """A power u^k built with ** declares |u| as its period; the engines read it."""
+
+    def test_powers_keep_their_base_length(self):
+        u = named_element("alpha1", 7)
+        assert (u**5).period == (u**-5).period == len(u)
+        assert (u**5).inverse().period == mirror(u**5).period == len(u)
+        assert ((u**2) ** 3).period == ((u**2) ** -3).period == len(u)
+        assert (u**-5).letters == u.inverse().letters * 5
+        assert ((u**2) ** -3).letters == u.inverse().letters * 6
+        assert named_element("full_twist", 7).period == 6
+        assert named_element("full_twist", 7).letters == named_element("alpha0", 7).letters * 7
+
+    def test_other_constructors_declare_none(self):
+        u = named_element("alpha1", 7)
+        w = u**5
+        assert u.period == (w * u).period == (u * u).period == 0
+        assert BraidWord.product(w, w).period == BraidWord.product(w).period == 0
+        assert BraidWord.from_text(w.to_text(), 7).period == 0
+        assert BraidWord(7, w.letters).period == 0
+        assert w.inverse().inverse().period == len(u)
+
+    def test_period_takes_no_part_in_equality(self):
+        w = named_element("alpha2", 6) ** 4
+        flat = BraidWord(6, w.letters)
+        assert w == flat and hash(w) == hash(flat) and repr(w) == repr(flat)
