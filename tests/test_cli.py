@@ -231,14 +231,14 @@ class TestVerifyCommand:
     # is byte-identical across engine changes; a change that alters it on
     # purpose updates these digests and says why.
     PINNED_MACHINE_DIGESTS = {
-        ("q8", 3, 12): "4c2a2222edb3a3a800a7326b375912d7b9d975c0c2bdc30894a9677b81682f8d",
-        ("dicyclic", 3, 12): "783f1cff85fafa6755b127bd831663161eb8d4135f9cc38beca279842cbdcff4",
+        ("q8", 3, 12): "7e5c2caf3376e4374c3b678731340f5fed7ab329588dbbe8b4857a636e147069",
+        ("dicyclic", 3, 12): "9ac17d5b9f09fc204508a1e908657efee358b7941d09c1be1a2aeda8150a2a80",
         ("torsion", 3, 12): "cb831ccd6f9ad78f2b9272b756991489e45abac56b1b64eec6399c67f6b1ed24",
         ("background", 3, 12): "5f37b6c4241cb60c88f77cd375965c6023805011764d3fc42507c3741e9e07b5",
         ("odd-obstruction", 3, 13): "f248195ed7a5f1a0877f8f017c33ba7b5bbd26b6cd423dc75975ba2bfe8ad85d",
         # the certify and background n-grids of the benchmark
-        ("q8", 13, 24): "9c02635a054f36d4fe045dd73f11e912e14d03d2438a3114d8ec67a28ec3a138",
-        ("dicyclic", 13, 24): "0ce7b5991949cbe239f5f948f9c49ca06d66d302839376089d2a287c18642416",
+        ("q8", 13, 24): "cf806a3b230fd909f847f142e7eaeb539e8eb688fbdd3dad2223f4728709a2e9",
+        ("dicyclic", 13, 24): "77a31da7c3ddaf1df5ec8390ab2c263fdbd25496241fa4d1678c28c53d4387de",
         ("torsion", 13, 24): "f502f1084c270eb98804d7bc302c77113f6006b0164a58dd2da1dfc2bb6fabb7",
         ("background", 13, 22): "13400b6753c8ec2065507749cd8c4617ae11979dbf36e8415461ffb0631c34a0",
         # torsion past the benchmark grid, where its root words are longest
@@ -249,8 +249,8 @@ class TestVerifyCommand:
         ("background", 23, 32): "305d9f04f65c551574bcdecb046c8710249c93270d4ce0ca33f49502cfc453a3",
         ("background", 33, 48): "ef0c409b8622520fb54c607216aa9590d24d6329b16a713b245460e6c4d67368",
         # the alpha-power words, alpha0^n among them, at the frontier
-        ("q8", 128, 128): "4c04db55aa07bf56b2b89767ae6a5f2c8783700f8f35e68cfa95ef652f123c96",
-        ("dicyclic", 128, 128): "bda952ea890e04477e8d1967db91f993d847672689bde4e3c8decfc3e05d9f89",
+        ("q8", 128, 128): "6c1b488940d234d67307e6e55e7092ae14dfad331242d0a7bb944d6468d4d588",
+        ("dicyclic", 128, 128): "5a03a87209858e98910f065c3b0d8602ba3346f477a8aeb425e96e5f63b59014",
         ("torsion", 128, 128): "9d1233c9792f3c2a61737dcebf1c5c9d32154f2f8f1176daddacddf0b46e2371",
     }
 
@@ -267,14 +267,11 @@ class TestVerifyCommand:
     # method "budget"; it had "arithmetic" when these were first pinned.
     PINNED_BUDGET_DIGESTS = {
         ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "25"):
-            "392cb7f63176a141809b4381f6901870d0e0ee20f42e1b4a0a30534ba1d456bf",
+            "6b3dab72ec7564a9727981fad2fa88b71ef044795247a77fbe04c79406ce344c",
+        # a coset cap hit in background at n = 3 and 2, the only runs that
+        # enumerate cosets
         ("background", "--n", "3", "--max-cosets", "5"):
             "cbf4fb71c7750445b443c441b20cc705f7d22db4d206bfa6630195190e93ead1",
-        # a coset cap hit in each plan that enumerates cosets
-        ("q8", "--n", "4", "--max-cosets", "5"):
-            "e08e73daebf2de4ad69e0c517bcc9be24660890717e4ffdc47394c69e15c0857",
-        ("dicyclic", "--n", "6", "--max-cosets", "5"):
-            "eaa5dc99f2ea900ac33af4003c151b8ff5e4a7d02580db196b146f7d958cf558",
         ("background", "--n", "2", "--max-cosets", "1"):
             "19d59216f16a701d21790fe6a3e5870673aa14e3cc99656614a0d5fb124c03af",
         # an image budget hit on words long enough for the chunked Artin action
@@ -313,11 +310,11 @@ class TestVerifyCommand:
     PINNED_LARGEST_ABORTS = {
         ("q8", 40, 80): (
             "c3b119ce110b16e99eca5df77e4d7a2f111bcf692ab335ef7a5a55b1cc732fd2",
-            "df8afaba8dd9bf430d597cf1eeb460556d7bb0d41db33487fc61fc90c593a913",
+            "c3bafb89b89c01cdd31a3c950b7f39c5d0d3b737ec9216ed2734158b375896cb",
         ),
         ("dicyclic", 40, 80): (
             "c13f73290b669992975d9ef786959bb0419a85866e16c3fb74c686ec70c0a1c8",
-            "f419134098a007c844237a926794440cc011f0c51e3d417388ddc74a5032364e",
+            "df07519f973a8dc1d6b90564d83e36884c37ed29a820bdb48d8abe9fab8bb06d",
         ),
     }
 
@@ -357,9 +354,9 @@ class TestVerifyCommand:
     # certificate's cited axioms; the last two runs hit a budget and exit 3.
     PINNED_TEXT_DIGESTS = {
         ("q8", "--from", "3", "--to", "12"):
-            (0, "62335b4e648d611bdcabdff2af6773fdd9a1c6bc5242c567f3a8a0f02debeaa3"),
+            (0, "e4b66fbc51ff8f0f73aa3ae198b5fc282e06b17a72697419b690c36b77558808"),
         ("dicyclic", "--from", "3", "--to", "12"):
-            (0, "f7deaf09426fc20d9cb54d1bfe55d8e51f5afc19b4b2b96cede72818c093c77c"),
+            (0, "cab5f389507a02c860af56db81a55abb30e1c6ca2343032b2ac146f547b3561a"),
         ("torsion", "--from", "3", "--to", "12"):
             (0, "d650bae54b839cc90875e7b261e90d2ccbba9ad138ee59e357eed1219a50ea3a"),
         ("background", "--from", "2", "--to", "12"):
@@ -368,8 +365,8 @@ class TestVerifyCommand:
             (0, "cb4b009dfcc2404b3fe835caffb5512735109c4370c37b58be729cf28a0f82b2"),
         ("torsion", "--n", "24", "--max-endo-letters", "45"):
             (3, "f8c6a60be2b99d9c1186b7d08f329deb3a5b9b18ce7c9de7e74e48682eae0a6a"),
-        ("q8", "--n", "4", "--max-cosets", "5"):
-            (3, "436205eb68bcbd6c5740e464d8b223c71c513afa32a5f8e36c940a69fa8893b6"),
+        ("background", "--n", "3", "--max-cosets", "5"):
+            (3, "ce8ec66f049885b84fd37df197006d27483b5ed82905ed88bedd91d7d5c6bc2d"),
     }
 
     def test_text_output_matches_pinned_digests(self, runner):
@@ -619,7 +616,7 @@ class TestOutFile:
 
     RUNS = {
         "verify": ["verify", "--claim", "dicyclic", "--from", "3", "--to", "5"],
-        "verify-budget": ["verify", "--claim", "q8", "--n", "4", "--max-cosets", "5"],
+        "verify-budget": ["verify", "--claim", "background", "--n", "3", "--max-cosets", "5"],
         "normal-form": ["normal-form", "--n", "5", "--word", "1 -2 3 4 -1 -1"],
         "act": ["act", "--n", "4", "--word", "1 2 -3 2", "--target", "sphere"],
         "selftest": ["selftest", "--from", "3", "--to", "4", "--pairs", "20", "--max-len", "10"],
