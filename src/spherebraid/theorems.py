@@ -8,16 +8,21 @@ twist mirrors indices, the n-th power of the cycle word is the full
 twist), the plan runs BOTH exact engines and requires agreement;
 sphere-level reasoning appears only where the identity genuinely lives
 in the quotient (y^2 = Delta^2, the relator elimination), so the trusted
-base of every step is as small as possible.
+base of every step is as small as possible.  The orders of the quaternion
+and dicyclic subgroups follow from the certified relations by counting
+(s6, d6): the relations move every x to the right, which bounds the
+group from above, and a cyclic subgroup with one element outside it bounds
+it from below.  Coset enumeration runs only in background at n = 2 and 3.
 
 Every plan runs through `_run_plan`, which checks n, makes the certificate
 and returns it INCONCLUSIVE instead of raising when a configured budget
-(coset cap, endomorphism letter cap) runs out.  Each plan starts and ends
-with empty engine memos (`freegroup._clear_memos`: the disk actions and
-the chunk splits of long words; `garside._clear_memos`: the normal forms
-of the long factors of products), so it reuses only its own work and leaves
-none behind.  The conjugations by the half twist x (x sigma_i x^-1 in b4,
-x y x^-1, x alpha0 x^-1) and the squares x x are built as products
+(background's coset cap, the endomorphism letter cap) runs out.  Each
+plan starts and ends with empty engine memos (`freegroup._clear_memos`:
+the disk actions and the chunk splits of long words;
+`garside._clear_memos`: the normal forms of the long factors of
+products), so it reuses only its own work and leaves none behind.  The
+conjugations by the half twist x (x sigma_i x^-1 in b4, x y x^-1,
+x alpha0 x^-1) and the squares x x are built as products
 (`BraidWord.product`), so both engines read x and x^-1 once per plan.
 """
 
@@ -29,7 +34,7 @@ from typing import Callable, NamedTuple
 from . import freegroup, garside, presentations, sphere
 from .certificates import ProofStep, Verdict, VerificationCertificate
 from .freegroup import BudgetExceededError
-from .presentations import CayleyTable, presentation_library, todd_coxeter
+from .presentations import presentation_library, todd_coxeter
 from .sphere import (
     DEFAULT_MAX_IMAGE_LETTERS,
     _exact_step,
@@ -78,14 +83,6 @@ def _verdict(steps: list[ProofStep]) -> Verdict:
     return Verdict.VERIFIED if all(s.ok for s in steps) else Verdict.REFUTED
 
 
-def _enumerate(name: str, n: int, max_cosets: int, where: str = "") -> CayleyTable:
-    """The library presentation's group; at the coset cap the budget reason ends in `where`."""
-    try:
-        return todd_coxeter(presentation_library(name, n), max_cosets)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(f"{exc}{where}") from None
-
-
 def _powers(g: Permutation, count: int) -> list[list[int]]:
     """The images of g^0, .., g^(count-1)."""
     powers, p = [], Permutation.identity(len(g.images))
@@ -93,6 +90,14 @@ def _powers(g: Permutation, count: int) -> list[list[int]]:
         powers.append(list(p.images))
         p = p * g
     return powers
+
+
+def _orbit(g: Permutation) -> list[int]:
+    """The orbit 1, g(1), g(g(1)), .. of 1 under g; g is an n-cycle iff it has n points."""
+    orbit = [1]
+    while (p := g.images[orbit[-1] - 1]) != 1:
+        orbit.append(p)
+    return orbit
 
 
 def _half_twist_square_step(step_id: str, x: BraidWord, max_image_letters) -> ProofStep:
@@ -106,7 +111,6 @@ def _half_twist_square_step(step_id: str, x: BraidWord, max_image_letters) -> Pr
 
 def verify_q8(
     n: int,
-    max_cosets: int = DEFAULT_MAX_COSETS,
     max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> VerificationCertificate:
     """Realization of the quaternion group of order 8 inside B_n(S^2).
@@ -168,24 +172,17 @@ def verify_q8(
             depends_on=("s4",),
             data={"n": n, "perm_y": list(perm_y.images), "perms_x_powers": perms_x},
         )
-        tc = _enumerate("q8", 0, max_cosets, " on q8")
         s6 = ProofStep(
             id="s6",
-            statement=f"x and y satisfy the quaternion relations (s1, s2, s3), so the "
-            f"subgroup they generate is a quotient of the order-{tc.order} quaternion "
-            f"group; it contains the five distinct elements of <x> plus y (s4, s5), and "
-            f"a proper quotient of a group of order {tc.order} has at most {tc.order // 2} "
-            f"elements, so the subgroup is the quaternion group of order 8",
-            method="coset-enumeration",
-            ok=tc.order == 8,
+            statement="x and y satisfy x^4 = 1, x^2 = y^2 and x y x^-1 = y^-1 (s1 to s4), "
+            "which move every x to the right, so each element of the subgroup they generate "
+            "is y^i x^e with 0 <= i < 4 and e in {0, 1}: at most 8 elements; it holds the "
+            "4 elements of <x> (s4) and y outside <x> (s5), so at least 8; the quaternion "
+            "presentation maps onto it, so the subgroup is the whole quaternion group of "
+            "order 8",
+            method="arithmetic",
             depends_on=("s1", "s2", "s3", "s4", "s5"),
-            data={
-                "n": n,
-                "presentation": {"name": "q8"},
-                "max_cosets": max_cosets,
-                "order": tc.order,
-                "distinct_elements": 5,
-            },
+            data={"n": n, "presentation": {"name": "q8"}, "order": 8},
         )
         steps = [s1, s2, s3, s4, s5, s6]
         in_commutator = n % 4 == 0
@@ -295,7 +292,6 @@ def _is_power_of_two(n: int) -> bool:
 
 def verify_dicyclic(
     n: int,
-    max_cosets: int = DEFAULT_MAX_COSETS,
     max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> VerificationCertificate:
     """The cycle word and the half twist generate a dicyclic group of order 4n."""
@@ -337,47 +333,45 @@ def verify_dicyclic(
             },
         )
         perm_a = permutation(a)
+        orbit = _orbit(perm_a)
         d4 = ProofStep(
             id="d4",
             statement=f"the strand permutation of the cycle word is an n-cycle, so n divides "
             f"its order; a^n = Delta^2 (d1) with Delta^2 of order exactly 2 forces the order "
             f"to be exactly 2n = {2 * n}",
             method="invariant",
-            ok=perm_a.order() == n,
+            ok=len(orbit) == n,
             depends_on=("d1",),
             axioms=("A3",),
             data={"n": n, "permutation": list(perm_a.images), "order": 2 * n},
         )
-        cycle_powers = _powers(perm_a, n)
-        perm_x = permutation(x)
-        separated = list(perm_x.images) not in cycle_powers
+        # the k-th power of the n-cycle moves each point k places along the orbit
+        perm_x = list(permutation(x).images)
+        position = {p: i for i, p in enumerate(orbit)}
+        k = position.get(perm_x[0])
+        perm_a_power = [orbit[(position[j] + k) % n] for j in range(1, n + 1)] if d4.ok else None
         d5 = ProofStep(
             id="d5",
-            statement=f"the strand permutation of the half twist is the full reversal, which "
-            f"is not a power of the n-cycle for n >= 3, so x lies outside the subgroup "
-            f"generated by the cycle word",
+            statement=f"the strand permutation of the half twist is the full reversal; of the "
+            f"powers of the n-cycle only the one with exponent {k} sends 1 where the reversal "
+            f"does, and it differs from the reversal elsewhere, so x lies outside the "
+            f"subgroup generated by the cycle word",
             method="invariant",
-            ok=separated,
+            ok=d4.ok and perm_a_power != perm_x,
             depends_on=("d4",),
-            data={"n": n, "perm_x": list(perm_x.images), "cycle_powers": cycle_powers},
+            data={"n": n, "perm_x": perm_x, "power": k, "perm_a_power": perm_a_power},
         )
-        tc = _enumerate("dicyclic", n, max_cosets, f" on dicyclic({n})")
         d6 = ProofStep(
             id="d6",
-            statement=f"a and x satisfy the dicyclic relations (d1, d2, d3b), so the subgroup "
-            f"they generate is a quotient of the dicyclic group of order {tc.order}; it has "
-            f"more than {2 * n} elements (d4, d5), a proper quotient has at most "
-            f"{tc.order // 2}, so the subgroup is dicyclic of order 4n = {4 * n}",
-            method="coset-enumeration",
-            ok=tc.order == 4 * n,
+            statement=f"a and x satisfy a^{2 * n} = 1, x^2 = a^{n} and x a x^-1 = a^-1 (d1, "
+            f"d2, d3b, d4), which move every x to the right, so each element of the subgroup "
+            f"they generate is a^i x^e with 0 <= i < {2 * n} and e in {{0, 1}}: at most "
+            f"{4 * n} elements; it holds the {2 * n} elements of <a> (d4) and x outside <a> "
+            f"(d5), so at least {4 * n}; the dicyclic presentation maps onto it, so the "
+            f"subgroup is the whole dicyclic group of order 4n = {4 * n}",
+            method="arithmetic",
             depends_on=("d1", "d2", "d3b", "d4", "d5"),
-            data={
-                "n": n,
-                "presentation": {"name": "dicyclic", "n": n},
-                "max_cosets": max_cosets,
-                "order": tc.order,
-                "subgroup_lower_bound": 2 * n + 1,
-            },
+            data={"n": n, "presentation": {"name": "dicyclic", "n": n}, "order": 4 * n},
         )
         steps = [d1, d2, d3a, d3b, d4, d5, d6]
         gen_quat = _is_power_of_two(n)
@@ -433,7 +427,7 @@ def verify_background(
     def body() -> tuple:
         steps: list[ProofStep] = []
         if n == 2:
-            tc = _enumerate("sphere_braid", 2, max_cosets)
+            tc = todd_coxeter(presentation_library("sphere_braid", 2), max_cosets)
             steps.append(
                 ProofStep(
                     id="b1",
@@ -452,7 +446,7 @@ def verify_background(
             return _verdict(steps), steps, None
 
         if n == 3:
-            tc = _enumerate("sphere_braid", 3, max_cosets)
+            tc = todd_coxeter(presentation_library("sphere_braid", 3), max_cosets)
             der = presentations.derived_subgroup(tc)
             cyclic = presentations.is_cyclic_subgroup(tc, der)
             ab_order = tc.order // len(der)
@@ -521,7 +515,8 @@ class Plan(NamedTuple):
     """A verification plan: the claim its certificates carry, how to run it, and its n."""
 
     claim: str
-    run: Callable[[int, int, int | None], VerificationCertificate]  # (n, max_cosets, max_image_letters)
+    # (n, max_cosets, max_image_letters); only background reads max_cosets
+    run: Callable[[int, int, int | None], VerificationCertificate]
     minimum: int = 3
     odd: bool = False  # n must be odd
 
@@ -535,8 +530,8 @@ class Plan(NamedTuple):
 # Keyed by the CLI claim name.  Entries look their plan up when called, so a
 # wrapper put in place of the module attribute (a tracer) sees every call.
 PLANS = {
-    "q8": Plan("q8-subgroup", lambda n, c, m: verify_q8(n, c, m)),
-    "dicyclic": Plan("dicyclic-subgroup", lambda n, c, m: verify_dicyclic(n, c, m)),
+    "q8": Plan("q8-subgroup", lambda n, c, m: verify_q8(n, m)),
+    "dicyclic": Plan("dicyclic-subgroup", lambda n, c, m: verify_dicyclic(n, m)),
     "odd-obstruction": Plan(
         "odd-obstruction", lambda n, c, m: verify_odd_obstruction(n), odd=True
     ),
@@ -556,8 +551,8 @@ def replay_certificate(
     equal `cert` in every field: step ids, DAG, methods, ok flags,
     statements, data, verdict, flags and axiom ledger.  Pass the budgets
     the certificate was made with, which a machine document's `config`
-    records: coset steps record their cap, and a run out of budget is
-    INCONCLUSIVE.  Raises ValueError if no plan makes `cert.claim`, such
+    records: background's coset steps (n = 2 and 3) record their cap, and
+    a run out of budget is INCONCLUSIVE.  Raises ValueError if no plan makes `cert.claim`, such
     as a standalone `sphere.torsion_order` certificate.
     """
     for plan in PLANS.values():

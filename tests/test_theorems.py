@@ -1,7 +1,9 @@
 import copy
+import json
 import sys
 
 import pytest
+from click.testing import CliRunner
 
 from spherebraid import cli, garside, theorems
 from spherebraid.certificates import ProofStep, Verdict, to_json
@@ -19,7 +21,7 @@ from spherebraid.theorems import (
     verify_q8,
     verify_torsion_table,
 )
-from spherebraid.words import Residue, named_element
+from spherebraid.words import Permutation, Residue, named_element, permutation
 
 
 class TestVerifyQ8:
@@ -157,6 +159,60 @@ class TestVerifyDicyclic:
     def test_precondition(self):
         with pytest.raises(ValueError):
             verify_dicyclic(2)
+
+
+class TestOrderByBound:
+    """s6 and d6 certify the order by the a^i x^e bound; d5 compares one candidate power."""
+
+    def test_q8_and_dicyclic_enumerate_no_cosets(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("coset enumeration in a q8 or dicyclic plan")
+
+        monkeypatch.setattr(theorems, "todd_coxeter", refuse)
+        runner = CliRunner()
+        for claim in ("q8", "dicyclic"):
+            for n in range(3, 25):
+                args = ["verify", "--claim", claim, "--n", str(n), "--format", "machine"]
+                default = runner.invoke(cli.main, args)
+                capped = runner.invoke(cli.main, [*args, "--max-cosets", "1"])
+                assert default.exit_code == capped.exit_code == 0, (claim, n)
+                certificates = json.loads(default.output)["certificates"]
+                assert json.loads(capped.output)["certificates"] == certificates, (claim, n)
+                order = {s["id"]: s["data"].get("order") for s in certificates[0]["steps"]}
+                if claim == "dicyclic":
+                    assert order["d6"] == 4 * n, n
+                elif n % 2 == 0:
+                    assert order["s6"] == 8, n
+
+    def test_d5_candidate_is_the_power_that_moves_1_where_the_reversal_does(self):
+        # alpha0's permutation sends 1 to n, as the reversal does, so the one
+        # candidate is a^1; the old list of all n powers is the reference
+        for n in range(3, 65):
+            a = named_element("alpha0", n)
+            perm_a = permutation(a)
+            (d5,) = [s for s in verify_dicyclic(n).steps if s.id == "d5"]
+            k = d5.data["power"]
+            assert k == 1, n
+            powers = theorems._powers(perm_a, n)
+            assert d5.data["perm_a_power"] == powers[k] == list(permutation(a**k).images), n
+            assert d5.data["perm_a_power"][0] == d5.data["perm_x"][0], n
+            assert d5.ok == (d5.data["perm_x"] not in powers), n
+            assert d5.ok, n
+
+    def test_an_order_n_permutation_that_is_no_n_cycle_fails_d4(self, monkeypatch):
+        # (1 2)(3 4 5) fixing 6 has order 6 at n = 6 but is no 6-cycle
+        fake = Permutation((2, 1, 4, 5, 3, 6))
+        assert fake.order() == 6
+        assert theorems._orbit(fake) == [1, 2]
+        alpha0 = named_element("alpha0", 6)
+        assert theorems._orbit(permutation(alpha0)) == [1, 6, 5, 4, 3, 2]
+        honest = theorems.permutation
+        monkeypatch.setattr(theorems, "permutation", lambda w: fake if w == alpha0 else honest(w))
+        cert = verify_dicyclic(6)
+        steps = {s.id: s for s in cert.steps}
+        assert not steps["d4"].ok
+        assert not steps["d5"].ok and steps["d5"].data["perm_a_power"] is None
+        assert cert.verdict is Verdict.REFUTED
 
 
 class TestVerifyTorsionTable:
