@@ -26,6 +26,7 @@ with cheap invariants to pin exact element orders.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 import math
 
 from . import freegroup, garside
@@ -158,14 +159,32 @@ def _on_touched_strands(letters: tuple[int, ...], generators: set[int], budget) 
     k + 1, which stay neighbours, so the renumbered word is a braid on the
     touched strands alone, and its images are those of the touched x_j
     with the generators renumbered, of the same lengths.  The untouched
-    strands keep their places and their images x_j.  Returns False if
-    the strand permutation is nontrivial and True if every touched image
-    is x_j, which is the disk-identity rule; None if neither.
+    strands keep their places and their images x_j.
+
+    The rest is one memoized decision, `_renumbered_decision`, keyed on the
+    renumbered letters, the touched-strand count and the budget.  The memo
+    is exact: the untouched images take part in no letter step, so the
+    decision depends on the key alone; the budget is in the key, so no
+    result is served under another budget; and `lru_cache` keeps no
+    exception, so a word over its budget raises on every call.  Step b3's
+    relators renumber to two words, (1, 3, -1, -3) and
+    (1, 2, 1, -2, -1, -2), so b3 decides two words per plan.
     """
     strands = sorted({*generators, *(k + 1 for k in generators)})
     rank = {s: r for r, s in enumerate(strands, start=1)}
-    short = [rank[k] if k > 0 else -rank[-k] for k in letters]
-    positions = list(range(len(strands) + 1))
+    short = tuple(rank[k] if k > 0 else -rank[-k] for k in letters)
+    return _renumbered_decision(short, len(strands), budget)
+
+
+@lru_cache(maxsize=2)
+def _renumbered_decision(short: tuple[int, ...], strand_count: int, budget) -> bool | None:
+    """The touched-strand decision of a renumbered word on strand_count strands.
+
+    False if the strand permutation is nontrivial and True if every image
+    is x_j, which is the disk-identity rule; None if neither.  The memo
+    holds b3's two words and lives in one plan (`_clear_memos`).
+    """
+    positions = list(range(strand_count + 1))
     at = positions[:]  # at[q]: the strand now at position q
     for k in short:
         i = abs(k)
@@ -176,6 +195,11 @@ def _on_touched_strands(letters: tuple[int, ...], generators: set[int], budget) 
     images = [(empty, j, empty) for j in positions[1:]]
     _letter_steps(images, reversed(short), budget)
     return True if not any(W for W, _, _ in images) else None
+
+
+def _clear_memos() -> None:
+    """Empty the memo of touched-strand decisions."""
+    _renumbered_decision.cache_clear()
 
 
 def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> bool:
@@ -200,7 +224,10 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
     by letter (no power of fewer than 2n letters is composed, and no
     4n-letter chunk fits), and an untouched image takes part in no letter
     step, so the touched images meet the same budget checks in the same
-    order.  A word the rule leaves open takes the whole path below.
+    order.  The decision is memoized on the renumbered word, its strand
+    count and the budget, so step b3 decides each of its two renumbered
+    words once per plan; a word over its budget is not memoized and raises
+    again.  A word the rule leaves open takes the whole path below.
     """
     n = w.strand_count
     if n < 3:

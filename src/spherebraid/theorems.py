@@ -17,13 +17,14 @@ it from below.  Coset enumeration runs only in background at n = 2 and 3.
 Every plan runs through `_run_plan`, which checks n, makes the certificate
 and returns it INCONCLUSIVE instead of raising when a configured budget
 (background's coset cap, the endomorphism letter cap) runs out.  Each
-plan starts and ends with empty engine memos (`freegroup._clear_memos`:
-the disk actions and the chunk splits of long words;
-`garside._clear_memos`: the normal forms of the long factors of
-products), so it reuses only its own work and leaves none behind.  The
-conjugations by the half twist x (x sigma_i x^-1 in b4, x y x^-1,
-x alpha0 x^-1) and the squares x x are built as products
-(`BraidWord.product`), so both engines read x and x^-1 once per plan.
+plan starts and ends with empty memos (`freegroup._clear_memos`: the
+disk actions and the chunk splits of long words; `garside._clear_memos`:
+the normal forms of the long factors of products; `sphere._clear_memos`:
+the touched-strand decisions of b3's renumbered relators), so it reuses
+only its own work and leaves none behind.  The conjugations by the half
+twist x (x sigma_i x^-1 in b4, x y x^-1, x alpha0 x^-1) and the squares
+x x are built as products (`BraidWord.product`), so both engines read x
+and x^-1 once per plan.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ def _run_plan(key: str, n: int, body: Callable[[], tuple]) -> VerificationCertif
 
 
 def _clear_memos() -> None:
-    """Empty the plan memos, which each engine names in its own `_clear_memos`."""
+    """Empty the plan memos, which each module names in its own `_clear_memos`."""
     freegroup._clear_memos()
     garside._clear_memos()
+    sphere._clear_memos()
 
 
 def _verdict(steps: list[ProofStep]) -> Verdict:
@@ -478,8 +480,9 @@ def verify_background(
             )
 
         pres = presentation_library("sphere_braid", n)
+        # the presentation has checked every letter against its n - 1 generators
         relations_ok = all(
-            acts_trivially(BraidWord(n, rel), max_image_letters) for rel in pres.relators
+            acts_trivially(BraidWord._of_checked(n, rel), max_image_letters) for rel in pres.relators
         )
         steps.append(
             ProofStep(

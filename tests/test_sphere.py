@@ -239,6 +239,24 @@ class TestActsTrivially:
         # every outcome occurs: False, True, and a budget that runs out
         assert outcomes == {False, True, "raised"}
 
+    def test_budget_stays_exact_under_the_memo(self):
+        # the braid relator sigma_5 sigma_6 sigma_5 = sigma_6 sigma_5 sigma_6
+        # renumbers to (1, 2, 1, -2, -1, -2), whose touched images need 5
+        # letters; a raise is not memoized, so a budget of 4 raises again,
+        # and a decision under the default budget serves the same shape at
+        # another n and place
+        sphere._clear_memos()
+        relator = BraidWord(22, (5, 6, 5, -6, -5, -6))
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError) as excinfo:
+                acts_trivially(relator, 4)
+            assert str(excinfo.value).startswith("endomorphism image exceeded 4 letters")
+        assert acts_trivially(relator) is True
+        hits = sphere._renumbered_decision.cache_info().hits
+        assert acts_trivially(BraidWord(40, (30, 31, 30, -31, -30, -31))) is True
+        assert sphere._renumbered_decision.cache_info().hits == hits + 1
+        sphere._clear_memos()
+
     def test_only_the_surface_relator_takes_the_whole_path(self, monkeypatch):
         # from n = 4 on every other relator leaves out a generator, so it is
         # decided on the strands it touches, without the n-strand

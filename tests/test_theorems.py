@@ -10,7 +10,7 @@ from spherebraid.certificates import ProofStep, Verdict, to_json
 from spherebraid.freegroup import _artin_images, _chunk_form, _power_images, _split
 from spherebraid.garside import _factor_form
 from spherebraid.presentations import presentation_library, todd_coxeter
-from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, EngineDisagreementError, torsion_order
+from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, EngineDisagreementError, _renumbered_decision, torsion_order
 from spherebraid.theorems import (
     DEFAULT_MAX_COSETS,
     PLANS,
@@ -447,7 +447,7 @@ MEMO_GRID = [
 ]
 
 # every memo a plan fills, which `_run_plan` empties before and after it
-PLAN_MEMOS = (_artin_images, _split, _factor_form)
+PLAN_MEMOS = (_artin_images, _split, _factor_form, _renumbered_decision)
 
 
 class TestArtinMemo:
@@ -507,6 +507,15 @@ class TestArtinMemo:
             reversal = tuple(range(n, 0, -1))
             assert sorted(forms) == [(reversal, False), (reversal, True)], n
             assert _split.cache_info().currsize == 0
+
+    def test_b3_decides_two_renumbered_words(self):
+        # every relator but the surface relator renumbers onto the strands
+        # it touches as a far commutator or a braid relation, and b3 decides
+        # each of the two words once, in a memo the plan leaves empty
+        for n in (4, 12, 22, 64):
+            words = _calls_into(_renumbered_decision.__wrapped__, ("short",), lambda: verify_background(n))
+            assert sorted(words) == [((1, 2, 1, -2, -1, -2),), ((1, 3, -1, -3),)], n
+            assert _renumbered_decision.cache_info().currsize == 0
 
     def test_only_long_words_enter_the_chunk_memo(self):
         # a word shorter than 4n, or any word at n < 9, is never walked, so
