@@ -73,7 +73,7 @@ ends, so a plan never reuses another's work and leaves no images
 behind; outside plans the memo holds at most two image sets.  Results
 are shared: callers read them and never change a stored list.
 
-The chunk splits are memoized too: `_long_chunks` keeps the split of
+The chunk splits are memoized too: `_split` keeps the split of
 the last two words of at least CHUNK_LETTERS_PER_STRAND * n letters at
 n >= 9, each chunk with its closed form.  A shorter word, or any word
 at smaller n, is never walked and never enters the memo, so a short

@@ -31,7 +31,7 @@ import math
 
 from . import freegroup, garside
 from .certificates import ProofStep, Verdict, VerificationCertificate
-from .freegroup import BudgetExceededError, EndoOnBasis, FreeWord, _extend, _images, _inv, _letter_steps
+from .freegroup import EndoOnBasis, FreeWord, _extend, _images, _inv, _letter_steps, _over_budget
 from .words import (
     BraidWord,
     check_comparable,
@@ -79,7 +79,7 @@ def _exact_step(step_id, statement, pairs, budget) -> ProofStep:
 
 def _check_image(letters: int, max_image_letters: int | None) -> None:
     if max_image_letters is not None and letters > max_image_letters:
-        raise BudgetExceededError(f"endomorphism image exceeded {max_image_letters} letters")
+        raise _over_budget(max_image_letters)
 
 
 def _sphere_conjugators(n: int, disk_images: list[tuple]) -> list[tuple[list[int], int]]:
@@ -151,40 +151,16 @@ def inner_conjugator(e: EndoOnBasis) -> tuple[int, ...] | None:
     return _common_conjugator(conjugators)
 
 
-def _on_touched_strands(letters: tuple[int, ...], generators: set[int], budget) -> bool | None:
-    """acts_trivially decided on the strands the word touches, where no sphere action is needed.
-
-    The letters are renumbered onto the touched strands in order: the
-    r-th touched strand becomes strand r.  A letter sigma_k touches k and
-    k + 1, which stay neighbours, so the renumbered word is a braid on the
-    touched strands alone, and its images are those of the touched x_j
-    with the generators renumbered, of the same lengths.  The untouched
-    strands keep their places and their images x_j.
-
-    The rest is one memoized decision, `_renumbered_decision`, keyed on the
-    renumbered letters, the touched-strand count and the budget.  The memo
-    is exact: the untouched images take part in no letter step, so the
-    decision depends on the key alone; the budget is in the key, so no
-    result is served under another budget; and `lru_cache` keeps no
-    exception, so a word over its budget raises on every call.  Step b3's
-    relators renumber to two words, (1, 3, -1, -3) and
-    (1, 2, 1, -2, -1, -2), so b3 decides two words per plan.
-    """
-    strands = sorted({*generators, *(k + 1 for k in generators)})
-    rank = {s: r for r, s in enumerate(strands, start=1)}
-    short = tuple(rank[k] if k > 0 else -rank[-k] for k in letters)
-    return _renumbered_decision(short, len(strands), budget)
-
-
 @lru_cache(maxsize=2)
-def _renumbered_decision(short: tuple[int, ...], strand_count: int, budget) -> bool | None:
-    """The touched-strand decision of a renumbered word on strand_count strands.
+def _renumbered_decision(short: tuple[int, ...], budget) -> bool | None:
+    """The touched-strand step of `acts_trivially` on a renumbered word.
 
     False if the strand permutation is nontrivial and True if every image
-    is x_j, which is the disk-identity rule; None if neither.  The memo
-    holds b3's two words and lives in one plan (`_clear_memos`).
+    is x_j; None if neither.  The renumbering leaves no strand out, so the
+    strand count is max |letter| + 1.  The memo holds b3's two words and
+    lives in one plan (`_clear_memos`).
     """
-    positions = list(range(strand_count + 1))
+    positions = list(range(max(map(abs, short), default=0) + 2))
     at = positions[:]  # at[q]: the strand now at position q
     for k in short:
         i = abs(k)
@@ -209,25 +185,27 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
     never tells 1 from Delta^2; only square_rule, relator_trivializes or an
     exact identity in B_n can.  A word with a nontrivial strand permutation
     moves a puncture class and is rejected without computing the action.
-    Otherwise p = j.  The disk-identity rule: when every disk image is x_j
-    itself (every W_j empty), so is every sphere image, and the answer is
-    True with nothing substituted or compared.  That rule is exact: such
-    a word is 1 in B_n already.  Otherwise every image C_j x_j C_j^-1
-    (C_j: S_j without trailing x_j^+-1) is held to the budget before the
-    C_j are compared.
+    Otherwise p = j, every image C_j x_j C_j^-1 (C_j: S_j without trailing
+    x_j^+-1) is held to the budget, and the C_j are compared; when every
+    disk image is x_j, every C_j is empty and the comparison says True.
 
     A word shorter than 2n that leaves out a generator, as every defining
     relator but the surface relator does, is first decided on the strands
-    it touches (`_on_touched_strands`): the permutation test and the
-    disk-identity rule there cost what its letters touch, not n.  That is
-    exact, and so is the budget: the engine takes a word that short letter
-    by letter (no power of fewer than 2n letters is composed, and no
-    4n-letter chunk fits), and an untouched image takes part in no letter
-    step, so the touched images meet the same budget checks in the same
-    order.  The decision is memoized on the renumbered word, its strand
-    count and the budget, so step b3 decides each of its two renumbered
-    words once per plan; a word over its budget is not memoized and raises
-    again.  A word the rule leaves open takes the whole path below.
+    it touches: the r-th touched strand becomes strand r.  A letter sigma_k
+    touches k and k + 1, which stay neighbours, so the renumbered word is
+    a braid on the touched strands, whose images are the touched x_j's
+    renumbered, of the same lengths.  There the permutation test and the
+    disk-identity rule (every image is x_j, so w = 1 in B_n) cost what the
+    letters touch, not n.  That is exact, budget included: the engine takes
+    a word that short letter by letter (no power of fewer than 2n letters
+    is composed, and no 4n-letter chunk fits), and an untouched image stays
+    x_j through every letter step, so the touched images meet the same
+    budget checks in the same order.  So the decision depends on the
+    renumbered letters and the budget alone, which key its memo
+    (`_renumbered_decision`); `lru_cache` keeps no exception, so a word
+    over its budget raises on every call.  Step b3's relators renumber to
+    (1, 3, -1, -3) and (1, 2, 1, -2, -1, -2), two decisions per plan.  A
+    word the step leaves open takes the whole path.
     """
     n = w.strand_count
     if n < 3:
@@ -235,16 +213,17 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
     if len(w.letters) < 2 * n:
         generators = {abs(k) for k in w.letters}
         if len(generators) < n - 1:
-            touched = _on_touched_strands(w.letters, generators, max_image_letters)
+            strands = sorted({*generators, *(k + 1 for k in generators)})
+            rank = {s: r for r, s in enumerate(strands, start=1)}
+            short = tuple(rank[k] if k > 0 else -rank[-k] for k in w.letters)
+            touched = _renumbered_decision(short, max_image_letters)
             if touched is not None:
                 return touched
     if not permutation(w).is_identity():
         return False
-    disk_images = _images(w, max_image_letters)
-    if not any(W for W, _, _ in disk_images):
-        return True
     conjugators = [
-        S[: freegroup._conjugator_length(S, p)] for S, p in _sphere_conjugators(n, disk_images)
+        S[: freegroup._conjugator_length(S, p)]
+        for S, p in _sphere_conjugators(n, _images(w, max_image_letters))
     ]
     _check_image(2 * max(map(len, conjugators)) + 1, max_image_letters)
     return _common_conjugator(conjugators) is not None

@@ -109,6 +109,8 @@ class BraidWord:
         long factors, as b4's x sigma_i x^-1 share x and x^-1, so reads
         them once.  The invariants in this module read its letters.
         """
+        if not factors:
+            raise ValueError("a product needs at least one factor")
         n, letters = factors[0].strand_count, factors[0].letters
         for f in factors[1:]:
             if f.strand_count != n:
@@ -139,6 +141,8 @@ class BraidWord:
         Rejects malformed tokens and generator indices outside
         [1, strand_count - 1], naming the offending token.
         """
+        if strand_count < 1:
+            cls(strand_count)  # raises the strand-count error
         letters = []
         for token in text.split():
             try:
@@ -151,8 +155,6 @@ class BraidWord:
                     f"[1, {strand_count - 1}] for {strand_count} strands"
                 )
             letters.append(k)
-        if strand_count < 1:
-            return cls(strand_count)  # raises the strand-count error
         return cls._of_checked(strand_count, tuple(letters))
 
 

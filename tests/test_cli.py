@@ -539,7 +539,7 @@ class TestActCommand:
         assert cli.run([*args, "--max-endo-letters", "11"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "budget exhausted: endomorphism image exceeded 11 letters\n"
+        assert captured.err == "budget exhausted: endomorphism image exceeded 11 letters; raise the budget to continue\n"
         assert cli.run([*args, "--max-endo-letters", "12"]) == 0
 
 

@@ -239,6 +239,27 @@ class TestActsTrivially:
         # every outcome occurs: False, True, and a budget that runs out
         assert outcomes == {False, True, "raised"}
 
+    def test_disk_identities_on_the_whole_path(self):
+        # w w^-1 with w touching every generator takes the whole path, and
+        # every disk image is x_j: the sphere conjugators are all empty, so
+        # the comparison answers True once the budget lets the action through
+        rng = random.Random(2411)
+        for n in range(9, 17):
+            for _ in range(3):
+                letters = [rng.choice((k, -k)) for k in rng.sample(range(1, n), n - 1)]
+                letters += [rng.choice((-1, 1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 4))]
+                w = BraidWord(n, tuple(letters))
+                word = w * w.inverse()
+                assert len(word) >= 2 * n and all(W == [] for W, _, _ in _images(word, None))
+                budget, outcomes = 1, []
+                while outcomes[-2:] != [True, True]:
+                    expected = _reference_acts_trivially(word, budget)
+                    assert _outcome(word, budget) == expected, (word.letters, budget)
+                    outcomes.append(expected)
+                    budget += 1
+                # the budget runs out first, then the answer is True
+                assert outcomes[0] is not True and outcomes[-2:] == [True, True], word.letters
+
     def test_budget_stays_exact_under_the_memo(self):
         # the braid relator sigma_5 sigma_6 sigma_5 = sigma_6 sigma_5 sigma_6
         # renumbers to (1, 2, 1, -2, -1, -2), whose touched images need 5
@@ -307,7 +328,7 @@ class TestActsTrivially:
             longest = max(len(img) for img in sphere_endo(w).images)
             with pytest.raises(BudgetExceededError) as excinfo:
                 acts_trivially(w, longest - 1)
-            assert str(excinfo.value) == f"endomorphism image exceeded {longest - 1} letters"
+            assert str(excinfo.value) == f"endomorphism image exceeded {longest - 1} letters; raise the budget to continue"
             assert acts_trivially(w, longest) is inner
             assert acts_trivially(w, longest + 1) is inner
 

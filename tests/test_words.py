@@ -64,6 +64,12 @@ class TestTextSyntax:
         with pytest.raises(WordSyntaxError, match=r"^strand count must be >= 1, got 0$"):
             BraidWord.from_text("", 0)
 
+    def test_strand_count_checked_before_tokens(self):
+        # at 0 strands no token is in range, so the strand count is the error
+        for text in ("1", "-1", "0", "x"):
+            with pytest.raises(WordSyntaxError, match=r"^strand count must be >= 1, got 0$"):
+                BraidWord.from_text(text, 0)
+
     def test_out_of_range_token_named(self):
         with pytest.raises(WordSyntaxError, match="'4'"):
             BraidWord.from_text("4", 4)
@@ -265,6 +271,10 @@ class TestProduct:
     def test_requires_same_strand_count(self):
         with pytest.raises(StrandCountMismatchError):
             BraidWord.product(W(3, 1), W(4, 1))
+
+    def test_needs_a_factor(self):
+        with pytest.raises(ValueError, match=r"^a product needs at least one factor$"):
+            BraidWord.product()
 
 
 class TestPeriod:
