@@ -383,6 +383,28 @@ class TestReplay:
         assert not replay_certificate(cert, max_cosets=DEFAULT_MAX_COSETS + 1)
 
 
+# the least image budget at which each plan's run at n = 9..24 is not the
+# one-step budget certificate; odd-n q8 is the obstruction plan, which
+# computes no image, so it needs only the least budget the CLI accepts
+LEAST_BUDGETS = {
+    "q8": [1, 27, 1, 33, 1, 39, 1, 45, 1, 51, 1, 57, 1, 63, 1, 69],
+    "dicyclic": [19, 21, 23, 25, 27, 29, 31, 33, 35, 37, 39, 41, 43, 45, 47, 49],
+    "torsion": [19, 21, 23, 25, 27, 29, 31, 33, 35, 37, 39, 41, 43, 45, 47, 49],
+    "background": [19, 21, 23, 25, 27, 29, 31, 33, 35, 37, 39, 41, 43, 45, 47, 49],
+}
+
+
+@pytest.mark.parametrize("claim", LEAST_BUDGETS)
+def test_least_sufficient_budgets(claim):
+    def out_of_budget(n, budget):
+        steps = PLANS[claim].run(n, DEFAULT_MAX_COSETS, budget).steps
+        return [s.id for s in steps] == ["budget"]
+
+    for n, least in enumerate(LEAST_BUDGETS[claim], start=9):
+        assert not out_of_budget(n, least), (n, least)
+        assert least == 1 or out_of_budget(n, least - 1), (n, least)
+
+
 class TestPlanTable:
     def test_cli_claims_are_the_table(self):
         assert cli.CLAIMS == tuple(PLANS) == (
