@@ -20,81 +20,60 @@ One braid letter then costs one free cancellation, at the junction of two
 reduced words (`_junction`); everything else is list slicing and
 concatenation.
 
-Most plan words are built from half twists, and a half twist is one
-permutation braid (Epstein et al., Word Processing in Groups, ch. 9):
-a positive or negative braid in which any two strands cross at most
-once.  Its action has a closed form (`_chunk_step`): x_j goes to
-W_j x_pi(j) W_j^-1, with pi the permutation and W_j the product of the
-x_k over an index set read off pi.  When every index set is an interval
-[a, b], the action phi built so far composes with the chunk through
-phi(x_a..x_b) = Q_{a-1}^-1 Q_b, where Q_m = phi(x_lo..x_m) and lo is
-the least a, so a chunk costs about one junction per strand instead of
-one per letter.  Walking the letters right to left, the engine splits
-them into maximal permutation-braid chunks of one sign (`_walk`).  A
-chunk of at least CHUNK_LETTERS_PER_STRAND * n letters takes the closed
-form (`_long_chunks`), and every other letter the letter step.  The walk
-repeats garside's permutation-braid test in a few lines of its own, so
-the two engines share no code.
+Long words go through one substitution step (`_substitute`).  It composes
+the images phi with an action psi that sends x_j to W_j x_q W_j^-1, every
+W_j an interval x_a..x_b, its inverse, or one letter.  With the prefix
+products R_m = phi(x_1..x_m), phi(x_a..x_b) = R_{a-1}^-1 R_b, so a step
+costs about one junction per R_m and per image instead of one per letter.
+The step walks the R_m in whichever way takes fewer junctions: up from the
+least run end, or, since a braid automorphism fixes D = x_1..x_n, up from
+R_0 = 1 and down from R_n = D around the widest gap between run ends.  A
+one-letter W_j takes its image as it stands.  Two kinds of word take it:
 
-The torsion roots' words alpha0^n, alpha1^(n-1) and alpha2^(n-2) split
-into chunks of about 2n letters, too short for the closed form.  A word
-built as a power u^k says so: `BraidWord.__pow__` records |u| as its
-period.  So at n >= 9 a power u^k (k >= 2) of at least 2n letters with
-|u| < CHUNK_LETTERS_PER_STRAND * n is composed one period at a time
-instead (`_power_images`): phi^(j+1) = phi^j o phi for phi = the action
-of u, substituting phi^j into the conjugators of phi.  A word given by
-its letters alone, as `act` parses one, declares no period and is never
-composed, however its letters repeat.  Artin's theorem
-gives the shortcut: a braid automorphism fixes the boundary word
-D = x_1..x_n, so phi^j(x_a..x_b) =
-phi^j(x_1..x_{a-1})^-1 D phi^j(x_{b+1}..x_n)^-1, and a period of an
-alpha_i or of alpha0^-1 costs at most two junctions per image instead of
-about n letter steps.  A power whose period would cost more that way
-than letter by letter goes as any other word.
+- A permutation braid (Epstein et al., Word Processing in Groups, ch. 9)
+  is a braid of one sign in which two strands cross at most once; its
+  action is such a psi when its index sets are intervals (`_chunk_form`).
+  Walking the letters right to left, `_walk` splits them into maximal
+  permutation-braid chunks of one sign.  A chunk of at least
+  CHUNK_LETTERS_PER_STRAND * n letters takes the step (`_long_chunks`),
+  and every other letter the letter step.  The walk repeats garside's
+  permutation-braid test in a few lines of its own, so the two engines
+  share no code.
+- A power u^k built with ** declares its period |u|
+  (`words.BraidWord.__pow__`).  At n >= 9, a power of at least 2n letters
+  with k >= 2 and |u| < CHUNK_LETTERS_PER_STRAND * n takes u letter by
+  letter.  When u's images are such a psi and one step costs at most |u|
+  junctions and conjugations, each later period is one step; that holds
+  for alpha0^n, alpha1^(n-1), alpha2^(n-2) and, at n >= 12, q8's y^2.
+  Any other power goes by chunks and letters, as a word given by its
+  letters alone does, however its letters repeat.
 
-The budget bounds every stored image, every Q_m and every product a
-composed period builds, not the images the letter step would pass
-through inside a chunk or a composed period.
-
-The disk action is memoized: `_artin_images` keeps its last two
-results, keyed on (strand_count, letters, budget, period).  `_images`
-passes the declared period only where the power path runs and 0
-elsewhere, so a word's key never splits on a period the engine would
-not use.  The root identities
-behind the dicyclic and torsion certificates compare several words with
-one full twist, so one plan asks for the same action more than once;
-two is the smallest size that catches every repeat within a plan (at
-n = 3..30, 48 and 64; one misses dicyclic and torsion repeats of the
-full twist).  The budget is part of the key, so a result is never
-returned under another budget, and a call over its budget raises
-BudgetExceededError, which is not cached.
-`theorems._run_plan` empties the memo when a plan starts and when it
-ends, so a plan never reuses another's work and leaves no images
-behind; outside plans the memo holds at most two image sets.  Results
-are shared: callers read them and never change a stored list.
-
-The chunk splits are memoized too: `_split` keeps the split of
-the last two words of at least CHUNK_LETTERS_PER_STRAND * n letters at
-n >= 9, each chunk with its closed form.  A shorter word, or any word
-at smaller n, is never walked and never enters the memo, so a short
-factor such as sigma_i cannot evict a long one.  A word's first chunk,
-with no letter to its right, takes its closed form's images on the
-identity as they are, held to the budget as the chunk step holds them.
+Every stored image and every R_m is held to the budget.  The images the
+letter step would pass through inside a chunk or a composed period are
+never built, so their peaks are not.
 
 `_images` is the one entry into the engine: `artin_disk_endo`, `eq_Bn`
 and the sphere layer all call it.  A product of words
 (`words.BraidWord.product`) acts factor by factor there: the last
-factor's images come from `_artin_images`, with its memo and its
-declared period, and each earlier factor acts on them, right to left,
-by its own memoized chunk split.  Step b4's words x sigma_i x^-1 are such
-products, so the action of x^-1 is computed once per plan and x is
-walked once, where the flat word walked some n^2 letters in every pair;
-the conjugations x y x^-1 and x alpha0 x^-1 and the squares x x of q8
-and dicyclic are products too.  A product's chunks end at its factor
-boundaries, where the flat word's may run across one: on the flat
-x sigma_i x^-1 the walk closes x's last letters with sigma_i.  On the
-plan words the product still meets the flat word's budgets, which the
-tests check.  `_run_plan` empties the chunk memo with the Artin memo.
+factor's images come from `_artin_images`, and each earlier factor acts
+on them, right to left, by its own chunk split, so a chunk never crosses
+a factor boundary.  Step b4's x sigma_i x^-1, q8's and dicyclic's x x and
+the conjugations x y x^-1 and x alpha0 x^-1 are such products, so x and
+x^-1 are walked once per plan; on them the product meets the flat word's
+budgets, which the tests check.  A word's first chunk, with no letter to
+its right, takes its form's images on the identity as they are, held to
+the budget at the peak the step would reach there.
+
+Two memos, each of two entries: `_artin_images` keyed on (strand_count,
+letters, budget, period), where `_images` passes a power's period only
+where the gate for composing it holds and 0 elsewhere, and `_split`, the
+chunk split of the last two words long enough to be walked.  Two is the
+smallest size that catches every repeat within a plan (the root
+identities compare several words with one full twist).  The budget is part of the key, so a result
+is never returned under another budget, and a call over its budget raises
+BudgetExceededError, which is not cached.  `theorems._run_plan` empties
+both memos when a plan starts and when it ends.  Results are shared:
+callers read them and never change a stored list.
 """
 
 from __future__ import annotations
@@ -102,7 +81,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 from .words import check_comparable
@@ -120,7 +98,7 @@ class BudgetExceededError(RuntimeError):
 _SCAN = 8
 
 # A permutation-braid chunk of at least this many letters per strand goes
-# through its closed form.  A shorter one costs about as many junctions
+# through the substitution step.  A shorter one costs about as many junctions
 # as it has letters either way, and goes letter by letter.
 CHUNK_LETTERS_PER_STRAND = 4
 
@@ -240,13 +218,11 @@ def _conjugated(u: list[int], u_inv: list[int], v, budget: int | None):
     u V cancels less than all of V, one of |v|, |u v u^-1| is at least
     |u v|; if it cancels all of V, |u v| <= |u| + 1, with |u v| above all
     three only when u = v, that is a = b or b^-1 = a, which an
-    automorphism never allows.)  On the chunk path u is the image of a
-    product of generators, built from the checked Q_m of `_chunk_step`
-    but not itself checked, and the images the letter path would pass
-    through inside the chunk are never built: there the budget bounds
-    every stored image and every Q_m, not the peaks inside a chunk.  On
-    the power path u is a checked product (`_power_images`), and the
-    images inside a period are never built either.
+    automorphism never allows.)  In the substitution step (`_substitute`)
+    u is phi(W_j), a stored image or R_s^-1 R_t for two checked prefix
+    products, and is not itself checked; the images the letter path would
+    pass through inside the step are never built.  So there the budget
+    bounds every stored image and every R_m, not the peaks between them.
     """
     V, r, V_inv = v
     lv = len(V)
@@ -287,20 +263,102 @@ def _letter_steps(imgs: list[tuple], letters, budget: int | None) -> None:
             imgs[i] = b
 
 
-class _ChunkForm(NamedTuple):
-    """A permutation braid's closed form, and its action on the identity images."""
+def _runs(action: list[tuple]) -> list[tuple[int, int, int]] | None:
+    """(j, s, t) with W_j = R_s^-1 R_t, R_m = x_1..x_m, for each nonempty conjugator W_j of the
+    action: (j, a - 1, b) for x_a..x_b and (j, b, a - 1) for its inverse, so a letter has
+    |s - t| = 1; None if some W_j is neither."""
+    runs = []
+    for j, (W, _, _) in enumerate(action):
+        if W:
+            # the letters of an interval, or of an interval's inverse, rise by one
+            if W != list(range(W[0], W[0] + len(W))):
+                return None
+            runs.append((j, W[0] - 1, W[-1]) if W[0] > 0 else (j, -W[0], -W[-1] - 1))
+    return runs
 
-    perm: tuple[int, ...]  # the strand permutation (images, 1-based, word order)
-    spans: list[tuple[int, int, int]]  # (j, a, b): W_j = (x_a..x_b)^{+-1}, j 0-based
-    lo: int  # the least a
-    hi: int  # the largest b
+
+def _plan(runs: list[tuple[int, int, int]], n: int) -> tuple:
+    """How `_substitute` composes with an action whose conjugators the runs give (`_runs`):
+    (runs, lo, walk, D, D^-1).
+
+    walk holds (m, +-1), one per R_m+-1 the step builds from R_m: up from
+    R_lo = 1 to R_hi, then down from R_n = D = x_1..x_n to R_top.  The run
+    ends are the s and t of the runs of two or more letters.  Up from the
+    least end to the largest (top = n) takes the largest minus the least
+    junctions; around the widest gap between neighbouring ends (lo = 0)
+    takes n minus that gap, and is taken when that is fewer.  The walk, D
+    and D^-1 are built here, once per action, since most steps are short.
+    """
+    ends = sorted({e for _, s, t in runs if abs(s - t) > 1 for e in (s, t)})
+    lo, hi, top = 0, 0, n
+    if ends:
+        gaps = [b - a for a, b in zip(ends, ends[1:])]
+        i = gaps.index(max(gaps))  # the first widest
+        if gaps[i] > ends[0] + n - ends[-1]:
+            hi, top = ends[i], ends[i + 1]
+        else:
+            lo, hi = ends[0], ends[-1]
+    walk = [(m, 1) for m in range(lo, hi)] + [(m, -1) for m in range(n, top, -1)]
+    return runs, lo, walk, list(range(1, n + 1)), list(range(-n, 0))
+
+
+def _substitute(imgs: list[tuple], action: list[tuple], plan: tuple, budget: int | None) -> list[tuple]:
+    """The images of phi o psi, for phi the images and psi the action, with its `_plan`.
+
+    phi o psi sends x_j, with psi's image W_j x_q W_j^-1, to
+    phi(W_j) phi(x_q) phi(W_j)^-1, and phi(W_j) = R_s^-1 R_t for the run
+    (j, s, t), R_m = phi(x_1..x_m); R_n = D, since a braid automorphism
+    fixes D.  That is one junction per R_m the walk builds and per
+    conjugator, and one more per conjugation.  The walk up from lo needs
+    no R_lo: R_lo^-1 cancels from every R_s^-1 R_t it serves.  Each R_m
+    the walk builds is held to the budget, and each image the conjugation
+    stores.
+    """
+    runs, lo, walk, D, D_inv = plan
+    n = len(imgs)
+    R: list = [None] * (n + 1)
+    R_inv: list = [None] * (n + 1)
+    R[lo] = R_inv[lo] = []
+    R[n], R_inv[n] = D, D_inv
+    # R_m+1 = R_m phi(x_m+1) going up, R_m-1 = R_m phi(x_m)^-1 going down
+    for m, step in walk:
+        A, p, A_inv = imgs[m if step > 0 else m - 1]
+        v, v_inv = [*A, step * p, *A_inv], [*A, -step * p, *A_inv]
+        q, q_inv = R[m], R_inv[m]
+        c = _junction(q, v_inv)
+        R[m + step] = w = q[: len(q) - c] + v[c:]
+        R_inv[m + step] = v_inv[: len(v) - c] + q_inv[c:]
+        if budget is not None and len(w) > budget:
+            raise _over_budget(budget)
+    new = [imgs[p - 1] for _, p, _ in action]
+    for j, s, t in runs:
+        if abs(s - t) == 1:
+            # a letter's image as it stands
+            A, p, A_inv = imgs[max(s, t) - 1]
+            u, u_inv = [*A, p, *A_inv], [*A, -p, *A_inv]
+            if t < s:
+                u, u_inv = u_inv, u
+        else:
+            # R_s^-1 R_t cancels the common prefix of R_s and R_t
+            head, head_inv, tail, tail_inv = R[s], R_inv[s], R[t], R_inv[t]
+            c = _junction(head_inv, tail_inv) if head else 0
+            u = head_inv[: len(head) - c] + tail[c:]
+            u_inv = tail_inv[: len(tail) - c] + head[c:]
+        new[j] = _conjugated(u, u_inv, new[j], budget)
+    return new
+
+
+class _ChunkForm(NamedTuple):
+    """A permutation braid's action, its `_plan`, and its peak on the identity."""
+
     images: list[tuple]  # the images of x_1..x_n under the braid alone
-    peak: int  # the longest of those images and of the Q_m = x_lo..x_m
+    plan: tuple  # `_plan` of those images
+    peak: int  # the longest of those images and of the R_m `_substitute` builds on the identity
 
 
 def _chunk_form(perm: tuple[int, ...], positive: bool) -> _ChunkForm | None:
-    """The closed form of the permutation braid of one sign with strand permutation perm; None if
-    some index set is not an interval.
+    """The action of the permutation braid of one sign with strand permutation perm; None if some
+    index set is not an interval.
 
     perm is given as images, 1-based, in word order.  The braid sends x_j
     to W_j x_perm(j) W_j^-1, where W_j is
@@ -308,64 +366,33 @@ def _chunk_form(perm: tuple[int, ...], positive: bool) -> _ChunkForm | None:
                 k in {perm(i) : i > j, perm(i) < perm(j)};
       negative: the decreasing product of x_k^-1 over
                 k in {perm(i) : i < j, perm(i) > perm(j)}.
-    On the identity images, W_j is the image's conjugator itself, since
-    no index in its set is perm(j), so it cannot end in x_perm(j)^+-1.
-    The result and its lists are shared through the memo of
-    `_long_chunks`, so no caller may change them.
+    No index in W_j's set is perm(j), so W_j is in conjugator form.  The
+    result and its lists are shared through the memo of `_split`, so no
+    caller may change them.
     """
     n = len(perm)
-    spans = []
+    empty: list[int] = []
+    images: list[tuple] = [(empty, p, empty) for p in perm]
+    runs = []
     passed: list[int] = []  # the perm values already walked past, sorted
     for j in range(n - 1, -1, -1) if positive else range(n):
         pj = perm[j]
         t = bisect_left(passed, pj)
         ks = passed[:t] if positive else passed[t:]
         if ks:
-            if ks[-1] - ks[0] + 1 != len(ks):
+            a, b = ks[0], ks[-1]
+            if b - a + 1 != len(ks):
                 return None
-            spans.append((j, ks[0], ks[-1]))
+            W, W_inv = list(range(a, b + 1)), list(range(-b, -a + 1))
+            images[j] = (W, pj, W_inv) if positive else (W_inv, pj, W)
+            runs.append((j, a - 1, b) if positive else (j, b, a - 1))
         passed.insert(t, pj)
-    empty: list[int] = []
-    images = [(empty, p, empty) for p in perm]
-    for j, a, b in spans:
-        W, W_inv = list(range(a, b + 1)), list(range(-b, -a + 1))
-        images[j] = (W, perm[j], W_inv) if positive else (W_inv, perm[j], W)
-    lo, hi = min(a for _, a, _ in spans), max(b for _, _, b in spans)
-    longest = max(b - a + 1 for _, a, b in spans)
-    return _ChunkForm(perm, spans, lo, hi, images, max(hi - lo + 1, 2 * longest + 1))
-
-
-def _chunk_step(imgs: list[tuple], form: _ChunkForm, positive: bool, budget: int | None) -> None:
-    """Compose the images phi with the action of a permutation braid P of one sign, in place.
-
-    form is P's closed form (`_chunk_form`), every index set an interval.
-    phi o P sends x_j to phi(W_j) phi(x_perm(j)) phi(W_j)^-1, and for
-    W_j = x_a..x_b, phi(x_a..x_b) = Q_{a-1}^-1 Q_b with Q_m the reduced
-    phi(x_lo..x_m), lo the least a: one junction per Q_m and per image.
-    Each Q_m is held to the budget.
-    """
-    lo = form.lo
-    Q: list[list[int]] = [[]]  # Q[m - lo + 1] is Q_m
-    Q_inv: list[list[int]] = [[]]
-    for A, p, A_inv in imgs[lo - 1 : form.hi]:
-        q, q_inv = Q[-1], Q_inv[-1]
-        v, v_inv = [*A, p, *A_inv], [*A, -p, *A_inv]
-        c = _junction(q, v_inv)
-        Q.append(q[: len(q) - c] + v[c:])
-        Q_inv.append(v_inv[: len(v) - c] + q_inv[c:])
-        if budget is not None and len(Q[-1]) > budget:
-            raise _over_budget(budget)
-    new = [imgs[p - 1] for p in form.perm]
-    for j, a, b in form.spans:
-        # Q_{a-1}^-1 Q_b cancels the common prefix of Q_{a-1} and Q_b
-        head, head_inv, tail, tail_inv = Q[a - lo], Q_inv[a - lo], Q[b - lo + 1], Q_inv[b - lo + 1]
-        c = _junction(head_inv, tail_inv)
-        u = head_inv[: len(head) - c] + tail[c:]
-        u_inv = tail_inv[: len(tail) - c] + head[c:]
-        if not positive:
-            u, u_inv = u_inv, u
-        new[j] = _conjugated(u, u_inv, new[j], budget)
-    imgs[:] = new
+    plan = _plan(runs, n)
+    walk = plan[2]
+    up = sum(step > 0 for _, step in walk)
+    # on the identity |R_m| is m - lo up from lo, at most `up`, and m down from n
+    longest = max(len(W) for W, _, _ in images)
+    return _ChunkForm(images, plan, max(up, n - 1 if up < len(walk) else 0, 2 * longest + 1))
 
 
 def _walk(letters: tuple[int, ...], n: int):
@@ -400,7 +427,7 @@ def _walk(letters: tuple[int, ...], n: int):
 
 def _long_chunks(letters: tuple[int, ...], n: int) -> tuple:
     """The chunks of `_walk` with at least CHUNK_LETTERS_PER_STRAND * n letters, right to left,
-    each as (start, end, positive, form) with form its closed form or None (`_chunk_form`).
+    each as (start, end, positive, form) with form its action or None (`_chunk_form`).
 
     Below n = 2 * CHUNK_LETTERS_PER_STRAND + 1 no permutation braid is
     that long, so neither a word there nor a shorter word is walked, and
@@ -414,7 +441,7 @@ def _long_chunks(letters: tuple[int, ...], n: int) -> tuple:
 
 @lru_cache(maxsize=2)
 def _split(letters: tuple[int, ...], n: int) -> tuple:
-    """`_long_chunks` of the last two long words it was asked for, with their closed forms.
+    """`_long_chunks` of the last two long words it was asked for, with their actions.
 
     Step b4's products x sigma_i x^-1 ask for x's split once a pair and
     for x^-1's only when the Artin memo computes x^-1's action, and q8's
@@ -429,86 +456,6 @@ def _split(letters: tuple[int, ...], n: int) -> tuple:
     )
 
 
-def _substituted(imgs: list[tuple], letters):
-    """The factors phi(x_|x|)^(sign x) for the letters x, each as the list pair (v, v^-1)."""
-    for x in letters:
-        A, q, A_inv = imgs[abs(x) - 1]
-        v, v_inv = [*A, q, *A_inv], [*A, -q, *A_inv]
-        yield (v, v_inv) if x > 0 else (v_inv, v)
-
-
-def _conjugator_factors(W: list[int], D: list[int], D_inv: list[int]) -> tuple[list[int], list, list[int]]:
-    """phi(W) as a product: (left, middle, right), middle [D^+-1] or [] between substituted letters.
-
-    A braid automorphism phi fixes D = x_1..x_n, so for an interval
-    W = x_a..x_b
-        phi(W) = phi(x_1..x_{a-1})^-1 D phi(x_{b+1}..x_n)^-1,
-    n - |W| + 1 factors instead of |W|, and the inverse of an interval
-    takes the inverse of that.  That side is taken when it is shorter;
-    any other W is substituted as it stands.
-    """
-    n = len(D)
-    if 2 * len(W) > n:
-        if W[0] > 0 and W == D[W[0] - 1 : W[-1]]:
-            return D_inv[n - W[0] + 1 :], [(D, D_inv)], D_inv[: n - W[-1]]
-        if W[0] < 0 and W == D_inv[n + W[0] : n + W[-1] + 1]:
-            return D[-W[0] :], [(D_inv, D)], D[: -W[-1] - 1]
-    return W, [], []
-
-
-def _power_images(base: list[tuple], period: int, k: int, budget: int | None) -> list[tuple] | None:
-    """The images of phi^k, composed one period at a time from base = phi.
-
-    phi^(j+1) = phi^j o phi sends x_i, with base entry (W, p, W^-1), to
-    U x_p' U^-1 for U = phi^j(W) and x_p' the image phi^j(x_p).  An empty
-    W shares the image of x_p; any other U is multiplied out one factor,
-    and one junction, at a time, through D^+-1 when W is a long interval
-    x_a..x_b or its inverse (`_conjugator_factors`).
-    For alpha0, alpha1 and alpha2 that is at most two junctions per image
-    and period, the conjugation included, against about n letter steps.
-    Returns None, having built no image, when a period would take more
-    factors and conjugations than it has letters, each of which costs
-    the letter path one conjugation.  D and D^-1 are built once per
-    action and shared by every product, whose letters are sliced from
-    them and from the images.
-
-    Every image stored at a period boundary and every product of two or
-    more factors is held to the budget; a single factor is a stored
-    image, or D^+-1, which is shorter than the image of phi whose
-    conjugator it starts.  The stored images equal the letter path's at
-    the same points, since the conjugator form is unique; the images
-    inside a period are never built.
-    """
-    n = len(base)
-    D = list(range(1, n + 1))
-    D_inv = _inv(D)
-    plans = [_conjugator_factors(W, D, D_inv) if W else None for W, _, _ in base]
-    if sum(len(left) + len(middle) + len(right) + 1 for left, middle, right in filter(None, plans)) > period:
-        return None
-    imgs = base
-    for _ in range(k - 1):
-        new = []
-        for (_, p, _), plan in zip(base, plans):
-            if plan is None:
-                new.append(imgs[p - 1])
-                continue
-            left, middle, right = plan
-            factors = chain(_substituted(imgs, left), middle, _substituted(imgs, right))
-            U, U_inv = next(factors)
-            if middle and not left:
-                U, U_inv = U[:], U_inv[:]  # D^+-1 itself, which _conjugated would extend
-            # the product loop of `_chunk_step`'s Q_m, inline in both: a shared
-            # generator slowed the chunk step by about 2 %
-            for v, v_inv in factors:
-                c = _junction(U, v_inv)
-                U, U_inv = U[: len(U) - c] + v[c:], v_inv[: len(v) - c] + U_inv[c:]
-                if budget is not None and len(U) > budget:
-                    raise _over_budget(budget)
-            new.append(_conjugated(U, U_inv, imgs[p - 1], budget))
-        imgs = new
-    return imgs
-
-
 @lru_cache(maxsize=2)
 def _artin_images(
     strand_count: int, letters: tuple[int, ...], budget: int | None = None, period: int = 0
@@ -521,25 +468,23 @@ def _artin_images(
     says the letters are u^k for u their first p letters; `_images`
     passes one only for k >= 2, at least 2n letters, n >= 9 and
     p < CHUNK_LETTERS_PER_STRAND * n.  Such a word takes u letter by
-    letter and the other k - 1 periods by composition (`_power_images`),
-    unless a composed period costs more than u's letters.  Otherwise a
-    permutation-braid chunk of one sign with at least
-    CHUNK_LETTERS_PER_STRAND * n letters (`_long_chunks`) goes through
-    its closed form (`_chunk_step`), the word's first chunk as the images
-    its memoized form holds; every other letter goes letter by
-    letter (`_letter_steps`), touching two images.  Below
-    n = 2 * CHUNK_LETTERS_PER_STRAND + 1 no permutation braid is that
-    long, and no chunk is looked for.
+    letter, and each of the other k - 1 periods as one substitution step
+    (`_substitute`) when u's conjugators are intervals, their inverses or
+    single letters (`_runs`) and the step's junctions (`_plan`) and
+    conjugations number at most p.  Otherwise each long chunk
+    (`_long_chunks`) with an action of that kind takes the step, the
+    word's first chunk as the images its memoized form holds, and every
+    other letter goes letter by letter (`_letter_steps`), touching two
+    images.
 
-    Every stored image, every Q_m of a chunk (the first chunk's among
-    them) and every product of two or more factors in a composed period
-    is held to the budget.  The images stored at
-    period boundaries equal the letter path's there, since the
-    conjugator form is unique.  The images the letter path would pass
-    through inside a chunk or a composed period are never built, so
-    their peaks are not held to the budget.  No stored list is ever
-    changed, so the identity images can share one empty list, and
-    composed periods share the images they only permute.
+    Every stored image and every R_m a step builds is held to the budget;
+    the first chunk's images are held to the peak the step would reach on
+    the identity.  The images the letter path would pass through inside a
+    step are never built, so their peaks are not held to the budget.  The
+    images stored between steps equal the letter path's there, since the
+    conjugator form is unique.  No stored list is ever changed, so the
+    identity images can share one empty list, and a step shares the
+    images it only permutes.
 
     Memoized on (strand_count, letters, budget, period), the last two calls:
     the fewest that catch every repeated word within one verification
@@ -552,9 +497,14 @@ def _artin_images(
     done = len(letters)  # letters[done:] are applied
     if period:
         _letter_steps(imgs, reversed(letters[:period]), budget)
-        powered = _power_images(imgs, period, done // period, budget)
-        if powered is not None:
-            return powered
+        runs = _runs(imgs)
+        if runs is not None:
+            plan = _plan(runs, n)
+            if len(plan[2]) + sum(1 + (abs(s - t) > 1) for _, s, t in runs) <= period:
+                action = imgs
+                for _ in range(done // period - 1):
+                    imgs = _substitute(imgs, action, plan, budget)
+                return imgs
         done -= period
     chunks = _long_chunks(letters[:done], n)
     if chunks and chunks[0][1] == len(letters) and (form := chunks[0][3]):
@@ -568,13 +518,13 @@ def _artin_images(
 
 def _compose(imgs: list[tuple], letters: tuple[int, ...], chunks, budget: int | None) -> None:
     """Compose the images with the action of the letters, in place: each of the chunks, given
-    right to left as `_long_chunks` gives them, through its closed form, and every other letter,
-    those of a chunk with no closed form among them, by the letter step."""
+    right to left as `_long_chunks` gives them, by the substitution step, and every other letter,
+    those of a chunk with no form among them, by the letter step."""
     done = len(letters)
-    for start, end, positive, form in chunks:
+    for start, end, _, form in chunks:
         if form is not None:
             _letter_steps(imgs, reversed(letters[end:done]), budget)
-            _chunk_step(imgs, form, positive, budget)
+            imgs[:] = _substitute(imgs, form.images, form.plan, budget)
             done = start
     _letter_steps(imgs, reversed(letters[:done]), budget)
 
@@ -584,7 +534,7 @@ def _images(w, budget: int | None) -> list[tuple]:
 
     The one entry into the engine.  The last factor's images come from
     `_artin_images`, with its memo, its first-chunk rule and, where its
-    gate lets it run, the power path on the factor's declared period;
+    gate lets it run, the factor's declared period;
     each earlier factor then acts on them, right to left, by its own
     `_long_chunks` split.  So a chunk never crosses a factor boundary,
     and on the plan words x sigma_i x^-1, x x, x y x^-1 and
@@ -594,7 +544,7 @@ def _images(w, budget: int | None) -> list[tuple]:
     n = w.strand_count
     *rest, last = w.factors or (w,)
     least, period = CHUNK_LETTERS_PER_STRAND * n, last.period
-    # the power path's gate: n >= 9, as in `_long_chunks`, two periods or more, at least 2n letters
+    # the gate for composing a power: n >= 9, as in `_long_chunks`, two periods or more, at least 2n letters
     if n * (n - 1) // 2 < least or len(last) < max(2 * n, 2 * period) or period >= least:
         period = 0
     imgs = _artin_images(n, last.letters, budget, period)

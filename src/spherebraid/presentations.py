@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .freegroup import BudgetExceededError
+from .words import named_element
 
 
 class PresentationError(ValueError):
@@ -108,9 +109,7 @@ def presentation_library(name: str, n: int = 0) -> FinitePresentation:
                 rels.append((i, j, -i, -j))
         for i in range(1, n - 1):
             rels.append((i, i + 1, i, -(i + 1), -i, -(i + 1)))
-        rels.append(
-            tuple(range(1, n - 1)) + (n - 1, n - 1) + tuple(range(n - 2, 0, -1))
-        )
+        rels.append(named_element("surface_relator", n).letters)
         return FinitePresentation(n - 1, tuple(rels))
     raise PresentationError(f"unknown presentation {name!r}")
 

@@ -561,6 +561,32 @@ class TestSelftestCommand:
         )
 
 
+    def test_engine_disagreement_fails(self, runner, monkeypatch):
+        # an Artin engine that answers the opposite of garside on every pair
+        from spherebraid import garside
+
+        monkeypatch.setattr("spherebraid.freegroup.eq_Bn", lambda w, v, budget=None: not garside.equal_Bn(w, v))
+        result = runner.invoke(main, ["selftest", "--pairs", "5", "--format", "machine"])
+        assert result.exit_code == 1
+        report = json.loads(result.output)["report"]
+        assert len(report["mismatches"]) == 5 * len(report["pairs_per_n"]) and report["ok"] is False
+        result = runner.invoke(main, ["selftest", "--pairs", "5"])
+        assert result.exit_code == 1
+        assert "selftest FAIL" in result.output
+
+    def test_a_relator_that_fails_on_the_sphere_fails(self, monkeypatch):
+        from spherebraid import selftest
+        from spherebraid.freegroup import artin_disk_endo
+
+        surface = named_element("surface_relator", 5)
+        honest = selftest.acts_trivially
+        monkeypatch.setattr(selftest, "acts_trivially", lambda w, budget: w != surface and honest(w, budget))
+        assert not selftest.run_cross_oracle(ns=()).relations_ok
+        # a relator of B_n itself must act as the identity, not only up to Delta^2
+        monkeypatch.setattr(selftest, "acts_trivially", honest)
+        monkeypatch.setattr(selftest, "sphere_endo", lambda w, budget: artin_disk_endo(BraidWord(w.strand_count, (1,))))
+        assert not selftest.run_cross_oracle(ns=()).relations_ok
+
     # a pair of 120-letter words at n = 3 whose disk action outgrows the
     # default image budget
     BUDGET_ARGS = ["selftest", "--from", "3", "--to", "3", "--pairs", "5", "--max-len", "120"]

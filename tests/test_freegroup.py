@@ -17,12 +17,14 @@ from spherebraid.freegroup import (
     FreeWord,
     _artin_images,
     _chunk_form,
-    _chunk_step,
     _compose,
     _images,
     _letter_steps,
     _long_chunks,
+    _plan,
+    _runs,
     _split,
+    _substitute,
     artin_disk_endo,
     eq_Bn,
 )
@@ -193,73 +195,86 @@ def _reference_chunks(n, letters):
 
 
 def _reference_index_sets(n, letters):
-    """The index set of each W_j in the closed form x_j -> W_j x_p(j) W_j^-1 of a permutation braid."""
+    """The index set of each W_j in the action x_j -> W_j x_p(j) W_j^-1 of a permutation braid."""
     p = permutation(BraidWord(n, tuple(letters))).images
     if letters[0] > 0:
         return [{p[i] for i in range(j + 1, n) if p[i] < p[j]} for j in range(n)]
     return [{p[i] for i in range(j) if p[i] > p[j]} for j in range(n)]
 
 
-def _reference_factors(n, W):
-    """The factors of phi(W) in the power path: the letters of W, or for an
-    interval x_a..x_b (or its inverse) longer than n/2 those of the boundary
-    identity phi(x_a..x_b) = phi(x_1..x_{a-1})^-1 D phi(x_{b+1}..x_n)^-1,
-    D = x_1..x_n; "D" and "-D" stand for D^+-1."""
+def _reference_run(W):
+    """(s, t) with W = R_s^-1 R_t for R_m = x_1..x_m: (a - 1, b) for an interval x_a..x_b,
+    (b, a - 1) for its inverse; None for any other W."""
     a, b = min(map(abs, W)), max(map(abs, W))
-    if 2 * len(W) > n and W in (list(range(a, b + 1)), list(range(-b, -a + 1))):
-        factors = list(range(1 - a, 0)) + ["D"] + list(range(-n, -b))
-        return factors if W[0] > 0 else [f"-{f}" if f == "D" else -f for f in reversed(factors)]
-    return W
+    if W == list(range(a, b + 1)):
+        return a - 1, b
+    if W == list(range(-b, -a + 1)):
+        return b, a - 1
+    return None
 
 
-def _reference_factor(imgs, f):
-    D = list(range(1, len(imgs) + 1))
-    if f in ("D", "-D"):
-        return D if f == "D" else _reference_inv(D)
-    return imgs[f - 1] if f > 0 else _reference_inv(imgs[-f - 1])
+def _reference_walk(n, runs):
+    """The m of each R_m the substitution step builds, and the m its walk up starts from.
+
+    The run ends are those of the runs of two or more letters.  The step
+    takes the cheapest of the walk up from the least end to the largest
+    and, for each gap between neighbouring ends, the walk up from R_0 = 1
+    to the gap and down from R_n = D to its other end; a tie goes to the
+    walk up from the least end, then to the lowest gap."""
+    ends = sorted({e for s, t in runs if abs(s - t) > 1 for e in (s, t)})
+    if not ends:
+        return [], 0
+    walks = [(list(range(ends[0] + 1, ends[-1] + 1)), ends[0])]
+    walks += [(list(range(1, hi + 1)) + list(range(top, n)), 0) for hi, top in zip(ends, ends[1:])]
+    return min(walks, key=lambda walk: len(walk[0]))
 
 
 def _reference_checked_lengths(w):
     """Letter by letter: the expanded images of w and every length on the way.
-    Also the lengths the engine holds to the budget, how many chunks take
-    the closed form, and whether the word is composed as a power.
+    Also the lengths the engine holds to the budget, split into the images
+    it stores and the R_m its substitution steps build, how many chunks
+    take the step, and whether the word is composed as a power.
 
     A chunk of at least CHUNK_LETTERS_PER_STRAND * n letters whose index
-    sets are intervals contributes each Q_m = x_lo..x_m under the images
-    before it (lo the least index in any set, m up to the largest) and the
+    sets are intervals takes the step: it contributes each R_m the step
+    walks (`_reference_walk`), reduced from the images before it, and the
     images after it; every other letter contributes the image it finishes.
     At n >= 9, a word of at least 2n letters built as a power u^k, k >= 2
     (its declared period |u|), with |u| < CHUNK_LETTERS_PER_STRAND * n
-    goes through u letter by letter.
-    Then, if the factors and conjugations of one period number at most
-    |u|, each later period contributes, for each image of u with a
-    conjugator W, every product of the first two or more of phi(W)'s
-    factors under the images before the period and that image after it;
-    otherwise the rest of the word goes as any other.
+    goes through u letter by letter.  Then, if u's conjugators are
+    intervals, their inverses or single letters and one step's walked R_m,
+    junctions R_s^-1 R_t and conjugations number at most |u|, each later
+    period contributes the R_m walked under the images before it and the
+    images it conjugates after it; otherwise the rest of the word goes as
+    any other.
     """
     n, letters, period = w.strand_count, w.letters, w.period
     imgs = [[j] for j in range(1, n + 1)]
-    lengths, checked, closed_forms = [], [], 0
+    lengths, stored, walked, closed_forms = [], [], [], 0
     least = CHUNK_LETTERS_PER_STRAND * n
     # a permutation braid has at most n(n-1)/2 letters, so below that the
     # whole word goes letter by letter
     long_ones = n * (n - 1) // 2 >= least
+
+    def walk(runs):
+        ms, start = _reference_walk(n, runs)
+        walked.extend(len(_reference_reduce_concat(imgs[start:m])) for m in ms)
+
     if long_ones and len(letters) >= max(2 * n, 2 * period) and 0 < period < least:
         for k in reversed(letters[:period]):
             _reference_letter_step(imgs, k, None, lengths)
-        checked += lengths[2::3]
-        conjugators = {i: img[: len(img) // 2] for i, img in enumerate(imgs) if len(img) > 1}
-        factors = {i: _reference_factors(n, W) for i, W in conjugators.items()}
-        if sum(len(f) + 1 for f in factors.values()) <= period:
+        stored += lengths[2::3]
+        conjugated = [i for i, img in enumerate(imgs) if len(img) > 1]
+        runs = [_reference_run(imgs[i][: len(imgs[i]) // 2]) for i in conjugated]
+        if None not in runs:
+            cost = len(_reference_walk(n, runs)[0]) + sum(1 + (abs(s - t) > 1) for s, t in runs)
+        if None not in runs and cost <= period:
             for _ in range(len(letters) // period - 1):
-                for f in factors.values():
-                    products = []
-                    _reference_reduce_concat([_reference_factor(imgs, x) for x in f], None, products)
-                    checked += products[1:]
+                walk(runs)
                 for k in reversed(letters[:period]):
                     _reference_letter_step(imgs, k, None, lengths)
-                checked += [len(imgs[i]) for i in factors]
-            return imgs, lengths, checked, closed_forms, True
+                stored += [len(imgs[i]) for i in conjugated]
+            return imgs, lengths, stored, walked, closed_forms, True
         letters = letters[: len(letters) - period]
     for start, end in _reference_chunks(n, letters) if long_ones else [(0, len(letters))]:
         piece = letters[start:end]
@@ -267,15 +282,14 @@ def _reference_checked_lengths(w):
         closed = sets is not None and all(max(S) - min(S) + 1 == len(S) for S in sets)
         if closed:
             closed_forms += 1
-            lo, hi = min(map(min, sets)), max(map(max, sets))
-            checked += [len(_reference_reduce_concat(imgs[lo - 1 : m])) for m in range(lo, hi + 1)]
+            walk([(min(S) - 1, max(S)) if piece[0] > 0 else (max(S), min(S) - 1) for S in sets])
         piece_lengths = []
         for k in reversed(piece):
             _reference_letter_step(imgs, k, None, piece_lengths)
         lengths += piece_lengths
         # the images a chunk only permutes were checked when they were made
-        checked += map(len, imgs) if closed else piece_lengths[2::3]
-    return imgs, lengths, checked, closed_forms, False
+        stored += map(len, imgs) if closed else piece_lengths[2::3]
+    return imgs, lengths, stored, walked, closed_forms, False
 
 
 def _random_words():
@@ -300,9 +314,9 @@ class TestMatchesLetterByLetterReduction:
     """The conjugator-form engine against the expanded, stack-reduced images."""
 
     def check(self, words):
-        closed_forms, powers, below_letter_peak = 0, 0, 0
+        closed_forms, powers, below_letter_peak, walk_decides = 0, 0, 0, 0
         for w in words:
-            expected, lengths, checked, chunks, composed = _reference_checked_lengths(w)
+            expected, lengths, stored, walked, chunks, composed = _reference_checked_lengths(w)
             imgs = _images(w, None)
             assert [W + [p] + W_inv for W, p, W_inv in imgs] == expected
             perm = permutation(w)
@@ -312,13 +326,14 @@ class TestMatchesLetterByLetterReduction:
             # letter by letter, the longest word is always a finished image,
             # never the product a b (or b^-1 a) on the way
             assert max(lengths[2::3]) == max(lengths)
-            # the engine raises exactly when a stored image, a Q_m or a
-            # product of a composed period exceeds the budget; it never builds
-            # the images inside a closed-form chunk or a composed period
-            peak = max(checked)
+            # the engine raises exactly when a stored image or an R_m of a
+            # substitution step exceeds the budget; it never builds the
+            # images inside a chunk or a composed period
+            peak = max(stored + walked)
             closed_forms += chunks
             powers += composed
             below_letter_peak += peak < max(lengths)
+            walk_decides += peak > max(stored)
             for budget in {0, peak - 1, peak, peak + 1}:
                 try:
                     _images(w, budget)
@@ -329,16 +344,16 @@ class TestMatchesLetterByLetterReduction:
                     )
                 else:
                     assert budget >= peak, (w, budget)
-        return closed_forms, powers, below_letter_peak
+        return closed_forms, powers, below_letter_peak, walk_decides
 
     def test_matches_on_random_words(self):
         # n <= 8: no permutation braid has 4n letters and no word is
         # composed as a power, so all go letter by letter
-        assert self.check(_random_words()) == (0, 0, 0)
+        assert self.check(_random_words()) == (0, 0, 0, 0)
 
     @pytest.mark.parametrize("n", [16, 24])
     def test_matches_on_delta_heavy_words(self, n):
-        closed_forms, powers, below_letter_peak = self.check(_delta_heavy_words(n))
+        closed_forms, powers, below_letter_peak, _ = self.check(_delta_heavy_words(n))
         assert closed_forms >= len(_delta_heavy_words(n))
         # alpha0^n, alpha0^-n and alpha2^(n-2); alpha2^-(n-2) costs more composed
         assert powers == 3
@@ -394,11 +409,12 @@ def _permutation_braid(perm, sign):
 
 
 class TestChunkPath:
-    """Permutation-braid chunks in closed form against the letter path."""
+    """Permutation-braid chunks through the substitution step against the letter path."""
 
     def test_matches_letter_path_on_seeded_words(self):
         rng = random.Random(4099)
         closed_forms = {True: 0, False: 0}
+        walks = Counter()
         for _ in range(240):
             n = rng.randint(9, 40)
             letters = []
@@ -416,10 +432,15 @@ class TestChunkPath:
             for start, end, positive, form in _long_chunks(letters, n):
                 assert _reference_is_permutation_braid(n, letters[start:end])
                 if form is not None:
-                    assert form.perm == permutation(BraidWord(n, letters[start:end])).images
+                    assert tuple(p for _, p, _ in form.images) == permutation(BraidWord(n, letters[start:end])).images
                     closed_forms[positive] += 1
-        # both signs went through the closed form many times
+                    _, lo, walk, _, _ = form.plan
+                    down = any(step < 0 for _, step in walk)
+                    walks["up from an end" if lo else "around a gap" if down else "up from R_0"] += 1
+        # both signs went through the substitution step many times, with
+        # each kind of walk
         assert min(closed_forms.values()) > 40, closed_forms
+        assert len(walks) == 3 and min(walks.values()) > 10, walks
 
     def test_chunks_are_the_maximal_permutation_braids(self):
         rng = random.Random(4111)
@@ -450,7 +471,7 @@ class TestChunkPath:
                 sets = [S for S in _reference_index_sets(n, letters) if S]
                 if all(max(S) - min(S) + 1 == len(S) for S in sets):
                     continue
-                # the whole word is one chunk, with no closed form, so it
+                # the whole word is one chunk, with no form, so it
                 # goes letter by letter
                 assert _long_chunks(letters, n) == ((0, len(letters), sign > 0, None),)
                 before = _letter_path(n, letters[: len(letters) // 2])  # any action will do
@@ -461,30 +482,34 @@ class TestChunkPath:
                 seen += 1
         assert seen >= 10
 
-    def test_budget_bounds_each_q_m(self):
-        # hand-built images phi(x_1) = A x_1 A^-1 and phi(x_2) = phi(x_1)^-1 x_2 phi(x_1):
-        # sigma_1's chunk sends x_1 to Q_1 phi(x_2) Q_1^-1 = x_2 and only
-        # permutes the rest, so Q_1 = phi(x_1) is the one word it checks
-        # that is longer than one letter
-        A, A_inv = [3, 4], [-4, -3]
-        imgs = [(A, 1, A_inv), ([*A, -1, *A_inv], 2, [*A, 1, *A_inv]), ([], 3, [])]
-        q_1 = len(A) + 1 + len(A_inv)
-        form = _chunk_form((2, 1, 3), True)
+    def test_budget_bounds_each_r_m(self):
+        # the negative half twist on 4 strands sends x_j to W_j x_(5-j) W_j^-1
+        # with W_j = (x_(6-j)..x_4)^-1: the step takes phi(x_4)^-1 as it
+        # stands, walks up to R_1 and R_2, and reads R_4 = D as it is, so
+        # phi(W_j) = D^-1 R_(5-j); under the action phi of sigma_2 sigma_1
+        # sigma_3, R_2 = phi(x_1 x_2) is longer than every image before the
+        # step and after it
+        n, letters = 4, (2, 1, 3)
+        form = _chunk_form((4, 3, 2, 1), False)
+        assert form.plan[:3] == ([(1, 4, 3), (2, 4, 2), (3, 4, 1)], 0, [(0, 1), (1, 1)])
+        half_twist = _half_twist_on(1, n, -1)
+        r_2 = _reference_reduce_concat(_reference_artin_images(n, letters)[:2])
+        images = _reference_artin_images(n, letters) + _reference_artin_images(n, half_twist + list(letters))
+        assert len(r_2) > max(map(len, images))
+        imgs = _letter_path(n, letters)
         with pytest.raises(BudgetExceededError):
-            _chunk_step(list(imgs), form, True, q_1 - 1)
-        composed = list(imgs)
-        _chunk_step(composed, form, True, q_1)
-        assert composed == [([], 2, []), imgs[0], imgs[2]]
+            _substitute(imgs, form.images, form.plan, len(r_2) - 1)
+        assert _substitute(imgs, form.images, form.plan, len(r_2)) == _letter_path(n, (*half_twist, *letters))
 
     def test_first_chunk_takes_the_memoized_images(self):
         # a word that is one long chunk takes its images from its memoized
-        # closed form; they equal the chunk step on the identity images, and
+        # form; they equal the substitution step on the identity images, and
         # the budget raises at the same limits
         rng = random.Random(4133)
         seen, q_decides = 0, 0
         for n in [*range(9, 21), 30, 40]:
             # the half twist on strands lo..n; half twists on the first and
-            # last k strands, whose longest Q_m (x_1..x_(n-1) on the identity)
+            # last k strands, whose longest R_m (x_1..x_(n-1) on the identity)
             # outgrows every image; then random permutations
             perms = [[*range(1, lo), *range(n, lo - 1, -1)] for lo in (1, 2, 3)]
             k = n // 2 - 2
@@ -501,12 +526,11 @@ class TestChunkPath:
                         continue
                     q_decides += form.peak > max(2 * len(W) + 1 for W, _, _ in form.images)
                     identity = [([], j, []) for j in range(1, n + 1)]
-                    imgs = list(identity)
-                    _chunk_step(imgs, form, sign > 0, None)
+                    imgs = _substitute(identity, form.images, form.plan, None)
                     assert imgs == form.images == _artin_images.__wrapped__(n, letters) == _letter_path(n, letters)
                     for budget in range(form.peak - 3, form.peak + 2):
                         try:
-                            _chunk_step(list(identity), form, sign > 0, budget)
+                            _substitute(identity, form.images, form.plan, budget)
                         except BudgetExceededError:
                             with pytest.raises(BudgetExceededError):
                                 _artin_images.__wrapped__(n, letters, budget)
@@ -553,76 +577,92 @@ class TestPowerPath:
     """Powers u^k of a short u, composed one period at a time, against the letter path."""
 
     @pytest.fixture
-    def composed(self, monkeypatch):
-        """The base images phi = Phi(u) of each power the engine composes."""
+    def actions(self, monkeypatch):
+        """The action psi of each substitution step the engine takes."""
         from spherebraid import freegroup
 
-        bases = []
-        power_images = freegroup._power_images
+        actions = []
+        substitute = freegroup._substitute
 
-        def record(base, period, k, budget):
-            result = power_images(base, period, k, budget)
-            if result is not None:
-                bases.append(base)
-            return result
+        def record(imgs, action, runs, budget):
+            actions.append(action)
+            return substitute(imgs, action, runs, budget)
 
-        monkeypatch.setattr(freegroup, "_power_images", record)
-        return bases
+        monkeypatch.setattr(freegroup, "_substitute", record)
+        return actions
 
-    def test_matches_letter_path_on_seeded_powers(self, composed):
+    def test_matches_letter_path_on_seeded_powers(self, actions):
         rng = random.Random(5003)
-        words = 0
+        words, composed = 0, []
         for n in range(9, 41):
             for u in _power_bases(n, rng):
                 w = u ** rng.randint(2, n)
+                actions.clear()
                 assert _images(w, None) == _letter_path(n, w.letters), (n, u.letters)
+                # a step on u's own images composes a period: a chunk has 4n
+                # letters or more, more than |u|, and no braid of u's
+                # exponent sum
+                base = _letter_path(n, u.letters)
+                if base in actions:
+                    assert actions == [base] * (len(w) // len(u) - 1)
+                    composed.append(base)
                 words += 1
         assert len(composed) > words // 2, (len(composed), words)
-        # every way of multiplying out a conjugator ran: D, D^-1 (each also
-        # with factors on both sides of it) and plain substitution
+        # every way of taking a conjugator ran: a letter as it stands, an
+        # interval and an interval's inverse, walked up from R_0 = 1 and down
+        # from R_n = D (the walk up from the least end costs more than |u|
+        # on these bases; chunks take it)
         kinds = Counter()
         for base in composed:
-            for W, _, _ in base:
-                if W:
-                    f = _reference_factors(len(base), W)
-                    middle = next((x for x in f if x in ("D", "-D")), None)
-                    kinds[middle] += 1
-                    if middle and f[0] != middle != f[-1]:
-                        kinds[middle, "inside"] += 1
-        assert all(kinds[kind] > 5 for kind in (None, "D", "-D", ("D", "inside"), ("-D", "inside"))), kinds
+            runs, lo, walk, _, _ = _plan(_runs(base), len(base))
+            kinds["letter"] += any(abs(s - t) == 1 for _, s, t in runs)
+            kinds["interval"] += any(t > s + 1 for _, s, t in runs)
+            kinds["inverse"] += any(s > t + 1 for _, s, t in runs)
+            kinds["up from R_0"] += lo == 0 and any(step > 0 for _, step in walk)
+            kinds["down from D"] += any(step < 0 for _, step in walk)
+        assert len(kinds) == 5 and min(kinds.values()) > 5, kinds
 
     def test_budget_contract_on_seeded_powers(self):
         rng = random.Random(5009)
         words = [u ** rng.randint(4, 8) for n in range(9, 17) for u in _power_bases(n, rng)]
-        closed_forms, powers, _ = TestMatchesLetterByLetterReduction().check(words)
+        # an R_m decides the budget on a power of sigma_9 (sigma_1..sigma_6)
+        words.append(BraidWord(10, (9, 1, 2, 3, 4, 5, 6)) ** 5)
+        closed_forms, powers, _, walk_decides = TestMatchesLetterByLetterReduction().check(words)
         assert closed_forms == 0
-        assert powers > len(words) // 2, (powers, len(words))
+        # g alpha g^-1, alpha1^-1 and alpha2^-1 are not composed
+        assert powers > len(words) // 3, (powers, len(words))
+        assert walk_decides == 1
 
-    def test_budget_bounds_each_composed_product(self):
-        # u^4 at n = 9, u = sigma_6 (sigma_1..sigma_4) sigma_6^-1: one product
-        # phi^j(W) is a letter longer than every image the engine stores,
+    def test_budget_bounds_each_walked_product(self):
+        # u^5 at n = 10, u = sigma_9 (sigma_1..sigma_6): an R_m of a composed
+        # period is two letters longer than every image the engine stores,
         # inside the first period or at a period boundary
-        n, u = 9, (6, 1, 2, 3, 4, -6)
+        n, u = 10, (9, 1, 2, 3, 4, 5, 6)
         lengths = []
         _reference_artin_images(n, u, None, lengths)
-        boundaries = [2 * len(W) + 1 for j in range(2, 5) for W, _, _ in _letter_path(n, u * j)]
+        boundaries = [2 * len(W) + 1 for j in range(2, 6) for W, _, _ in _letter_path(n, u * j)]
         stored = max(lengths[2::3] + boundaries)
-        w = BraidWord(n, u) ** 4
+        w = BraidWord(n, u) ** 5
         with pytest.raises(BudgetExceededError):
-            _images(w, stored)
-        assert _images(w, stored + 1) == _letter_path(n, w.letters)
+            _images(w, stored + 1)
+        assert _images(w, stored + 2) == _letter_path(n, w.letters)
 
     @pytest.fixture
     def never_composed(self, monkeypatch):
-        """The power path raises, and the memo holds no action computed without it."""
+        """The engine raises when it is given a period, and the memo holds no action computed without one."""
+        from spherebraid import freegroup
 
-        def power_images(*args):
-            raise AssertionError("composed")
+        artin_images = freegroup._artin_images
 
-        monkeypatch.setattr("spherebraid.freegroup._power_images", power_images)
-        _artin_images.cache_clear()
+        def no_period(n, letters, budget, period):
+            if period:
+                raise AssertionError("composed")
+            return artin_images(n, letters, budget, period)
+
+        monkeypatch.setattr(freegroup, "_artin_images", no_period)
+        artin_images.cache_clear()
         yield
-        _artin_images.cache_clear()
+        artin_images.cache_clear()
 
     def test_small_n_short_and_undeclared_powers_are_never_composed(self, never_composed):
         for n in range(2, 9):
@@ -650,6 +690,18 @@ class TestPowerPath:
                 assert _images(w, None) == _letter_path(n, w.letters)
         with pytest.raises(AssertionError, match="composed"):
             _images(named_element("full_twist", 9), None)
+
+    def test_other_conjugators_are_not_composed(self, actions):
+        # alpha1^-1 and alpha2^-1 take x_n, and x_(n-1), to a conjugate by
+        # x_n^-1..x_2^-1 x_1^-1 x_2..x_(n-1), and g alpha0 g^-1 by a
+        # conjugator that is no interval: their powers go by letters
+        n = 12
+        g = BraidWord(n, (5, -7))
+        for u in (named_element("alpha1", n).inverse(), named_element("alpha2", n).inverse(), g * named_element("alpha0", n) * g.inverse()):
+            assert _runs(_letter_path(n, u.letters)) is None
+            w = u ** 6
+            assert _images(w, None) == _letter_path(n, w.letters)
+            assert actions == []
 
 
 def _plan_products(n):

@@ -104,8 +104,12 @@ class TestToddCoxeter:
         fp_groups = pytest.importorskip("sympy.combinatorics.fp_groups")
         from sympy.combinatorics.free_groups import free_group
 
-        for name, n in (("q8", 0), ("dicyclic", 5), ("sphere_braid", 3)):
-            p = presentation_library(name, n)
+        # <a, b | b a^-1 b^-1 a^2 b^-1, b^4> has order 4, and its enumeration
+        # takes the coincidence branch that fills a column from the other
+        # side and the path compression of the coset union-find
+        coinciding = FinitePresentation(2, ((2, -1, -2, 1, 1, -2), (2, 2, 2, 2)))
+        presentations = [presentation_library(name, n) for name, n in (("q8", 0), ("dicyclic", 5), ("sphere_braid", 3))]
+        for p in [*presentations, coinciding]:
             free, *gens = free_group(" ".join(f"g{i}" for i in range(p.generator_count)))
             relators = []
             for rel in p.relators:
@@ -114,6 +118,7 @@ class TestToddCoxeter:
                     word *= gens[abs(k) - 1] ** (1 if k > 0 else -1)
                 relators.append(word)
             assert todd_coxeter(p, 10000).order == fp_groups.FpGroup(free, relators).order()
+        assert todd_coxeter(coinciding, 10000).order == 4
 
     def test_table_satisfies_relators(self):
         for name, n in (("q8", 0), ("dicyclic", 4), ("sphere_braid", 3)):

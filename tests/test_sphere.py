@@ -484,6 +484,27 @@ class TestTorsionOrder:
         assert not cert.flags["a5_backed"]
         assert any(s.method == "exact-Bn" for s in cert.steps)
 
+    def test_failed_mod_center_step_is_inconclusive(self):
+        # sigma_1 at n = 4 has invariant orders 2 and 6, so the claim 6 passes
+        # them, but sigma_1^3 is not in {1, Delta^2}: the certificate stops
+        # at the failed mod-center step
+        cert = torsion_order(BraidWord(4, (1,)), 6)
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        assert [(s.id, s.ok) for s in cert.steps] == [("tinv", True), ("tmodc", False)]
+
+    def test_candidate_not_dividing_the_half_power_is_inconclusive(self):
+        # sigma_1^6 = Delta^2 in B_3(S^2), so the upper bound holds, but the
+        # invariants leave the proper candidate 4, which does not divide 6
+        cert = torsion_order(BraidWord(3, (1,)), 12)
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        assert [(s.id, s.ok) for s in cert.steps] == [
+            ("tinv", True),
+            ("tmodc", True),
+            ("troot", True),
+            ("tupper", True),
+        ]
+        assert cert.steps[0].data["lower_multiple"] == 4
+
     def test_alpha2_odd_n_is_a5_backed(self):
         cert = torsion_order(named_element("alpha2", 5), 6)
         assert cert.verdict is Verdict.VERIFIED
