@@ -692,9 +692,9 @@ class TestPowerPath:
             _images(named_element("full_twist", 9), None)
 
     def test_other_conjugators_are_not_composed(self, actions):
-        # alpha1^-1 and alpha2^-1 take x_n, and x_(n-1), to a conjugate by
-        # x_n^-1..x_2^-1 x_1^-1 x_2..x_(n-1), and g alpha0 g^-1 by a
-        # conjugator that is no interval: their powers go by letters
+        # alpha1^-1 and alpha2^-1 each have a conjugator
+        # x_k^-1..x_1^-1 x_2..x_(k-1) (k = n, n - 1), and g alpha0 g^-1 one
+        # that is no interval either: their powers go by letters
         n = 12
         g = BraidWord(n, (5, -7))
         for u in (named_element("alpha1", n).inverse(), named_element("alpha2", n).inverse(), g * named_element("alpha0", n) * g.inverse()):
