@@ -231,14 +231,14 @@ class TestVerifyCommand:
     # is byte-identical across engine changes; a change that alters it on
     # purpose updates these digests and says why.
     PINNED_MACHINE_DIGESTS = {
-        ("q8", 3, 12): "7e5c2caf3376e4374c3b678731340f5fed7ab329588dbbe8b4857a636e147069",
-        ("dicyclic", 3, 12): "9ac17d5b9f09fc204508a1e908657efee358b7941d09c1be1a2aeda8150a2a80",
+        ("q8", 3, 12): "98c215cbe740f64eaeda7edad5293d3ecf82a51e0bf57845815edb74557b9bde",
+        ("dicyclic", 3, 12): "b959aa776efa81c876daf1db4488768f405cc5802f1a7381e0e25bf090d3705f",
         ("torsion", 3, 12): "cb831ccd6f9ad78f2b9272b756991489e45abac56b1b64eec6399c67f6b1ed24",
         ("background", 3, 12): "5f37b6c4241cb60c88f77cd375965c6023805011764d3fc42507c3741e9e07b5",
         ("odd-obstruction", 3, 13): "f248195ed7a5f1a0877f8f017c33ba7b5bbd26b6cd423dc75975ba2bfe8ad85d",
         # the certify and background n-grids of the benchmark
-        ("q8", 13, 24): "cf806a3b230fd909f847f142e7eaeb539e8eb688fbdd3dad2223f4728709a2e9",
-        ("dicyclic", 13, 24): "77a31da7c3ddaf1df5ec8390ab2c263fdbd25496241fa4d1678c28c53d4387de",
+        ("q8", 13, 24): "398b2b65c07da1ffb764ce4825b3791abdf2a20c90fa3daad1d6bbbb5f0766ab",
+        ("dicyclic", 13, 24): "c9a6c2289a6668e68d2b0627f712eb366d9e035c81dc485935dfb08ac203b1ff",
         ("torsion", 13, 24): "f502f1084c270eb98804d7bc302c77113f6006b0164a58dd2da1dfc2bb6fabb7",
         ("background", 13, 22): "13400b6753c8ec2065507749cd8c4617ae11979dbf36e8415461ffb0631c34a0",
         # torsion past the benchmark grid, where its root words are longest
@@ -249,8 +249,8 @@ class TestVerifyCommand:
         ("background", 23, 32): "305d9f04f65c551574bcdecb046c8710249c93270d4ce0ca33f49502cfc453a3",
         ("background", 33, 48): "ef0c409b8622520fb54c607216aa9590d24d6329b16a713b245460e6c4d67368",
         # the alpha-power words, alpha0^n among them, at the frontier
-        ("q8", 128, 128): "6c1b488940d234d67307e6e55e7092ae14dfad331242d0a7bb944d6468d4d588",
-        ("dicyclic", 128, 128): "5a03a87209858e98910f065c3b0d8602ba3346f477a8aeb425e96e5f63b59014",
+        ("q8", 128, 128): "9859b004749f60dc15e925cb098ba1fabe0af31553598aea8ce1ba2064c373cf",
+        ("dicyclic", 128, 128): "539420ff7c81217ead94b99accd500fb0a97ed27d137e9c04e1c3440afee1f4b",
         ("torsion", 128, 128): "9d1233c9792f3c2a61737dcebf1c5c9d32154f2f8f1176daddacddf0b46e2371",
     }
 
@@ -267,7 +267,7 @@ class TestVerifyCommand:
     # method "budget"; it had "arithmetic" when these were first pinned.
     PINNED_BUDGET_DIGESTS = {
         ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "25"):
-            "6b3dab72ec7564a9727981fad2fa88b71ef044795247a77fbe04c79406ce344c",
+            "e8865eb1d1229c989d1ac24bba9ca7de5991be386c4d2455d27afa2f07f6762c",
         # a coset cap hit in background at n = 3 and 2, the only runs that
         # enumerate cosets
         ("background", "--n", "3", "--max-cosets", "5"):
@@ -310,11 +310,11 @@ class TestVerifyCommand:
     PINNED_LARGEST_ABORTS = {
         ("q8", 40, 80): (
             "c3b119ce110b16e99eca5df77e4d7a2f111bcf692ab335ef7a5a55b1cc732fd2",
-            "c3bafb89b89c01cdd31a3c950b7f39c5d0d3b737ec9216ed2734158b375896cb",
+            "cdd8806cb4f7f9a9ff8e5296cfc52203a2d39a023ad6ff97b7413cc9817e851e",
         ),
         ("dicyclic", 40, 80): (
             "c13f73290b669992975d9ef786959bb0419a85866e16c3fb74c686ec70c0a1c8",
-            "df07519f973a8dc1d6b90564d83e36884c37ed29a820bdb48d8abe9fab8bb06d",
+            "66a92519e3606166c7193aeb3d37e7cd430ee86f2c05ecd127d7970414354d82",
         ),
     }
 
@@ -354,9 +354,9 @@ class TestVerifyCommand:
     # certificate's cited axioms; the last two runs hit a budget and exit 3.
     PINNED_TEXT_DIGESTS = {
         ("q8", "--from", "3", "--to", "12"):
-            (0, "e4b66fbc51ff8f0f73aa3ae198b5fc282e06b17a72697419b690c36b77558808"),
+            (0, "2b4d07aef67b428830e43095597ea4c5ad15b5f4002c3e93c33b7803db2feac7"),
         ("dicyclic", "--from", "3", "--to", "12"):
-            (0, "cab5f389507a02c860af56db81a55abb30e1c6ca2343032b2ac146f547b3561a"),
+            (0, "1f7f9cb8801c523d09e4b91ace86f5d4cc31dc1887a9492c6cded7f123ce75c3"),
         ("torsion", "--from", "3", "--to", "12"):
             (0, "d650bae54b839cc90875e7b261e90d2ccbba9ad138ee59e357eed1219a50ea3a"),
         ("background", "--from", "2", "--to", "12"):
