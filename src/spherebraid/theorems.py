@@ -4,15 +4,18 @@ Each plan is a hard-coded DAG of proof steps, not a theorem search:
 the goal is an auditable reproduction in which every step names the
 computation or the axiom that carries it.  Where an identity already
 holds in the disk braid group (x^2 = Delta^2, conjugation by the half
-twist mirrors indices, the n-th power of the cycle word is the full
-twist), the plan runs BOTH exact engines and requires agreement;
-sphere-level reasoning appears only where the identity genuinely lives
-in the quotient (y^2 = Delta^2, the relator elimination), so the trusted
-base of every step is as small as possible.  The orders of the quaternion
-and dicyclic subgroups follow from the certified relations by counting
-(s6, d6): the relations move every x to the right, which bounds the
-group from above, and a cyclic subgroup with one element outside it bounds
-it from below.  Coset enumeration runs only in background at n = 2 and 3.
+twist mirrors indices), the plan runs BOTH exact engines and requires
+agreement; sphere-level reasoning appears only where the identity
+genuinely lives in the quotient (y^2 = Delta^2, the relator elimination),
+so the trusted base of every step is as small as possible.  Dicyclic runs
+no engine on a^n = Delta^2, which holds letter for letter: the full-twist
+word is the n-th power of the cycle word by construction
+(`named_element`), so d4 and d6 cite x^2 = Delta^2 (d2) for it.
+The orders of the quaternion and dicyclic subgroups follow from the
+certified relations by counting (s6, d6): the relations move every x to
+the right, which bounds the group from above, and a cyclic subgroup with
+one element outside it bounds it from below.  Coset enumeration runs only
+in background at n = 2 and 3.
 
 Every plan runs through `_run_plan`, which checks n, makes the certificate
 and returns it INCONCLUSIVE instead of raising when a configured budget
@@ -136,9 +139,8 @@ def verify_q8(
         s1 = _half_twist_square_step("s1", x, max_image_letters)
         s2 = _exact_step(
             "s2",
-            f"conjugating the bipolar twist by the half twist inverts it in B_{n}: "
-            f"x y x^-1 equals the mirror of y, and the mirror of y equals y^-1",
-            [(BraidWord.product(x, y, x.inverse()), mirror(y)), (mirror(y), y.inverse())],
+            f"conjugating the bipolar twist by the half twist inverts it in B_{n}: x y x^-1 equals y^-1",
+            [(BraidWord.product(x, y, x.inverse()), y.inverse())],
             max_image_letters,
         )
         s3 = square_rule(y, max_image_letters)
@@ -301,14 +303,6 @@ def verify_dicyclic(
     def body() -> tuple:
         a = named_element("alpha0", n)
         x = named_element("half_twist", n)
-        delta2 = named_element("full_twist", n)
-        d1 = _exact_step(
-            "d1",
-            f"the n-th power of the cycle word sigma_1..sigma_{n - 1} is the full-twist "
-            f"word in B_{n}",
-            [(a**n, delta2)],
-            max_image_letters,
-        )
         d2 = _half_twist_square_step("d2", x, max_image_letters)
         d3a = _exact_step(
             "d3a",
@@ -339,11 +333,11 @@ def verify_dicyclic(
         d4 = ProofStep(
             id="d4",
             statement=f"the strand permutation of the cycle word is an n-cycle, so n divides "
-            f"its order; a^n = Delta^2 (d1) with Delta^2 of order exactly 2 forces the order "
-            f"to be exactly 2n = {2 * n}",
+            f"its order; a^n is letter for letter the full-twist word, so a^n = Delta^2 (d2), "
+            f"and Delta^2 of order exactly 2 forces the order to be exactly 2n = {2 * n}",
             method="invariant",
             ok=len(orbit) == n,
-            depends_on=("d1",),
+            depends_on=("d2",),
             axioms=("A3",),
             data={"n": n, "permutation": list(perm_a.images), "order": 2 * n},
         )
@@ -365,17 +359,17 @@ def verify_dicyclic(
         )
         d6 = ProofStep(
             id="d6",
-            statement=f"a and x satisfy a^{2 * n} = 1, x^2 = a^{n} and x a x^-1 = a^-1 (d1, "
-            f"d2, d3b, d4), which move every x to the right, so each element of the subgroup "
-            f"they generate is a^i x^e with 0 <= i < {2 * n} and e in {{0, 1}}: at most "
-            f"{4 * n} elements; it holds the {2 * n} elements of <a> (d4) and x outside <a> "
-            f"(d5), so at least {4 * n}; the dicyclic presentation maps onto it, so the "
-            f"subgroup is the whole dicyclic group of order 4n = {4 * n}",
+            statement=f"a and x satisfy a^{2 * n} = 1 (d4), x^2 = a^{n} (d2, whose full-twist word "
+            f"is a^{n} letter for letter) and x a x^-1 = a^-1 (d3b), which move every x to the "
+            f"right, so each element of the subgroup they generate is a^i x^e with 0 <= i < "
+            f"{2 * n} and e in {{0, 1}}: at most {4 * n} elements; it holds the {2 * n} elements "
+            f"of <a> (d4) and x outside <a> (d5), so at least {4 * n}; the dicyclic presentation "
+            f"maps onto it, so the subgroup is the whole dicyclic group of order 4n = {4 * n}",
             method="arithmetic",
-            depends_on=("d1", "d2", "d3b", "d4", "d5"),
+            depends_on=("d2", "d3b", "d4", "d5"),
             data={"n": n, "presentation": {"name": "dicyclic", "n": n}, "order": 4 * n},
         )
-        steps = [d1, d2, d3a, d3b, d4, d5, d6]
+        steps = [d2, d3a, d3b, d4, d5, d6]
         gen_quat = _is_power_of_two(n)
         if gen_quat:
             steps.append(

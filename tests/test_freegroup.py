@@ -706,7 +706,7 @@ class TestPowerPath:
 
 def _plan_products(n):
     """The products the plans build: x sigma_i x^-1 (b4) for i in {1, n/2, n - 1}, x x (s1, d2),
-    x y x^-1 (s2, even n) and x alpha0 x^-1 (d3a), for x the half twist."""
+    x y x^-1 (s2 against y^-1, even n) and x alpha0 x^-1 (d3a), for x the half twist."""
     x = named_element("half_twist", n)
     products = [(x, BraidWord(n, (i,)), x.inverse()) for i in (1, n // 2, n - 1)]
     products += [(x, x), (x, named_element("alpha0", n), x.inverse())]

@@ -550,14 +550,32 @@ class TestArtinMemo:
         assert sorted(walked) == sorted([(x.letters, 22), (x.inverse().letters, 22)])
 
 
+def test_no_plan_runs_the_engines_on_letter_identical_words():
+    # an exact-Bn pair whose two words have the same letters holds by
+    # construction, so no plan step should spend both engines on one.  The
+    # one left is torsion's alpha0^n against the full twist, which is
+    # alpha0^n letter for letter: the generic root step compares every root
+    # word's power with the full twist, and only a step kind for
+    # letter-identical words would retire it
+    identical = []
+    for claim, plan in PLANS.items():
+        for n in range(3, 25):
+            if plan.odd and n % 2 == 0:
+                continue
+            for step in plan.run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS).steps:
+                if step.method == "exact-Bn":
+                    identical += [(claim, n, step.id) for lhs, rhs in step.data["pairs"] if lhs == rhs]
+    assert identical == [("torsion", n, "alpha0.root") for n in range(3, 25)]
+
+
 def test_plan_powers_reach_the_power_path():
     # each power a plan builds with ** declares its period, so the engine
     # composes it a period at a time: the torsion roots alpha0^n,
-    # alpha1^(n-1) and alpha2^(n-2), dicyclic's d1 alpha0^n, and q8's full
-    # twist and y y, which the square rule builds as y^2 while |y| < 4n;
-    # `_artin_images` sets `action` only when it composes.  At n = 10 one
-    # step on y costs 22 junctions and conjugations, more than |y| = 20, so
-    # y^2 goes by letters
+    # alpha1^(n-1) and alpha2^(n-2), the full twist alpha0^n of dicyclic's
+    # d2 and q8's s1, and q8's y y, which the square rule builds as y^2
+    # while |y| < 4n; `_artin_images` sets `action` only when it composes.
+    # At n = 10 one step on y costs 22 junctions and conjugations, more than
+    # |y| = 20, so y^2 goes by letters
     def powers(claim, n):
         run = lambda: PLANS[claim].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
         calls = _calls_into(_artin_images.__wrapped__, ("period", "letters", "action"), run)

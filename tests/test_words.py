@@ -288,7 +288,9 @@ class TestPeriod:
         assert (u**-5).letters == u.inverse().letters * 5
         assert ((u**2) ** -3).letters == u.inverse().letters * 6
         assert named_element("full_twist", 7).period == 6
-        assert named_element("full_twist", 7).letters == named_element("alpha0", 7).letters * 7
+        # dicyclic's a^n = Delta^2 rests on this construction
+        for n in range(3, 65):
+            assert named_element("full_twist", n).letters == named_element("alpha0", n).letters * n, n
 
     def test_other_constructors_declare_none(self):
         u = named_element("alpha1", 7)
