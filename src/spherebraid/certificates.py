@@ -27,6 +27,7 @@ class Verdict(str, Enum):
 
 METHODS = (
     "exact-Bn",
+    "identical-words",
     "relator",
     "mod-center",
     "square-rule",

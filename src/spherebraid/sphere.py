@@ -35,6 +35,7 @@ from .freegroup import EndoOnBasis, FreeWord, _extend, _images, _inv, _letter_st
 from .words import (
     BraidWord,
     check_comparable,
+    exponent_sum,
     named_element,
     permutation,
     xi,
@@ -234,8 +235,9 @@ def eq_mod_center(w: BraidWord, v: BraidWord, max_image_letters: int | None = DE
 
     That is, iff w v^-1 acts trivially.  The outer action is a
     homomorphism, so when v itself acts trivially, w v^-1 acts as w does,
-    and the test reads the actions of w and v (memoized when a plan has
-    just compared them) instead of computing the longer w v^-1.
+    and the test acts on w and v instead of on the longer w v^-1.  An
+    action a plan has just computed comes from the engine's memo: in a
+    torsion plan, Delta^2's from alpha1's exact step.
     """
     check_comparable(w, v)
     if acts_trivially(v, max_image_letters):
@@ -280,19 +282,50 @@ def square_rule(v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
 
 
 def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -> list[ProofStep]:
-    """Certify w^k = Delta^2 in B_n(S^2)."""
+    """Certify w^k = Delta^2 in B_n(S^2), by the first of three routes that applies.
+
+    1. w^k has the letters of the full-twist word, which `named_element`
+       builds as alpha0^n: one `identical-words` step, which runs no engine
+       and cites no axiom, and whose data names both words' bases and
+       exponents instead of writing their letters.
+    2. w^k = Delta^2 in B_n: one exact-Bn step, both engines.  It is tried
+       only when w^k and Delta^2 have the same exponent sum, k times that
+       of w against n(n-1).  The exponent sum is a homomorphism B_n -> Z,
+       so unequal sums make the step fail for certain, and it is skipped.
+    3. On the sphere: a mod-center step (A1), then the square rule when
+       w^k is a square as a word, and otherwise an A5 step flagged
+       axiom-backed consistency.
+    """
     n = w.strand_count
     power = w**k
     delta2 = named_element("full_twist", n)
-    exact = _exact_step(
-        f"{prefix}root",
-        f"[{w.to_text()}]^{k} equals the full-twist word already in B_{n} "
-        f"(normal forms and free-group actions both agree)",
-        [(power, delta2)],
-        max_image_letters,
-    )
-    if exact.ok:
-        return [exact]
+    if power.letters == delta2.letters:
+        base = BraidWord(n, delta2.letters[: delta2.period])
+        exponent = len(delta2) // len(base)
+        return [
+            ProofStep(
+                id=f"{prefix}root",
+                statement=f"[{w.to_text()}]^{k} is the full-twist word [{base.to_text()}]^"
+                f"{exponent} letter for letter, so it equals Delta^2 in B_{n}",
+                method="identical-words",
+                data={
+                    "n": n,
+                    "word": w.to_text(),
+                    "power": k,
+                    "full_twist": {"word": base.to_text(), "power": exponent},
+                },
+            )
+        ]
+    if k * exponent_sum(w) == n * (n - 1):
+        exact = _exact_step(
+            f"{prefix}root",
+            f"[{w.to_text()}]^{k} equals the full-twist word already in B_{n} "
+            f"(normal forms and free-group actions both agree)",
+            [(power, delta2)],
+            max_image_letters,
+        )
+        if exact.ok:
+            return [exact]
     # Not a disk identity: certify on the sphere.  Consistency first.
     consistent = eq_mod_center(power, delta2, max_image_letters)
     steps = [

@@ -181,12 +181,18 @@ class Permutation:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
     def order(self) -> int:
-        k, p = 1, self
-        ident = Permutation.identity(len(self.images))
-        while p != ident:
-            p = p * self
-            k += 1
-        return k
+        """The lcm of the cycle lengths."""
+        seen = [False] * len(self.images)
+        lengths = []
+        for start in range(len(self.images)):
+            length, v = 0, start
+            while not seen[v]:
+                seen[v] = True
+                v = self.images[v] - 1
+                length += 1
+            if length:
+                lengths.append(length)
+        return math.lcm(*lengths)
 
 
 @dataclass(frozen=True)

@@ -467,9 +467,12 @@ class TestSquareRule:
 
 class TestTorsionOrder:
     def test_alpha0_order_six_in_b3(self):
+        # alpha0^3 is the full-twist word letter for letter: no engine runs
         cert = torsion_order(named_element("alpha0", 3), 6)
         assert cert.verdict is Verdict.VERIFIED
-        assert any(s.method == "exact-Bn" for s in cert.steps)
+        (root,) = [s for s in cert.steps if s.id == "troot"]
+        assert (root.method, root.axioms) == ("identical-words", ())
+        assert not any(s.method == "exact-Bn" for s in cert.steps)
         assert not cert.flags["a5_backed"]
 
     def test_half_twist_order_four(self):

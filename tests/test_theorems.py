@@ -5,7 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from spherebraid import cli, garside, theorems
+from spherebraid import cli, garside, sphere, theorems
 from spherebraid.certificates import ProofStep, Verdict, to_json
 from spherebraid.freegroup import _artin_images, _chunk_form, _split
 from spherebraid.garside import _factor_form
@@ -21,7 +21,7 @@ from spherebraid.theorems import (
     verify_q8,
     verify_torsion_table,
 )
-from spherebraid.words import Permutation, Residue, named_element, permutation
+from spherebraid.words import Permutation, Residue, exponent_sum, named_element, permutation
 
 
 class TestVerifyQ8:
@@ -373,6 +373,29 @@ class TestReplay:
         accepted = [label for label, changed in changes if replay_certificate(changed)]
         assert accepted == []
 
+    def test_identical_words_step_is_replayed(self):
+        # the root step of alpha0 names its words; naming the full twist as
+        # another power of the same letters is an edit that replay rejects
+        cert = verify_torsion_table(6)
+        assert replay_certificate(cert)
+        ((i, root),) = [(i, s) for i, s in enumerate(cert.steps) if s.method == "identical-words"]
+        assert (root.id, root.axioms, root.depends_on) == ("alpha0.root", (), ())
+        assert root.data == {
+            "n": 6,
+            "word": "1 2 3 4 5",
+            "power": 6,
+            "full_twist": {"word": "1 2 3 4 5", "power": 6},
+        }
+        power = named_element("alpha0", 6) ** 6
+        edits = [
+            {"full_twist": {"word": power.to_text(), "power": 1}},
+            {"word": power.to_text(), "power": 1},
+            {"power": 12},
+        ]
+        for edit in edits:
+            forged = _forged(root, data={**root.data, **edit})
+            assert not replay_certificate(_forged(cert, steps=cert.steps[:i] + (forged,) + cert.steps[i + 1 :]))
+
     def test_claim_without_a_plan_raises(self):
         cert = torsion_order(named_element("alpha0", 4), 8)
         with pytest.raises(ValueError, match="no verification plan"):
@@ -443,8 +466,10 @@ class TestEngineDisagreement:
         assert any(entry.name == "_exact_step" for entry in excinfo.traceback)
 
     def test_root_identity_raises(self, lying_garside):
+        # alpha0^4 is the full-twist word, which runs no engine; alpha1^3
+        # takes the exact route
         with pytest.raises(EngineDisagreementError) as excinfo:
-            torsion_order(named_element("alpha0", 4), 8)
+            torsion_order(named_element("alpha1", 4), 6)
         assert any(entry.name == "_root_identity_steps" for entry in excinfo.traceback)
 
     def test_disagreement_empties_the_artin_memo(self, lying_garside, artin_body_calls):
@@ -498,9 +523,12 @@ class TestArtinMemo:
             assert [key for key, _ in artin_body_calls] == first, (claim, n)
 
     def test_mod_center_computes_no_new_action(self, artin_body_calls):
-        # the exact step computes the actions of w^k and Delta^2 for the
-        # root it cannot close; the mod-center step and the square rule
-        # read them from the memo, so no action is longer than Delta^2
+        # alpha0's root step runs no engine, alpha1's exact step computes the
+        # actions of alpha1^(n-1) and Delta^2, and alpha2's root, whose
+        # exponent sum is not Delta^2's, goes straight to the sphere: its
+        # mod-center step reads Delta^2's action from the memo and acts on
+        # alpha2^(n-2), and the square rule reads that again, so no action
+        # is longer than Delta^2
         for n in [*range(3, 13), 24]:
             artin_body_calls.clear()
             PLANS["torsion"].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
@@ -552,11 +580,9 @@ class TestArtinMemo:
 
 def test_no_plan_runs_the_engines_on_letter_identical_words():
     # an exact-Bn pair whose two words have the same letters holds by
-    # construction, so no plan step should spend both engines on one.  The
-    # one left is torsion's alpha0^n against the full twist, which is
-    # alpha0^n letter for letter: the generic root step compares every root
-    # word's power with the full twist, and only a step kind for
-    # letter-identical words would retire it
+    # construction, so no plan step should spend both engines on one;
+    # torsion's alpha0^n, which is the full-twist word letter for letter,
+    # is an identical-words step
     identical = []
     for claim, plan in PLANS.items():
         for n in range(3, 25):
@@ -565,14 +591,36 @@ def test_no_plan_runs_the_engines_on_letter_identical_words():
             for step in plan.run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS).steps:
                 if step.method == "exact-Bn":
                     identical += [(claim, n, step.id) for lhs, rhs in step.data["pairs"] if lhs == rhs]
-    assert identical == [("torsion", n, "alpha0.root") for n in range(3, 25)]
+    assert identical == []
+
+
+def test_no_plan_runs_the_engines_on_unequal_exponent_sums(monkeypatch):
+    # the exponent sum is a homomorphism B_n -> Z, so two words whose sums
+    # differ are unequal in B_n, and no plan should spend both engines to
+    # find that out; alpha2^(n-2), of sum (n-1)(n-2), against the full
+    # twist, of sum n(n-1), was one such pair
+    unequal = []
+    honest = sphere._both_engines_equal
+
+    def checked(lhs, rhs, budget):
+        if exponent_sum(lhs) != exponent_sum(rhs):
+            unequal.append((lhs.strand_count, lhs.to_text(), rhs.to_text()))
+        return honest(lhs, rhs, budget)
+
+    monkeypatch.setattr(sphere, "_both_engines_equal", checked)
+    for plan in PLANS.values():
+        for n in range(3, 25):
+            if not (plan.odd and n % 2 == 0):
+                plan.run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
+    assert unequal == []
 
 
 def test_plan_powers_reach_the_power_path():
     # each power a plan builds with ** declares its period, so the engine
-    # composes it a period at a time: the torsion roots alpha0^n,
-    # alpha1^(n-1) and alpha2^(n-2), the full twist alpha0^n of dicyclic's
-    # d2 and q8's s1, and q8's y y, which the square rule builds as y^2
+    # composes it a period at a time: the torsion roots alpha1^(n-1), then
+    # the full twist alpha0^n it is compared with, and alpha2^(n-2) (alpha0's
+    # root is the full-twist word and runs no engine), the full twist of
+    # dicyclic's d2 and q8's s1, and q8's y y, which the square rule builds as y^2
     # while |y| < 4n; `_artin_images` sets `action` only when it composes.
     # At n = 10 one step on y costs 22 junctions and conjugations, more than
     # |y| = 20, so y^2 goes by letters
@@ -581,7 +629,7 @@ def test_plan_powers_reach_the_power_path():
         calls = _calls_into(_artin_images.__wrapped__, ("period", "letters", "action"), run)
         return [(period, len(letters) // period) for period, letters, action in calls if action is not None]
 
-    assert powers("torsion", 16) == [(15, 16), (16, 15), (15, 14)]
+    assert powers("torsion", 16) == [(16, 15), (15, 16), (15, 14)]
     assert powers("dicyclic", 16) == [(15, 16)]
     for n in range(10, 17, 2):
         half = n // 2

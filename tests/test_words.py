@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -151,6 +153,25 @@ class TestPermutation:
     def test_alpha0_is_n_cycle(self):
         for n in range(2, 9):
             assert permutation(named_element("alpha0", n)).order() == n
+
+    def test_order_is_the_least_power_that_is_the_identity(self):
+        # the lcm of the cycle lengths against the definition: multiply
+        # until the identity comes back
+        def order_by_powers(p):
+            k, q = 1, p
+            while not q.is_identity():
+                q, k = q * p, k + 1
+            return k
+
+        rng = random.Random(27)
+        for n in range(1, 41):
+            perms = [Permutation.identity(n)]
+            for _ in range(4):
+                images = list(range(1, n + 1))
+                rng.shuffle(images)
+                perms.append(Permutation(tuple(images)))
+            for p in perms:
+                assert p.order() == order_by_powers(p), p.images
 
     @given(words_any_n)
     @settings(max_examples=80)
