@@ -26,12 +26,11 @@ with cheap invariants to pin exact element orders.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
 import math
 
 from . import freegroup, garside
 from .certificates import ProofStep, Verdict, VerificationCertificate
-from .freegroup import EndoOnBasis, FreeWord, _extend, _images, _inv, _letter_steps, _over_budget
+from .freegroup import EndoOnBasis, FreeWord, _extend, _images, _inv, _over_budget
 from .words import (
     BraidWord,
     check_comparable,
@@ -152,33 +151,6 @@ def inner_conjugator(e: EndoOnBasis) -> tuple[int, ...] | None:
     return _common_conjugator(conjugators)
 
 
-@lru_cache(maxsize=2)
-def _renumbered_decision(short: tuple[int, ...], budget) -> bool | None:
-    """The touched-strand step of `acts_trivially` on a renumbered word.
-
-    False if the strand permutation is nontrivial and True if every image
-    is x_j; None if neither.  The renumbering leaves no strand out, so the
-    strand count is max |letter| + 1.  The memo holds b3's two words and
-    lives in one plan (`_clear_memos`).
-    """
-    positions = list(range(max(map(abs, short), default=0) + 2))
-    at = positions[:]  # at[q]: the strand now at position q
-    for k in short:
-        i = abs(k)
-        at[i], at[i + 1] = at[i + 1], at[i]
-    if at != positions:
-        return False
-    empty: list[int] = []
-    images = [(empty, j, empty) for j in positions[1:]]
-    _letter_steps(images, reversed(short), budget)
-    return True if not any(W for W, _, _ in images) else None
-
-
-def _clear_memos() -> None:
-    """Empty the memo of touched-strand decisions."""
-    _renumbered_decision.cache_clear()
-
-
 def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> bool:
     """True iff w acts trivially on the punctured sphere (outer action).
 
@@ -189,37 +161,10 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
     Otherwise p = j, every image C_j x_j C_j^-1 (C_j: S_j without trailing
     x_j^+-1) is held to the budget, and the C_j are compared; when every
     disk image is x_j, every C_j is empty and the comparison says True.
-
-    A word shorter than 2n that leaves out a generator, as every defining
-    relator but the surface relator does, is first decided on the strands
-    it touches: the r-th touched strand becomes strand r.  A letter sigma_k
-    touches k and k + 1, which stay neighbours, so the renumbered word is
-    a braid on the touched strands, whose images are the touched x_j's
-    renumbered, of the same lengths.  There the permutation test and the
-    disk-identity rule (every image is x_j, so w = 1 in B_n) cost what the
-    letters touch, not n.  That is exact, budget included: the engine takes
-    a word that short letter by letter (no power of fewer than 2n letters
-    is composed, and no 4n-letter chunk fits), and an untouched image stays
-    x_j through every letter step, so the touched images meet the same
-    budget checks in the same order.  So the decision depends on the
-    renumbered letters and the budget alone, which key its memo
-    (`_renumbered_decision`); `lru_cache` keeps no exception, so a word
-    over its budget raises on every call.  Step b3's relators renumber to
-    (1, 3, -1, -3) and (1, 2, 1, -2, -1, -2), two decisions per plan.  A
-    word the step leaves open takes the whole path.
     """
     n = w.strand_count
     if n < 3:
         raise ValueError(f"acts_trivially needs n >= 3, got n = {n}")
-    if len(w.letters) < 2 * n:
-        generators = {abs(k) for k in w.letters}
-        if len(generators) < n - 1:
-            strands = sorted({*generators, *(k + 1 for k in generators)})
-            rank = {s: r for r, s in enumerate(strands, start=1)}
-            short = tuple(rank[k] if k > 0 else -rank[-k] for k in w.letters)
-            touched = _renumbered_decision(short, max_image_letters)
-            if touched is not None:
-                return touched
     if not permutation(w).is_identity():
         return False
     conjugators = [
@@ -457,9 +402,11 @@ def torsion_order(
     )
 
     # Candidates: divisors of claimed that are multiples of the invariant
-    # lower bound.  A proper candidate d divides k (since claimed = 2k and
-    # lower | d), and w^d = 1 would force w^k to be a power of 1, against
-    # w^k = Delta^2 != 1 (A3).
+    # lower bound.  A proper candidate d that divides k is ruled out: w^d = 1
+    # would force w^k to be a power of 1, against w^k = Delta^2 != 1 (A3).
+    # A proper candidate need not divide k (sigma_1 at n = 3 claimed at 12
+    # has lower bound 4 and leaves 4, which does not divide 6), and then
+    # the order stays INCONCLUSIVE.
     candidates = [d for d in range(1, claimed + 1) if claimed % d == 0 and d % lower == 0]
     improper = [d for d in candidates if d != claimed]
     not_dividing_k = [d for d in improper if k % d != 0]

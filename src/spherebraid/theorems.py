@@ -22,9 +22,8 @@ and returns it INCONCLUSIVE instead of raising when a configured budget
 (background's coset cap, the endomorphism letter cap) runs out.  Each
 plan starts and ends with empty memos (`freegroup._clear_memos`: the
 disk actions and the chunk splits of long words; `garside._clear_memos`:
-the normal forms of the long factors of products; `sphere._clear_memos`:
-the touched-strand decisions of b3's renumbered relators), so it reuses
-only its own work and leaves none behind.  The conjugations by the half
+the normal forms of the long factors of products), so it reuses only
+its own work and leaves none behind.  The conjugations by the half
 twist x (x sigma_i x^-1 in b4, x y x^-1, x alpha0 x^-1) and the squares
 x x are built as products (`BraidWord.product`), so both engines read x
 and x^-1 once per plan.
@@ -81,7 +80,6 @@ def _clear_memos() -> None:
     """Empty the plan memos, which each module names in its own `_clear_memos`."""
     freegroup._clear_memos()
     garside._clear_memos()
-    sphere._clear_memos()
 
 
 def _verdict(steps: list[ProofStep]) -> Verdict:
@@ -413,6 +411,29 @@ def verify_torsion_table(
     return _run_plan("torsion", n, body)
 
 
+def _relator_shape(rel: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The word a far commutator or a braid relator is on the strands it touches, else None.
+
+    A far commutator (i, j, -i, -j), j >= i + 2, touches strands i, i + 1,
+    j and j + 1, and numbering them 1..4 makes it (1, 3, -1, -3); a braid
+    relator (i, i+1, i, -(i+1), -i, -(i+1)) touches i..i + 2 and becomes
+    (1, 2, 1, -2, -1, -2).  A letter sigma_k touches k and k + 1, which
+    stay neighbours, so the disk images of the touched x_j are those of
+    the shape renumbered, and every other x_j stays fixed.  The engine
+    takes words this short letter by letter at any n, so the relator's
+    images meet the budget checks the shape's meet, in the same order,
+    and are all x_j iff the shape's are: then the relator is 1 in B_n and
+    acts trivially on the punctured sphere.  A trivial outer action on
+    fewer punctures would not carry over to n; the disk identity does.
+    """
+    i = rel[0]
+    if len(rel) == 4 and rel == (i, rel[1], -i, -rel[1]) and 1 <= i <= rel[1] - 2:
+        return (1, 3, -1, -3)
+    if rel == (i, i + 1, i, -i - 1, -i, -i - 1) and i >= 1:
+        return (1, 2, 1, -2, -1, -2)
+    return None
+
+
 def verify_background(
     n: int,
     max_cosets: int = DEFAULT_MAX_COSETS,
@@ -474,10 +495,19 @@ def verify_background(
             )
 
         pres = presentation_library("sphere_braid", n)
-        # the presentation has checked every letter against its n - 1 generators
-        relations_ok = all(
-            acts_trivially(BraidWord._of_checked(n, rel), max_image_letters) for rel in pres.relators
-        )
+        decided: dict[tuple[int, ...], bool] = {}
+
+        def trivial(rel: tuple[int, ...]) -> bool:
+            shape = _relator_shape(rel)
+            if shape is None:
+                # the presentation has checked every letter against its n - 1 generators
+                return acts_trivially(BraidWord._of_checked(n, rel), max_image_letters)
+            if shape not in decided:
+                word = BraidWord(max(shape) + 1, shape)
+                decided[shape] = freegroup.eq_Bn(word, BraidWord(word.strand_count), max_image_letters)
+            return decided[shape]
+
+        relations_ok = all(map(trivial, pres.relators))
         steps.append(
             ProofStep(
                 id="b3",
@@ -549,8 +579,11 @@ def replay_certificate(
     statements, data, verdict, flags and axiom ledger.  Pass the budgets
     the certificate was made with, which a machine document's `config`
     records: background's coset steps (n = 2 and 3) record their cap, and
-    a run out of budget is INCONCLUSIVE.  Raises ValueError if no plan makes `cert.claim`, such
-    as a standalone `sphere.torsion_order` certificate.
+    a run out of budget is INCONCLUSIVE.  Raises ValueError if no plan
+    makes `cert.claim`, such as a standalone `sphere.torsion_order`
+    certificate, and if `cert.n` lies outside the plan's domain
+    (`Plan.check_n`), such as an odd-obstruction certificate at even n or
+    a q8 certificate at n = 2.
     """
     for plan in PLANS.values():
         if plan.claim == cert.claim:

@@ -260,39 +260,6 @@ class TestActsTrivially:
                 # the budget runs out first, then the answer is True
                 assert outcomes[0] is not True and outcomes[-2:] == [True, True], word.letters
 
-    def test_budget_stays_exact_under_the_memo(self):
-        # the braid relator sigma_5 sigma_6 sigma_5 = sigma_6 sigma_5 sigma_6
-        # renumbers to (1, 2, 1, -2, -1, -2), whose touched images need 5
-        # letters; a raise is not memoized, so a budget of 4 raises again,
-        # and a decision under the default budget serves the same shape at
-        # another n and place
-        sphere._clear_memos()
-        relator = BraidWord(22, (5, 6, 5, -6, -5, -6))
-        for _ in range(2):
-            with pytest.raises(BudgetExceededError) as excinfo:
-                acts_trivially(relator, 4)
-            assert str(excinfo.value).startswith("endomorphism image exceeded 4 letters")
-        assert acts_trivially(relator) is True
-        hits = sphere._renumbered_decision.cache_info().hits
-        assert acts_trivially(BraidWord(40, (30, 31, 30, -31, -30, -31))) is True
-        assert sphere._renumbered_decision.cache_info().hits == hits + 1
-        sphere._clear_memos()
-
-    def test_only_the_surface_relator_takes_the_whole_path(self, monkeypatch):
-        # from n = 4 on every other relator leaves out a generator, so it is
-        # decided on the strands it touches, without the n-strand
-        # permutation or the n disk images (at n = 3 the braid relation
-        # sigma_1 sigma_2 sigma_1 = sigma_2 sigma_1 sigma_2 touches both)
-        whole = []
-        monkeypatch.setattr(sphere, "permutation", lambda w: whole.append(w.letters) or permutation(w))
-        monkeypatch.setattr(sphere, "_images", lambda w, budget: whole.append(w.letters) or _images(w, budget))
-        for n in range(4, 41):
-            whole.clear()
-            for rel in presentation_library("sphere_braid", n).relators:
-                assert acts_trivially(BraidWord(n, rel)) is True
-            surface = named_element("surface_relator", n).letters
-            assert whole == [surface, surface], n
-
     def test_full_twist_in_center_set(self):
         for n in range(3, 9):
             assert acts_trivially(named_element("full_twist", n)) is True

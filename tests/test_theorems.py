@@ -5,12 +5,12 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from spherebraid import cli, garside, sphere, theorems
+from spherebraid import cli, freegroup, garside, sphere, theorems
 from spherebraid.certificates import ProofStep, Verdict, to_json
 from spherebraid.freegroup import _artin_images, _chunk_form, _split
 from spherebraid.garside import _factor_form
 from spherebraid.presentations import presentation_library, todd_coxeter
-from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, EngineDisagreementError, _renumbered_decision, torsion_order
+from spherebraid.sphere import DEFAULT_MAX_IMAGE_LETTERS, EngineDisagreementError, acts_trivially, torsion_order
 from spherebraid.theorems import (
     DEFAULT_MAX_COSETS,
     PLANS,
@@ -277,6 +277,53 @@ class TestVerifyBackground:
         cert = verify_background(3, max_cosets=5)
         assert cert.verdict is Verdict.INCONCLUSIVE
 
+    def test_b3_decides_each_shape_once(self, monkeypatch):
+        # every far commutator and braid relator is decided by the disk
+        # identity of its shape on the strands it touches, once per plan;
+        # only the surface relator reaches acts_trivially, at n
+        shapes, whole = [], []
+        eq_Bn = freegroup.eq_Bn
+
+        def spy(w, v, budget=None):
+            if not v.letters:
+                shapes.append((w.strand_count, w.letters))
+            return eq_Bn(w, v, budget)
+
+        monkeypatch.setattr(freegroup, "eq_Bn", spy)
+        monkeypatch.setattr(theorems, "acts_trivially", lambda w, budget: whole.append(w.letters) or acts_trivially(w, budget))
+        braid = (3, (1, 2, 1, -2, -1, -2))
+        for n in (3, 4, 12, 22, 64):
+            shapes.clear()
+            whole.clear()
+            assert verify_background(n).verdict is Verdict.VERIFIED
+            assert shapes == ([braid] if n == 3 else [(4, (1, 3, -1, -3)), braid]), n
+            assert whole == [named_element("surface_relator", n).letters], n
+
+    def test_b3_matches_the_whole_path_at_every_budget(self, monkeypatch):
+        # the reference sends every relator through acts_trivially at n: both
+        # give the same certificate, VERIFIED or the one-step budget
+        # certificate, and b3 stops at the same relator
+        shape = theorems._relator_shape
+
+        def run(n, budget, reference):
+            tried = []
+            with monkeypatch.context() as m:
+                if reference:
+                    m.setattr(theorems, "_relator_shape", lambda rel: None)
+                    m.setattr(theorems, "acts_trivially", lambda w, b: tried.append(w.letters) or acts_trivially(w, b))
+                else:
+                    m.setattr(theorems, "_relator_shape", lambda rel: tried.append(rel) or shape(rel))
+                cert = verify_background(n, max_image_letters=budget)
+            return cert.as_dict(), tried
+
+        verdicts = set()
+        for n in range(4, 13):
+            for budget in range(1, 2 * n + 3):
+                outcome = run(n, budget, False)
+                assert outcome == run(n, budget, True), (n, budget)
+                verdicts.add(outcome[0]["verdict"])
+        assert verdicts == {"VERIFIED", "INCONCLUSIVE"}
+
 
 class TestCertificateHygiene:
     def test_deterministic_serialization(self):
@@ -401,6 +448,13 @@ class TestReplay:
         with pytest.raises(ValueError, match="no verification plan"):
             replay_certificate(cert)
 
+    def test_n_outside_the_plan_raises(self):
+        # the plan's own check of n rejects an odd-obstruction certificate
+        # at even n and a q8 certificate below n = 3
+        for cert, n in ((verify_odd_obstruction(5), 4), (verify_q8(4), 2)):
+            with pytest.raises(ValueError, match=f"needs .*n >= 3, got n = {n}"):
+                replay_certificate(_forged(cert, n=n))
+
     def test_other_budgets_give_another_certificate(self):
         cert = verify_background(3)
         assert not replay_certificate(cert, max_cosets=DEFAULT_MAX_COSETS + 1)
@@ -494,7 +548,7 @@ MEMO_GRID = [
 ]
 
 # every memo a plan fills, which `_run_plan` empties before and after it
-PLAN_MEMOS = (_artin_images, _split, _factor_form, _renumbered_decision)
+PLAN_MEMOS = (_artin_images, _split, _factor_form)
 
 
 class TestArtinMemo:
@@ -557,15 +611,6 @@ class TestArtinMemo:
             reversal = tuple(range(n, 0, -1))
             assert sorted(forms) == [(reversal, False), (reversal, True)], n
             assert _split.cache_info().currsize == 0
-
-    def test_b3_decides_two_renumbered_words(self):
-        # every relator but the surface relator renumbers onto the strands
-        # it touches as a far commutator or a braid relation, and b3 decides
-        # each of the two words once, in a memo the plan leaves empty
-        for n in (4, 12, 22, 64):
-            words = _calls_into(_renumbered_decision.__wrapped__, ("short",), lambda: verify_background(n))
-            assert sorted(words) == [((1, 2, 1, -2, -1, -2),), ((1, 3, -1, -3),)], n
-            assert _renumbered_decision.cache_info().currsize == 0
 
     def test_only_long_words_enter_the_chunk_memo(self):
         # a word shorter than 4n, or any word at n < 9, is never walked, so
