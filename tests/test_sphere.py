@@ -28,6 +28,7 @@ from spherebraid.sphere import (
     square_rule,
     torsion_order,
 )
+from spherebraid.theorems import verify_background
 from spherebraid.words import BraidWord, named_element, permutation
 
 
@@ -259,6 +260,21 @@ class TestActsTrivially:
                     budget += 1
                 # the budget runs out first, then the answer is True
                 assert outcomes[0] is not True and outcomes[-2:] == [True, True], word.letters
+
+    def test_only_the_surface_relator_takes_the_whole_path(self, monkeypatch):
+        # from n = 4 on every other relator is a far commutator or a braid
+        # relator, which b3 decides by its shape on the strands it touches,
+        # so only the surface relator costs the n-strand permutation and the
+        # n disk images (at n = 3 the surface relator is the only relator
+        # besides the braid relation)
+        whole = []
+        monkeypatch.setattr(sphere, "permutation", lambda w: whole.append(w.letters) or permutation(w))
+        monkeypatch.setattr(sphere, "_images", lambda w, budget: whole.append(w.letters) or _images(w, budget))
+        for n in (3, 4, 5, 12, 22, 40):
+            whole.clear()
+            assert verify_background(n).verdict is Verdict.VERIFIED
+            surface = named_element("surface_relator", n).letters
+            assert whole == [surface, surface], n
 
     def test_full_twist_in_center_set(self):
         for n in range(3, 9):

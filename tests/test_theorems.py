@@ -277,28 +277,6 @@ class TestVerifyBackground:
         cert = verify_background(3, max_cosets=5)
         assert cert.verdict is Verdict.INCONCLUSIVE
 
-    def test_b3_decides_each_shape_once(self, monkeypatch):
-        # every far commutator and braid relator is decided by the disk
-        # identity of its shape on the strands it touches, once per plan;
-        # only the surface relator reaches acts_trivially, at n
-        shapes, whole = [], []
-        eq_Bn = freegroup.eq_Bn
-
-        def spy(w, v, budget=None):
-            if not v.letters:
-                shapes.append((w.strand_count, w.letters))
-            return eq_Bn(w, v, budget)
-
-        monkeypatch.setattr(freegroup, "eq_Bn", spy)
-        monkeypatch.setattr(theorems, "acts_trivially", lambda w, budget: whole.append(w.letters) or acts_trivially(w, budget))
-        braid = (3, (1, 2, 1, -2, -1, -2))
-        for n in (3, 4, 12, 22, 64):
-            shapes.clear()
-            whole.clear()
-            assert verify_background(n).verdict is Verdict.VERIFIED
-            assert shapes == ([braid] if n == 3 else [(4, (1, 3, -1, -3)), braid]), n
-            assert whole == [named_element("surface_relator", n).letters], n
-
     def test_b3_matches_the_whole_path_at_every_budget(self, monkeypatch):
         # the reference sends every relator through acts_trivially at n: both
         # give the same certificate, VERIFIED or the one-step budget
@@ -611,6 +589,29 @@ class TestArtinMemo:
             reversal = tuple(range(n, 0, -1))
             assert sorted(forms) == [(reversal, False), (reversal, True)], n
             assert _split.cache_info().currsize == 0
+
+    def test_b3_decides_two_renumbered_words(self, monkeypatch):
+        # every relator but the surface relator is a far commutator or a
+        # braid relator, and b3 decides the two words they renumber to on
+        # the strands they touch once per plan, by their disk identity,
+        # leaving every plan memo empty (at n = 3 the only such relator is
+        # the braid relation)
+        words = []
+        eq_Bn = freegroup.eq_Bn
+
+        def spy(w, v, budget=None):
+            if not v.letters:
+                words.append((w.strand_count, w.letters))
+            return eq_Bn(w, v, budget)
+
+        monkeypatch.setattr(freegroup, "eq_Bn", spy)
+        braid = (3, (1, 2, 1, -2, -1, -2))
+        for n in (3, 4, 12, 22, 64):
+            words.clear()
+            assert verify_background(n).verdict is Verdict.VERIFIED
+            assert words == ([braid] if n == 3 else [(4, (1, 3, -1, -3)), braid]), n
+            for memo in PLAN_MEMOS:
+                assert memo.cache_info().currsize == 0, (n, memo)
 
     def test_only_long_words_enter_the_chunk_memo(self):
         # a word shorter than 4n, or any word at n < 9, is never walked, so
