@@ -238,8 +238,10 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
        of w against n(n-1).  The exponent sum is a homomorphism B_n -> Z,
        so unequal sums make the step fail for certain, and it is skipped.
     3. On the sphere: a mod-center step (A1), then the square rule when
-       w^k is a square as a word, and otherwise an A5 step flagged
-       axiom-backed consistency.
+       w^k is a square as a word.  Otherwise A5 gives the value, flagged
+       axiom-backed consistency, when w^k is a canonical root
+       alpha_i^(n-i) letter for letter; for any other word the root step
+       fails.
     """
     n = w.strand_count
     power = w**k
@@ -303,7 +305,23 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
                 )
             )
             return steps
-    # Last resort: the classification of torsion elements pins the order.
+    # Last resort: the classification of torsion elements pins the value,
+    # but only for the canonical roots alpha_i^(n-i).
+    i = n - k
+    if not (0 <= i <= 2 and w.letters == named_element(f"alpha{i}", n).letters):
+        steps.append(
+            ProofStep(
+                id=f"{prefix}root",
+                statement=f"[{w.to_text()}]^{k} lies in {{1, Delta^2}}, but the square rule does "
+                f"not settle which, and the classification of torsion elements does so only for "
+                f"the canonical roots, so its value Delta^2 is not established in B_{n}(S^2)",
+                method="square-rule",
+                ok=False,
+                depends_on=(f"{prefix}modc",),
+                data={"n": n, "word": w.to_text(), "power": k},
+            )
+        )
+        return steps
     steps.append(
         ProofStep(
             id=f"{prefix}root",
@@ -329,8 +347,9 @@ def torsion_order(
     The upper bound comes from a root identity w^(claimed/2) = Delta^2
     plus the order of Delta^2 (A3); lower bounds chain the cheap
     invariants in the fixed order permutation, then abelianization.
-    Steps that only the torsion classification can close cite A5 and are
-    flagged axiom-backed consistency.  An odd claimed order that the
+    Steps that only the torsion classification can close, for the
+    canonical roots alpha_i^(n-i), cite A5 and are flagged axiom-backed
+    consistency.  An odd claimed order that the
     invariants do not refute is INCONCLUSIVE.
     """
     n = w.strand_count

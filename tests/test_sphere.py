@@ -501,6 +501,18 @@ class TestTorsionOrder:
             s.data.get("flag") == "axiom-backed consistency" for s in axiom_steps
         )
 
+    def test_a5_certifies_only_the_canonical_roots(self):
+        # 1 and Delta^4 are 1 in B_n(S^2), so neither has order 2: each lies
+        # in {1, Delta^2}, the square rule cannot say which, and A5 fixes the
+        # value only for the canonical roots alpha_i^(n-i)
+        for n in range(3, 7):
+            for w in (BraidWord(n), named_element("full_twist", n) ** 2):
+                cert = torsion_order(w, 2)
+                assert cert.verdict is Verdict.INCONCLUSIVE, (n, w)
+                root = cert.steps[-1]
+                assert (root.id, root.ok, root.axioms) == ("troot", False, ()), (n, w)
+                assert "A5" not in cert.cited_axiom_ids(), (n, w)
+
     def test_alpha2_n3_resolved_by_square_rule(self):
         # (w, claimed order, the square root of w^(claimed/2) the rule gets):
         # alpha2 at n = 3, then alpha2^2, whose w^k for odd k splits into
