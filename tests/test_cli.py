@@ -5,7 +5,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from spherebraid import cli, theorems
+from spherebraid import cli, sphere, theorems
 from spherebraid.cli import main, parse_word
 from spherebraid.words import BraidWord, named_element, permutation
 
@@ -124,11 +124,11 @@ class TestVerifyCommand:
         assert [c["flags"]["order"] for c in doc["certificates"]] == [12, 16, 20]
 
     def test_failed_square_rule_exits_1(self, runner, monkeypatch):
-        monkeypatch.setattr(theorems, "square_rule", lambda v, max_image_letters=None: None)
+        monkeypatch.setattr(sphere, "square_rule", lambda v, max_image_letters=None: None)
         result = runner.invoke(main, ["verify", "--claim", "q8", "--n", "4"])
         assert result.exit_code == 1
         assert "verdict=REFUTED" in result.output
-        assert "[s3] FAIL square-rule" in result.output
+        assert "[s2.root] FAIL square-rule" in result.output
 
     def test_background_n2(self, runner):
         result = runner.invoke(main, ["verify", "--claim", "background", "--n", "2"])
@@ -230,16 +230,18 @@ class TestVerifyCommand:
     # sha256 of `verify --format machine` over each range.  Machine output
     # is byte-identical across engine changes; a change that alters it on
     # purpose updates these digests and says why.  The torsion digests were
-    # re-pinned when alpha0's root step became an identical-words step.
+    # re-pinned when alpha0's root step became an identical-words step, and
+    # the q8 and dicyclic digests when one Dic_4m certifier replaced their
+    # two proofs.
     PINNED_MACHINE_DIGESTS = {
-        ("q8", 3, 12): "98c215cbe740f64eaeda7edad5293d3ecf82a51e0bf57845815edb74557b9bde",
-        ("dicyclic", 3, 12): "b959aa776efa81c876daf1db4488768f405cc5802f1a7381e0e25bf090d3705f",
+        ("q8", 3, 12): "44446849ebfdf7404811e747871c17039c4cdb267d4a11586b3bd06edb913ec7",
+        ("dicyclic", 3, 12): "223f74c42bd3367f48dedb673275aab931c0c5ddeaccfb705199e6685b4702d4",
         ("torsion", 3, 12): "f8b11f4467b6c18da6a0b10e54efd0b0eccf14cb8ba8c800e001ba25859e089f",
         ("background", 3, 12): "5f37b6c4241cb60c88f77cd375965c6023805011764d3fc42507c3741e9e07b5",
         ("odd-obstruction", 3, 13): "f248195ed7a5f1a0877f8f017c33ba7b5bbd26b6cd423dc75975ba2bfe8ad85d",
         # the certify and background n-grids of the benchmark
-        ("q8", 13, 24): "398b2b65c07da1ffb764ce4825b3791abdf2a20c90fa3daad1d6bbbb5f0766ab",
-        ("dicyclic", 13, 24): "c9a6c2289a6668e68d2b0627f712eb366d9e035c81dc485935dfb08ac203b1ff",
+        ("q8", 13, 24): "ea0326ff6f9eb85daab85a1ad8ca30390ceaf5c94ad609cc77050be75bbbe1ca",
+        ("dicyclic", 13, 24): "a2b1aebea3519b238d8b9d1c58a211c3ba8f6560355d68e3d12f2593f84d48b6",
         ("torsion", 13, 24): "654ba48ae10cdc7d0e8a903e25e74ee639f55366b74b4606d53d571da18570d1",
         ("background", 13, 22): "13400b6753c8ec2065507749cd8c4617ae11979dbf36e8415461ffb0631c34a0",
         # torsion past the benchmark grid, where its root words are longest
@@ -250,8 +252,8 @@ class TestVerifyCommand:
         ("background", 23, 32): "305d9f04f65c551574bcdecb046c8710249c93270d4ce0ca33f49502cfc453a3",
         ("background", 33, 48): "ef0c409b8622520fb54c607216aa9590d24d6329b16a713b245460e6c4d67368",
         # the alpha-power words, alpha0^n among them, at the frontier
-        ("q8", 128, 128): "9859b004749f60dc15e925cb098ba1fabe0af31553598aea8ce1ba2064c373cf",
-        ("dicyclic", 128, 128): "539420ff7c81217ead94b99accd500fb0a97ed27d137e9c04e1c3440afee1f4b",
+        ("q8", 128, 128): "8f910eaed06fae4621f77b9c63261f1d2f9a9a8729cca70cec1bc67466a772dd",
+        ("dicyclic", 128, 128): "763380a79895a4d5b48f61d16a86d9ce7445e6a80735382e36be600902945c39",
         ("torsion", 128, 128): "5d816b7a4d13b0fb2a30d5e7796ab599eb5c6fa4059f58dcea611c473d2aa83c",
     }
 
@@ -268,7 +270,7 @@ class TestVerifyCommand:
     # method "budget"; it had "arithmetic" when these were first pinned.
     PINNED_BUDGET_DIGESTS = {
         ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "25"):
-            "e8865eb1d1229c989d1ac24bba9ca7de5991be386c4d2455d27afa2f07f6762c",
+            "3ce9b7f0d4a43d44d513bad6a6d3b0170ab0203cbe40e2f5c8c9756df263bf73",
         # a coset cap hit in background at n = 3 and 2, the only runs that
         # enumerate cosets
         ("background", "--n", "3", "--max-cosets", "5"):
@@ -311,11 +313,11 @@ class TestVerifyCommand:
     PINNED_LARGEST_ABORTS = {
         ("q8", 40, 80): (
             "c3b119ce110b16e99eca5df77e4d7a2f111bcf692ab335ef7a5a55b1cc732fd2",
-            "cdd8806cb4f7f9a9ff8e5296cfc52203a2d39a023ad6ff97b7413cc9817e851e",
+            "afb40ecbb526043a393dbe93aeed3ea2600c6e54b58f22e7149a9f6c2b4d0213",
         ),
         ("dicyclic", 40, 80): (
             "c13f73290b669992975d9ef786959bb0419a85866e16c3fb74c686ec70c0a1c8",
-            "66a92519e3606166c7193aeb3d37e7cd430ee86f2c05ecd127d7970414354d82",
+            "91f84e0369380cb50b9575c395f41109149c6f77c2627216c27982ecb935e158",
         ),
     }
 
@@ -355,9 +357,9 @@ class TestVerifyCommand:
     # certificate's cited axioms; the last two runs hit a budget and exit 3.
     PINNED_TEXT_DIGESTS = {
         ("q8", "--from", "3", "--to", "12"):
-            (0, "2b4d07aef67b428830e43095597ea4c5ad15b5f4002c3e93c33b7803db2feac7"),
+            (0, "a413dd021025fb9fe9aa95d53563acfdc3db30d8e2cd3f3bd2801e1326e75513"),
         ("dicyclic", "--from", "3", "--to", "12"):
-            (0, "1f7f9cb8801c523d09e4b91ace86f5d4cc31dc1887a9492c6cded7f123ce75c3"),
+            (0, "467ccd27fdbcb768958f4493ad3a26b4f635906f16b13c09eabecfcc554464b8"),
         ("torsion", "--from", "3", "--to", "12"):
             (0, "efaf1c2b57172956f3c32fdce8922af02102a59d62f0e8b9948924bc7cf4f5c9"),
         ("background", "--from", "2", "--to", "12"):

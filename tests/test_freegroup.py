@@ -705,13 +705,15 @@ class TestPowerPath:
 
 
 def _plan_products(n):
-    """The products the plans build: x sigma_i x^-1 (b4) for i in {1, n/2, n - 1}, x x (s1, d2),
-    x y x^-1 (s2 against y^-1, even n) and x alpha0 x^-1 (d3a), for x the half twist."""
+    """The products the plans build: x sigma_i x^-1 (b4) for i in {1, n/2, n - 1}, x x (s1, d1),
+    and a x a x^-1 for a = alpha0 (d3) and the bipolar twist (s3, even n), for x the half twist."""
     x = named_element("half_twist", n)
     products = [(x, BraidWord(n, (i,)), x.inverse()) for i in (1, n // 2, n - 1)]
-    products += [(x, x), (x, named_element("alpha0", n), x.inverse())]
+    a = named_element("alpha0", n)
+    products += [(x, x), (a, x, a, x.inverse())]
     if n % 2 == 0:
-        products.append((x, named_element("bipolar_twist", n), x.inverse()))
+        y = named_element("bipolar_twist", n)
+        products.append((y, x, y, x.inverse()))
     return products
 
 

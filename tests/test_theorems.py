@@ -21,7 +21,7 @@ from spherebraid.theorems import (
     verify_q8,
     verify_torsion_table,
 )
-from spherebraid.words import Permutation, Residue, exponent_sum, named_element, permutation
+from spherebraid.words import BraidWord, Residue, exponent_sum, named_element, permutation
 
 
 class TestVerifyQ8:
@@ -77,14 +77,18 @@ class TestVerifyQ8:
         assert not o2.ok
 
     def test_failed_square_rule_is_a_refutation(self, monkeypatch):
-        monkeypatch.setattr(theorems, "square_rule", lambda v, max_image_letters=None: None)
+        # y^2 = Delta^2 is the root step of y's order; without the square
+        # rule it fails, A5 does not stand in for it, and the order and
+        # hence the count s6 stay open
+        monkeypatch.setattr(sphere, "square_rule", lambda v, max_image_letters=None: None)
         cert = verify_q8(4)
         assert cert.verdict is Verdict.REFUTED
-        assert [s.id for s in cert.steps if not s.ok] == ["s3"]
-        (s3,) = [s for s in cert.steps if s.id == "s3"]
-        assert s3.method == "square-rule"
-        assert s3.axioms == ()
-        assert s3.data == {"n": 4, "word": named_element("bipolar_twist", 4).to_text()}
+        assert [s.id for s in cert.steps if not s.ok] == ["s2.root", "s6"]
+        (root,) = [s for s in cert.steps if s.id == "s2.root"]
+        assert root.method == "square-rule"
+        assert root.axioms == ()
+        assert root.data == {"n": 4, "word": named_element("bipolar_twist", 4).to_text(), "power": 2}
+        assert "A5" not in cert.cited_axiom_ids()
 
 
 class TestVerifyOddObstruction:
@@ -151,10 +155,15 @@ class TestVerifyDicyclic:
             assert d3_steps
             assert all(s.axioms == () for s in d3_steps)
 
-    def test_letter_identity_recorded(self):
-        cert = verify_dicyclic(5)
-        (d3b,) = [s for s in cert.steps if s.id == "d3b"]
-        assert d3b.data["letter_identical"] is True
+    def test_relation_is_the_surface_relator_in_Bn(self):
+        # a x a x^-1 has a's exponent sum twice, 2(n-1), the relator's, and
+        # both engines find it equal to the relator: an exact step, no axiom
+        for n in range(3, 11):
+            (d3,) = [s for s in verify_dicyclic(n).steps if s.id == "d3"]
+            a, x = named_element("alpha0", n), named_element("half_twist", n)
+            relator = named_element("surface_relator", n)
+            assert (d3.method, d3.ok, d3.axioms) == ("exact-Bn", True, ()), n
+            assert d3.data["pairs"] == [[(a * x * a * x.inverse()).to_text(), relator.to_text()]], n
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -162,7 +171,7 @@ class TestVerifyDicyclic:
 
 
 class TestOrderByBound:
-    """s6 and d6 certify the order by the a^i x^e bound; d5 compares one candidate power."""
+    """s6 and d6 certify the order by the a^i x^e bound; d4 compares the candidate powers."""
 
     def test_q8_and_dicyclic_enumerate_no_cosets(self, monkeypatch):
         def refuse(*args):
@@ -184,35 +193,87 @@ class TestOrderByBound:
                 elif n % 2 == 0:
                     assert order["s6"] == 8, n
 
-    def test_d5_candidate_is_the_power_that_moves_1_where_the_reversal_does(self):
+    def test_d4_candidate_is_the_power_that_moves_1_where_the_reversal_does(self):
         # alpha0's permutation sends 1 to n, as the reversal does, so the one
-        # candidate is a^1; the old list of all n powers is the reference
+        # candidate is a^1; the list of all n powers is the reference
         for n in range(3, 65):
             a = named_element("alpha0", n)
-            perm_a = permutation(a)
-            (d5,) = [s for s in verify_dicyclic(n).steps if s.id == "d5"]
-            k = d5.data["power"]
-            assert k == 1, n
-            powers = theorems._powers(perm_a, n)
-            assert d5.data["perm_a_power"] == powers[k] == list(permutation(a**k).images), n
-            assert d5.data["perm_a_power"][0] == d5.data["perm_x"][0], n
-            assert d5.ok == (d5.data["perm_x"] not in powers), n
-            assert d5.ok, n
+            (d4,) = [s for s in verify_dicyclic(n).steps if s.id == "d4"]
+            powers = [list(permutation(a**k).images) for k in range(n)]
+            (k, power), = d4.data["powers"]
+            assert k == 1 and power == powers[1], n
+            assert power[0] == d4.data["perm_x"][0], n
+            assert d4.ok and d4.data["perm_x"] not in powers, n
 
-    def test_an_order_n_permutation_that_is_no_n_cycle_fails_d4(self, monkeypatch):
-        # (1 2)(3 4 5) fixing 6 has order 6 at n = 6 but is no 6-cycle
-        fake = Permutation((2, 1, 4, 5, 3, 6))
-        assert fake.order() == 6
-        assert theorems._orbit(fake) == [1, 2]
+    def test_q8_s4_has_no_candidate_power(self):
+        # y's permutation reverses each half, so no power of it sends 1 to n
+        for n in range(4, 25, 2):
+            (s4,) = [s for s in verify_q8(n).steps if s.id == "s4"]
+            assert s4.ok and s4.data["powers"] == [], n
+
+    def test_a_power_with_the_permutation_of_x_fails_d4(self, monkeypatch):
+        # give alpha0 the reversal as its permutation: its first power then
+        # has x's permutation, d4 cannot separate them, and the plan fails
         alpha0 = named_element("alpha0", 6)
-        assert theorems._orbit(permutation(alpha0)) == [1, 6, 5, 4, 3, 2]
         honest = theorems.permutation
-        monkeypatch.setattr(theorems, "permutation", lambda w: fake if w == alpha0 else honest(w))
+        reversal = honest(named_element("half_twist", 6))
+        monkeypatch.setattr(theorems, "permutation", lambda w: reversal if w == alpha0 else honest(w))
         cert = verify_dicyclic(6)
         steps = {s.id: s for s in cert.steps}
         assert not steps["d4"].ok
-        assert not steps["d5"].ok and steps["d5"].data["perm_a_power"] is None
+        assert steps["d4"].data["powers"] == [[1, list(reversal.images)]]
         assert cert.verdict is Verdict.REFUTED
+
+
+class TestDicyclicSteps:
+    """The one certifier of <a, x> = Dic_4m, on the paper's witnesses and on wrong ones."""
+
+    @staticmethod
+    def certify(a, x, m):
+        theorems._clear_memos()
+        try:
+            steps = theorems._dicyclic_steps("p", a, x, m, DEFAULT_MAX_IMAGE_LETTERS)
+        finally:
+            theorems._clear_memos()
+        return theorems._verdict(steps), {s.id: s for s in steps}
+
+    def test_cycle_word_and_half_twist(self):
+        for n in range(3, 49):
+            a, x = named_element("alpha0", n), named_element("half_twist", n)
+            verdict, steps = self.certify(a, x, n)
+            assert verdict is Verdict.VERIFIED, n
+            assert steps["p6"].data["order"] == 4 * n, n
+
+    def test_bipolar_twist_and_half_twist(self):
+        for n in range(4, 25, 2):
+            y, x = named_element("bipolar_twist", n), named_element("half_twist", n)
+            verdict, steps = self.certify(y, x, 2)
+            assert verdict is Verdict.VERIFIED, n
+            assert steps["p6"].data["order"] == 8, n
+
+    def test_wrong_witnesses_are_not_verified(self):
+        for n in (3, 4, 5, 8):
+            a, x = named_element("alpha0", n), named_element("half_twist", n)
+            sigma1 = BraidWord(n, (1,))
+            for a_, x_, m, failing in (
+                (a, a, n, {"p1", "p3", "p4"}),  # x = a
+                (a, sigma1, n, {"p1"}),  # x^2 is not Delta^2
+                (a, x, n - 1, {"p2.refute", "p6"}),  # m is not half the order
+            ):
+                verdict, steps = self.certify(a_, x_, m)
+                assert verdict is not Verdict.VERIFIED, (n, m)
+                assert failing <= {i for i, s in steps.items() if not s.ok}, (n, m)
+
+    def test_an_order_torsion_order_leaves_open_is_not_verified(self):
+        # sigma_1^6 = Delta^2 in B_3(S^2), but the invariants leave the
+        # candidate order 4: torsion_order is INCONCLUSIVE with every step
+        # ok, and the count p6 reads that verdict
+        a, x = BraidWord(3, (1,)), named_element("half_twist", 3)
+        verdict, steps = self.certify(a, x, 6)
+        assert verdict is not Verdict.VERIFIED
+        assert torsion_order(a, 12).verdict is Verdict.INCONCLUSIVE
+        assert all(s.ok for i, s in steps.items() if i.startswith("p2."))
+        assert not steps["p6"].ok
 
 
 class TestVerifyTorsionTable:
