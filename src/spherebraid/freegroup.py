@@ -58,11 +58,13 @@ and the sphere layer all call it.  A product of words
 factor's images come from `_artin_images`, and each earlier factor acts
 on them, right to left, by its own chunk split, so a chunk never crosses
 a factor boundary.  Step b4's x sigma_i x^-1, q8's and dicyclic's x x and
-the conjugations x y x^-1 and x alpha0 x^-1 are such products, so x and
-x^-1 are walked once per plan; on them the product meets the flat word's
-budgets, which the tests check.  A word's first chunk, with no letter to
-its right, takes its form's images on the identity as they are, held to
-the budget at the peak the step would reach there.
+their relation words a x a x^-1 are such products, so x and x^-1 are
+walked once per plan, except in q8 from n = 18 on, where the bipolar
+twist and its square take the chunk memo's two entries in between.  On
+them the product meets the flat word's budgets, which the tests check.
+A word's first chunk, with no letter to its right, takes its form's
+images on the identity as they are, held to the budget at the peak the
+step would reach there.
 
 Two memos, each of two entries: `_artin_images` keyed on (strand_count,
 letters, budget, period), where `_images` passes a power's period only
@@ -537,8 +539,8 @@ def _images(w, budget: int | None) -> list[tuple]:
     gate lets it run, the factor's declared period;
     each earlier factor then acts on them, right to left, by its own
     `_long_chunks` split.  So a chunk never crosses a factor boundary,
-    and on the plan words x sigma_i x^-1, x x, x y x^-1 and
-    x alpha0 x^-1 the product meets the flat word's budgets.  The
+    and on the plan words x sigma_i x^-1, x x and a x a x^-1 the
+    product meets the flat word's budgets.  The
     product's images are not memoized.
     """
     n = w.strand_count

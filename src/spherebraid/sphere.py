@@ -181,8 +181,9 @@ def eq_mod_center(w: BraidWord, v: BraidWord, max_image_letters: int | None = DE
     That is, iff w v^-1 acts trivially.  The outer action is a
     homomorphism, so when v itself acts trivially, w v^-1 acts as w does,
     and the test acts on w and v instead of on the longer w v^-1.  An
-    action a plan has just computed comes from the engine's memo: in a
-    torsion plan, Delta^2's from alpha1's exact step.
+    action a plan has just computed comes from the engine's memo:
+    Delta^2's, in a torsion plan from alpha1's exact step and in q8 from
+    s1, x x against the full twist.
     """
     check_comparable(w, v)
     if acts_trivially(v, max_image_letters):
@@ -190,14 +191,28 @@ def eq_mod_center(w: BraidWord, v: BraidWord, max_image_letters: int | None = DE
     return acts_trivially(w * v.inverse(), max_image_letters)
 
 
-def relator_trivializes(w: BraidWord) -> bool:
+def _relator_target(w: BraidWord) -> BraidWord | None:
+    """The one of the surface relator and 1 that has w's exponent sum, or None.
+
+    The exponent sum is a homomorphism B_n -> Z, and the relator's, 2(n-1),
+    is not 0, so w can equal at most this one of the two in B_n.
+    """
+    n, total = w.strand_count, exponent_sum(w)
+    if total == 0:
+        return BraidWord(n)
+    relator = named_element("surface_relator", n)
+    return relator if exponent_sum(relator) == total else None
+
+
+def relator_trivializes(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> bool:
     """Exact test that w is, as a B_n element, the surface relator or trivial.
 
     Either way w = 1 in B_n(S^2); the test is exact and rests on no axiom.
+    Both engines compare w, under the image budget, with `_relator_target(w)`;
+    when neither has w's exponent sum, w is neither and no engine runs.
     """
-    n = w.strand_count
-    targets = (named_element("surface_relator", n), BraidWord(n))
-    return garside.normal_form(w) in map(garside.normal_form, targets)
+    target = _relator_target(w)
+    return target is not None and _both_engines_equal(w, target, max_image_letters)
 
 
 def square_rule(v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> ProofStep | None:

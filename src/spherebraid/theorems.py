@@ -3,19 +3,23 @@
 Each plan is a hard-coded DAG of proof steps, not a theorem search:
 the goal is an auditable reproduction in which every step names the
 computation or the axiom that carries it.  Where an identity already
-holds in the disk braid group (x^2 = Delta^2, conjugation by the half
-twist mirrors indices), the plan runs BOTH exact engines and requires
-agreement; sphere-level reasoning appears only where the identity
-genuinely lives in the quotient (y^2 = Delta^2, the relator elimination),
-so the trusted base of every step is as small as possible.  Dicyclic runs
-no engine on a^n = Delta^2, which holds letter for letter: the full-twist
-word is the n-th power of the cycle word by construction
-(`named_element`), so d4 and d6 cite x^2 = Delta^2 (d2) for it.
-The orders of the quaternion and dicyclic subgroups follow from the
-certified relations by counting (s6, d6): the relations move every x to
-the right, which bounds the group from above, and a cyclic subgroup with
-one element outside it bounds it from below.  Coset enumeration runs only
-in background at n = 2 and 3.
+holds in the disk braid group (x^2 = Delta^2, a x a x^-1 = the surface
+relator, conjugation by the half twist mirrors indices), the plan runs
+BOTH exact engines and requires agreement; sphere-level reasoning
+appears only where the identity genuinely lives in the quotient (the
+bipolar twist squares to Delta^2), so the trusted base of every step is
+as small as possible.
+
+q8 at even n and dicyclic are one statement, <a, x> = Dic_4m, and one
+certifier makes both (`_dicyclic_steps`): a is the bipolar twist with
+m = 2 or the cycle word alpha0 with m = n, and x is the half twist.  It
+takes a's order from `sphere.torsion_order`, which runs no engine on
+alpha0^n = Delta^2, the full-twist word letter for letter, and certifies
+the bipolar twist's square Delta^2 by the square rule.  The order of the
+subgroup follows from the certified relations by counting (s6, d6): the
+relations move every x to the right, which bounds the group from above,
+and a cyclic subgroup with one element outside it bounds it from below.
+Coset enumeration runs only in background at n = 2 and 3.
 
 Every plan runs through `_run_plan`, which checks n, makes the certificate
 and returns it INCONCLUSIVE instead of raising when a configured budget
@@ -24,14 +28,13 @@ plan starts and ends with empty memos (`freegroup._clear_memos`: the
 disk actions and the chunk splits of long words; `garside._clear_memos`:
 the normal forms of the long factors of products), so it reuses only
 its own work and leaves none behind.  The conjugations by the half
-twist x (x sigma_i x^-1 in b4, x y x^-1, x alpha0 x^-1) and the squares
-x x are built as products (`BraidWord.product`), so both engines read x
-and x^-1 once per plan.
+twist x (x sigma_i x^-1 in b4) and the words x x and a x a x^-1 are
+built as products (`BraidWord.product`), so both engines read x and
+x^-1 by their factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, NamedTuple
 
 from . import freegroup, garside, presentations, sphere
@@ -42,10 +45,9 @@ from .sphere import (
     DEFAULT_MAX_IMAGE_LETTERS,
     _exact_step,
     acts_trivially,
-    square_rule,
     torsion_order,
 )
-from .words import BraidWord, Permutation, mirror, named_element, permutation, xi
+from .words import BraidWord, named_element, permutation, xi
 
 DEFAULT_MAX_COSETS = 10_000
 
@@ -86,30 +88,96 @@ def _verdict(steps: list[ProofStep]) -> Verdict:
     return Verdict.VERIFIED if all(s.ok for s in steps) else Verdict.REFUTED
 
 
-def _powers(g: Permutation, count: int) -> list[list[int]]:
-    """The images of g^0, .., g^(count-1)."""
-    powers, p = [], Permutation.identity(len(g.images))
-    for _ in range(count):
-        powers.append(list(p.images))
-        p = p * g
-    return powers
+def _dicyclic_steps(prefix: str, a: BraidWord, x: BraidWord, m: int, budget) -> list[ProofStep]:
+    """The steps that certify <a, x> = Dic_4m, the dicyclic group of order 4m, in B_n(S^2).
 
+    Dic_4m = <a, x | a^(2m) = 1, x^2 = a^m, x a x^-1 = a^-1>; Dic_8 is the
+    quaternion group.  The steps, with p the prefix:
 
-def _orbit(g: Permutation) -> list[int]:
-    """The orbit 1, g(1), g(g(1)), .. of 1 under g; g is an n-cycle iff it has n points."""
-    orbit = [1]
-    while (p := g.images[orbit[-1] - 1]) != 1:
-        orbit.append(p)
-    return orbit
+    - p1: x^2 = Delta^2, exact in B_n, both engines.
+    - p2.*: a has order exactly 2m, the steps of `torsion_order(a, 2m)`;
+      its root step gives a^m = Delta^2, so x^2 = a^m.
+    - p3: x a x^-1 = a^-1, since a x a x^-1 is the surface relator or 1
+      in B_n (`sphere.relator_trivializes`), hence 1 in B_n(S^2).
+    - p4: x lies outside <a>: every power of a's strand permutation that
+      sends 1 where x's does differs from x's.
+    - p6: the order 4m, by counting.  It holds only when `torsion_order`
+      is VERIFIED, not merely when its steps are ok: an order that the
+      invariants cannot pin leaves every step ok and the order open.  The
+      id is the one the benchmark's known answers read (s6, d6).
 
-
-def _half_twist_square_step(step_id: str, x: BraidWord, max_image_letters) -> ProofStep:
-    """The exact step x^2 = Delta^2 for the half twist x: s1 of q8, d2 of dicyclic."""
-    n = x.strand_count
-    statement = f"the square of the half twist equals the full-twist word in B_{n}"
-    return _exact_step(
-        step_id, statement, [(BraidWord.product(x, x), named_element("full_twist", n))], max_image_letters
+    p1 and p2 come first, so that a's mod-center step, if it has one, reads
+    Delta^2's action from p1's memo.
+    """
+    n = a.strand_count
+    steps = [
+        _exact_step(
+            f"{prefix}1",
+            f"the square of x equals the full-twist word in B_{n}",
+            [(BraidWord.product(x, x), named_element("full_twist", n))],
+            budget,
+        )
+    ]
+    order = torsion_order(a, 2 * m, budget, step_prefix=f"{prefix}2.")
+    steps += order.steps
+    relation = BraidWord.product(a, x, a, x.inverse())
+    target = sphere._relator_target(relation)
+    if target is None:  # neither has the relation's exponent sum: record the relator
+        target = named_element("surface_relator", n)
+    equal = sphere.relator_trivializes(relation, budget)
+    name = "the surface relator" if target.letters else "1"
+    steps.append(
+        ProofStep(
+            id=f"{prefix}3",
+            statement=f"a x a x^-1 is {name} in B_{n} (normal forms and free-group actions "
+            f"both agree), so it is 1 in B_{n}(S^2): x a x^-1 = a^-1",
+            method="exact-Bn",
+            ok=equal,
+            data={
+                "n": n,
+                "pairs": [[relation.to_text(), target.to_text()]],
+                "engines": ["garside", "artin"],
+                "equal": equal,
+            },
+        )
     )
+    perm_a, perm_x = permutation(a), list(permutation(x).images)
+    g, powers, point = perm_a.images, [], 1  # point = g^k(1)
+    for k in range(perm_a.order()):
+        if point == perm_x[0]:
+            power = list(range(1, n + 1))
+            for _ in range(k):
+                power = [g[v - 1] for v in power]
+            powers.append([k, power])
+        point = g[point - 1]
+    steps.append(
+        ProofStep(
+            id=f"{prefix}4",
+            statement=f"the powers of a's strand permutation that send 1 where x's does are "
+            f"those listed, with their exponents below its order, and each differs from x's, so "
+            f"x lies outside the subgroup generated by a",
+            method="invariant",
+            ok=all(power != perm_x for _, power in powers),
+            data={"n": n, "perm_x": perm_x, "powers": powers},
+        )
+    )
+    steps.append(
+        ProofStep(
+            id=f"{prefix}6",
+            statement=f"a and x satisfy a^{2 * m} = 1 and a^{m} = Delta^2 ({prefix}2), x^2 = "
+            f"Delta^2 ({prefix}1) and x a x^-1 = a^-1 ({prefix}3), which move every x to the "
+            f"right, so each element of the subgroup they generate is a^i x^e with 0 <= i < "
+            f"{2 * m} and e in {{0, 1}}: at most {4 * m} elements; it holds the {2 * m} "
+            f"elements of <a> ({prefix}2) and x outside <a> ({prefix}4), so at least "
+            f"{4 * m}; the dicyclic presentation maps onto it, so the subgroup is the whole "
+            f"dicyclic group of order {4 * m}",
+            method="arithmetic",
+            ok=order.verdict is Verdict.VERIFIED,
+            depends_on=(f"{prefix}1", order.steps[-1].id, f"{prefix}3", f"{prefix}4"),
+            data={"n": n, "presentation": {"name": "dicyclic", "n": m}, "order": 4 * m},
+        )
+    )
+    return steps
 
 
 def verify_q8(
@@ -118,8 +186,9 @@ def verify_q8(
 ) -> VerificationCertificate:
     """Realization of the quaternion group of order 8 inside B_n(S^2).
 
-    Even n: the half twist x and the bipolar twist y generate a copy;
-    for n divisible by 4 it lies in the commutator subgroup.  Odd n:
+    Even n: the bipolar twist a and the half twist x generate a copy, which
+    `_dicyclic_steps` certifies as Dic_8; for n divisible by 4 it lies in
+    the commutator subgroup.  Odd n:
     the steps are those of `verify_odd_obstruction`, and the verdict is
     REFUTED-realization (certified non-existence) when that argument
     holds, REFUTED otherwise.
@@ -132,77 +201,24 @@ def verify_q8(
             if verdict is Verdict.VERIFIED:
                 verdict = Verdict.REFUTED_REALIZATION
             return verdict, steps, {"in_commutator": False}
-        x = named_element("half_twist", n)
-        y = named_element("bipolar_twist", n)
-        s1 = _half_twist_square_step("s1", x, max_image_letters)
-        s2 = _exact_step(
-            "s2",
-            f"conjugating the bipolar twist by the half twist inverts it in B_{n}: x y x^-1 equals y^-1",
-            [(BraidWord.product(x, y, x.inverse()), y.inverse())],
-            max_image_letters,
-        )
-        s3 = square_rule(y, max_image_letters)
-        if s3 is None:
-            s3 = ProofStep(
-                id="s3",
-                statement=f"the square rule fails on the bipolar twist, so y^2 = Delta^2 is "
-                f"not established in B_{n}(S^2)",
-                method="square-rule",
-                ok=False,
-                data={"n": n, "word": y.to_text()},
-            )
-        else:
-            s3 = replace(s3, id="s3")
-        s4 = ProofStep(
-            id="s4",
-            statement=f"x^2 = Delta^2 and Delta^2 has order exactly 2, so x has order 4 and "
-            f"generates a cyclic subgroup with exactly 4 elements",
-            method="arithmetic",
-            depends_on=("s1",),
-            axioms=("A3",),
-            data={"n": n},
-        )
-        perm_y = permutation(y)
-        perms_x = _powers(permutation(x), 4)
-        separated = list(perm_y.images) not in perms_x
-        s5 = ProofStep(
-            id="s5",
-            statement=f"the strand permutation of y differs from the permutations of all "
-            f"four powers of x, so y does not lie in the subgroup generated by x",
-            method="invariant",
-            ok=separated,
-            depends_on=("s4",),
-            data={"n": n, "perm_y": list(perm_y.images), "perms_x_powers": perms_x},
-        )
-        s6 = ProofStep(
-            id="s6",
-            statement="x and y satisfy x^4 = 1, x^2 = y^2 and x y x^-1 = y^-1 (s1 to s4), "
-            "which move every x to the right, so each element of the subgroup they generate "
-            "is y^i x^e with 0 <= i < 4 and e in {0, 1}: at most 8 elements; it holds the "
-            "4 elements of <x> (s4) and y outside <x> (s5), so at least 8; the quaternion "
-            "presentation maps onto it, so the subgroup is the whole quaternion group of "
-            "order 8",
-            method="arithmetic",
-            depends_on=("s1", "s2", "s3", "s4", "s5"),
-            data={"n": n, "presentation": {"name": "q8"}, "order": 8},
-        )
-        steps = [s1, s2, s3, s4, s5, s6]
+        a, x = named_element("bipolar_twist", n), named_element("half_twist", n)
+        steps = _dicyclic_steps("s", a, x, 2, max_image_letters)
         in_commutator = n % 4 == 0
+        xi_a = xi(a)
         xi_x = xi(x)
-        xi_y = xi(y)
         if in_commutator:
             s7 = ProofStep(
                 id="s7",
-                statement=f"the abelianization values of x and y are both zero modulo "
+                statement=f"the abelianization values of a and x are both zero modulo "
                 f"{xi_x.modulus}, so the subgroup lies in the commutator subgroup of "
                 f"B_{n}(S^2)",
                 method="invariant",
-                ok=xi_x.is_zero() and xi_y.is_zero(),
+                ok=xi_a.is_zero() and xi_x.is_zero(),
                 depends_on=("s6",),
                 data={
                     "n": n,
+                    "xi_a": [xi_a.value, xi_a.modulus],
                     "xi_x": [xi_x.value, xi_x.modulus],
-                    "xi_y": [xi_y.value, xi_y.modulus],
                 },
             )
         else:
@@ -299,75 +315,8 @@ def verify_dicyclic(
     """The cycle word and the half twist generate a dicyclic group of order 4n."""
 
     def body() -> tuple:
-        a = named_element("alpha0", n)
-        x = named_element("half_twist", n)
-        d2 = _half_twist_square_step("d2", x, max_image_letters)
-        d3a = _exact_step(
-            "d3a",
-            f"conjugating the cycle word by the half twist mirrors it in B_{n}",
-            [(BraidWord.product(x, a, x.inverse()), mirror(a))],
-            max_image_letters,
-        )
-        product = a * mirror(a)
-        relator = named_element("surface_relator", n)
-        letter_identical = product.letters == relator.letters
-        d3b = ProofStep(
-            id="d3b",
-            statement=f"the cycle word times its mirror is letter for letter the defining "
-            f"sphere relator, hence trivial in B_{n}(S^2); combined with d3a this gives "
-            f"x a x^-1 = a^-1 in B_{n}(S^2)",
-            method="relator",
-            ok=sphere.relator_trivializes(product) and letter_identical,
-            depends_on=("d3a",),
-            data={
-                "n": n,
-                "word": product.to_text(),
-                "relator": relator.to_text(),
-                "letter_identical": letter_identical,
-            },
-        )
-        perm_a = permutation(a)
-        orbit = _orbit(perm_a)
-        d4 = ProofStep(
-            id="d4",
-            statement=f"the strand permutation of the cycle word is an n-cycle, so n divides "
-            f"its order; a^n is letter for letter the full-twist word, so a^n = Delta^2 (d2), "
-            f"and Delta^2 of order exactly 2 forces the order to be exactly 2n = {2 * n}",
-            method="invariant",
-            ok=len(orbit) == n,
-            depends_on=("d2",),
-            axioms=("A3",),
-            data={"n": n, "permutation": list(perm_a.images), "order": 2 * n},
-        )
-        # the k-th power of the n-cycle moves each point k places along the orbit
-        perm_x = list(permutation(x).images)
-        position = {p: i for i, p in enumerate(orbit)}
-        k = position.get(perm_x[0])
-        perm_a_power = [orbit[(position[j] + k) % n] for j in range(1, n + 1)] if d4.ok else None
-        d5 = ProofStep(
-            id="d5",
-            statement=f"the strand permutation of the half twist is the full reversal; of the "
-            f"powers of the n-cycle only the one with exponent {k} sends 1 where the reversal "
-            f"does, and it differs from the reversal elsewhere, so x lies outside the "
-            f"subgroup generated by the cycle word",
-            method="invariant",
-            ok=d4.ok and perm_a_power != perm_x,
-            depends_on=("d4",),
-            data={"n": n, "perm_x": perm_x, "power": k, "perm_a_power": perm_a_power},
-        )
-        d6 = ProofStep(
-            id="d6",
-            statement=f"a and x satisfy a^{2 * n} = 1 (d4), x^2 = a^{n} (d2, whose full-twist word "
-            f"is a^{n} letter for letter) and x a x^-1 = a^-1 (d3b), which move every x to the "
-            f"right, so each element of the subgroup they generate is a^i x^e with 0 <= i < "
-            f"{2 * n} and e in {{0, 1}}: at most {4 * n} elements; it holds the {2 * n} elements "
-            f"of <a> (d4) and x outside <a> (d5), so at least {4 * n}; the dicyclic presentation "
-            f"maps onto it, so the subgroup is the whole dicyclic group of order 4n = {4 * n}",
-            method="arithmetic",
-            depends_on=("d2", "d3b", "d4", "d5"),
-            data={"n": n, "presentation": {"name": "dicyclic", "n": n}, "order": 4 * n},
-        )
-        steps = [d2, d3a, d3b, d4, d5, d6]
+        a, x = named_element("alpha0", n), named_element("half_twist", n)
+        steps = _dicyclic_steps("d", a, x, n, max_image_letters)
         gen_quat = _is_power_of_two(n)
         if gen_quat:
             steps.append(

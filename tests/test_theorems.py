@@ -250,6 +250,8 @@ class TestDicyclicSteps:
             verdict, steps = self.certify(y, x, 2)
             assert verdict is Verdict.VERIFIED, n
             assert steps["p6"].data["order"] == 8, n
+            # y x y x^-1 has exponent sum 0, so it is compared with 1
+            assert steps["p3"].data["pairs"][0][1] == "", n
 
     def test_wrong_witnesses_are_not_verified(self):
         for n in (3, 4, 5, 8):
