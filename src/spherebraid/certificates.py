@@ -28,7 +28,6 @@ class Verdict(str, Enum):
 METHODS = (
     "exact-Bn",
     "identical-words",
-    "relator",
     "mod-center",
     "square-rule",
     "invariant",

@@ -180,10 +180,10 @@ def eq_mod_center(w: BraidWord, v: BraidWord, max_image_letters: int | None = DE
 
     That is, iff w v^-1 acts trivially.  The outer action is a
     homomorphism, so when v itself acts trivially, w v^-1 acts as w does,
-    and the test acts on w and v instead of on the longer w v^-1.  An
-    action a plan has just computed comes from the engine's memo:
-    Delta^2's, in a torsion plan from alpha1's exact step and in q8 from
-    s1, x x against the full twist.
+    and the test acts on w and v instead of on the longer w v^-1.  The
+    disk images of a word a plan has just compared come from the engine's
+    memo: in a torsion plan at odd n >= 5, Delta^2's from alpha1's exact
+    step.
     """
     check_comparable(w, v)
     if acts_trivially(v, max_image_letters):
@@ -252,11 +252,14 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
        only when w^k and Delta^2 have the same exponent sum, k times that
        of w against n(n-1).  The exponent sum is a homomorphism B_n -> Z,
        so unequal sums make the step fail for certain, and it is skipped.
-    3. On the sphere: a mod-center step (A1), then the square rule when
-       w^k is a square as a word.  Otherwise A5 gives the value, flagged
-       axiom-backed consistency, when w^k is a canonical root
-       alpha_i^(n-i) letter for letter; for any other word the root step
-       fails.
+    3. On the sphere: a mod-center step (A1), then a root step.  When
+       w^k is a square as a word and the square rule holds for its root,
+       the rule's trivial action of w^k also settles the mod-center step,
+       since Delta^2 acts trivially, and the rule is the root step; only
+       otherwise does `eq_mod_center` compare w^k with Delta^2.  Failing
+       the rule, A5 gives the value, flagged axiom-backed consistency,
+       when w^k is a canonical root alpha_i^(n-i) letter for letter; for
+       any other word the root step fails.
     """
     n = w.strand_count
     power = w**k
@@ -288,8 +291,12 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
         )
         if exact.ok:
             return [exact]
-    # Not a disk identity: certify on the sphere.  Consistency first.
-    consistent = eq_mod_center(power, delta2, max_image_letters)
+    # Not a disk identity: certify on the sphere.  w^k is a square as a word
+    # when it is w^(k/2) twice, or for odd k two equal halves of its letters
+    # (alpha2 = sigma_1^2 at n = 3).
+    root = w ** (k // 2) if k % 2 == 0 else BraidWord._of_checked(n, power.letters[: len(power) // 2])
+    sq = square_rule(root, max_image_letters) if root**2 == power else None
+    consistent = sq is not None or eq_mod_center(power, delta2, max_image_letters)
     steps = [
         ProofStep(
             id=f"{prefix}modc",
@@ -303,23 +310,17 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
     ]
     if not consistent:
         return steps
-    # Disambiguate 1 vs Delta^2 with the square rule when w^k is a square
-    # as a word: w^(k/2) for even k, and for odd k the half of its letters
-    # when they split into two equal halves (alpha2 = sigma_1^2 at n = 3).
-    root = w ** (k // 2) if k % 2 == 0 else BraidWord(n, power.letters[: len(power) // 2])
-    if root**2 == power:
-        sq = square_rule(root, max_image_letters)
-        if sq is not None:
-            steps.append(
-                replace(
-                    sq,
-                    id=f"{prefix}root",
-                    statement=sq.statement
-                    + f"; in particular [{w.to_text()}]^{k} = Delta^2 in B_{n}(S^2)",
-                    depends_on=(f"{prefix}modc",),
-                )
+    if sq is not None:
+        steps.append(
+            replace(
+                sq,
+                id=f"{prefix}root",
+                statement=sq.statement
+                + f"; in particular [{w.to_text()}]^{k} = Delta^2 in B_{n}(S^2)",
+                depends_on=(f"{prefix}modc",),
             )
-            return steps
+        )
+        return steps
     # Last resort: the classification of torsion elements pins the value,
     # but only for the canonical roots alpha_i^(n-i).
     i = n - k

@@ -105,9 +105,6 @@ def _dicyclic_steps(prefix: str, a: BraidWord, x: BraidWord, m: int, budget) -> 
       is VERIFIED, not merely when its steps are ok: an order that the
       invariants cannot pin leaves every step ok and the order open.  The
       id is the one the benchmark's known answers read (s6, d6).
-
-    p1 and p2 come first, so that a's mod-center step, if it has one, reads
-    Delta^2's action from p1's memo.
     """
     n = a.strand_count
     steps = [

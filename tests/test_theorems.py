@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from spherebraid import cli, freegroup, garside, sphere, theorems
-from spherebraid.certificates import ProofStep, Verdict, to_json
+from spherebraid.certificates import METHODS, ProofStep, Verdict, to_json
 from spherebraid.freegroup import _artin_images, _chunk_form, _split
 from spherebraid.garside import _factor_form
 from spherebraid.presentations import presentation_library, todd_coxeter
@@ -309,6 +309,36 @@ class TestVerifyTorsionTable:
         assert any(s.method == "mod-center" for s in alpha2_steps)
 
 
+class TestSphereActionsPerRoot:
+    """A root step decides its power's sphere action once.
+
+    Where the square rule applies, its trivial action of w^k is also the
+    mod-center claim, so q8 and torsion at even n and at n = 3 compute one
+    sphere action per plan.  alpha2's root at odd n >= 5 is no square as a
+    word, and the mod-center test acts on Delta^2 and on w^k.
+    """
+
+    @staticmethod
+    def _run(monkeypatch, claim, n):
+        """(sphere actions, mod-center tests) of one run of the plan."""
+        actions, tests = [], []
+        conjugators, mod_center = sphere._sphere_conjugators, sphere.eq_mod_center
+        monkeypatch.setattr(sphere, "_sphere_conjugators", lambda *a: actions.append(a) or conjugators(*a))
+        monkeypatch.setattr(sphere, "eq_mod_center", lambda *a: tests.append(a) or mod_center(*a))
+        cert = PLANS[claim].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
+        assert cert.verdict is Verdict.VERIFIED, (claim, n)
+        return len(actions), len(tests)
+
+    def test_square_rule_roots_take_one_action(self, monkeypatch):
+        cases = [("q8", n) for n in range(4, 25, 2)] + [("torsion", n) for n in (3, *range(4, 25, 2))]
+        for claim, n in cases:
+            assert self._run(monkeypatch, claim, n) == (1, 0), (claim, n)
+
+    def test_alpha2_at_odd_n_takes_the_mod_center_test(self, monkeypatch):
+        for n in range(5, 24, 2):
+            assert self._run(monkeypatch, "torsion", n) == (2, 1), n
+
+
 class TestVerifyBackground:
     def test_n2(self):
         cert = verify_background(2)
@@ -385,6 +415,18 @@ class TestCertificateHygiene:
         for cert in (verify_q8(4), verify_dicyclic(8), verify_torsion_table(7)):
             cited = sorted({a for s in cert.steps for a in s.axioms})
             assert list(cert.cited_axiom_ids()) == cited
+
+    def test_plans_emit_exactly_the_method_catalog(self):
+        # budget 5 runs the plans that act on words out of budget, which
+        # the budget step records
+        emitted = set()
+        for plan in PLANS.values():
+            for n in range(plan.minimum, 13):
+                if plan.odd and n % 2 == 0:
+                    continue
+                for budget in (DEFAULT_MAX_IMAGE_LETTERS, 5):
+                    emitted |= {s.method for s in plan.run(n, DEFAULT_MAX_COSETS, budget).steps}
+        assert emitted == set(METHODS)
 
     def test_step_rejects_unknown_axiom(self):
         with pytest.raises(ValueError, match="unknown axiom"):
