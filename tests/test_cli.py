@@ -232,29 +232,30 @@ class TestVerifyCommand:
     # purpose updates these digests and says why.  The torsion digests were
     # re-pinned when alpha0's root step became an identical-words step, and
     # the q8 and dicyclic digests when one Dic_4m certifier replaced their
-    # two proofs.
+    # two proofs.  The q8, dicyclic and torsion digests were re-pinned again
+    # when torsion_order came to write its word only in its `inv` step.
     PINNED_MACHINE_DIGESTS = {
-        ("q8", 3, 12): "44446849ebfdf7404811e747871c17039c4cdb267d4a11586b3bd06edb913ec7",
-        ("dicyclic", 3, 12): "223f74c42bd3367f48dedb673275aab931c0c5ddeaccfb705199e6685b4702d4",
-        ("torsion", 3, 12): "f8b11f4467b6c18da6a0b10e54efd0b0eccf14cb8ba8c800e001ba25859e089f",
+        ("q8", 3, 12): "ef59365c522203740ec12285d41065c67c526a987acbe9a57b0abcaee87c2fa4",
+        ("dicyclic", 3, 12): "b7c549ccf7eb17b49fae779c0cf03db5d64478d8bf327a5ab193689d16c5dc93",
+        ("torsion", 3, 12): "912d19f9a6004019722bfebb10b469e873ac36429fda2bbc0de9392e0b611916",
         ("background", 3, 12): "5f37b6c4241cb60c88f77cd375965c6023805011764d3fc42507c3741e9e07b5",
         ("odd-obstruction", 3, 13): "f248195ed7a5f1a0877f8f017c33ba7b5bbd26b6cd423dc75975ba2bfe8ad85d",
         # the certify and background n-grids of the benchmark
-        ("q8", 13, 24): "ea0326ff6f9eb85daab85a1ad8ca30390ceaf5c94ad609cc77050be75bbbe1ca",
-        ("dicyclic", 13, 24): "a2b1aebea3519b238d8b9d1c58a211c3ba8f6560355d68e3d12f2593f84d48b6",
-        ("torsion", 13, 24): "654ba48ae10cdc7d0e8a903e25e74ee639f55366b74b4606d53d571da18570d1",
+        ("q8", 13, 24): "0cbe9409133a4212049bff855af28fe5fa4a57b8dd50e414c04d88023f6b2ac5",
+        ("dicyclic", 13, 24): "ebbd95e3a43b596e5febc10166e5979541f68b79a48609604a65d2f88b98063e",
+        ("torsion", 13, 24): "cf5255942d50e4952bf5920014b7b0f882d7dac57db330936c4885930000f42e",
         ("background", 13, 22): "13400b6753c8ec2065507749cd8c4617ae11979dbf36e8415461ffb0631c34a0",
         # torsion past the benchmark grid, where its root words are longest
-        ("torsion", 25, 32): "f00d7954d14a89987ea12e6d547774714df0efbfffbee7817a81e1bc90ae80f8",
-        ("torsion", 48, 48): "64d7df250b04e1ab8762f4bd03003b5008e2f666ab431a614c80ace69f8b33d1",
-        ("torsion", 64, 64): "5530a25aff03b3756508ffbd97cf1493916e0dc9c56606c025486c5151dc5e33",
+        ("torsion", 25, 32): "39ae6e49b82b1e25663e1e5a10037d2b02e23c6a3618a7cfb394e15dc2f5c1b7",
+        ("torsion", 48, 48): "c6b1a886adee9ebacb3eef68072d7eaae7f08fc880cb811c3694794c7f5bf141",
+        ("torsion", 64, 64): "9d7c8de672969c65018e48f27177ca7f2ac086b7b46b5212e0af0e500b5cc7f9",
         # background past the benchmark grid, where b4's words are longest
         ("background", 23, 32): "305d9f04f65c551574bcdecb046c8710249c93270d4ce0ca33f49502cfc453a3",
         ("background", 33, 48): "ef0c409b8622520fb54c607216aa9590d24d6329b16a713b245460e6c4d67368",
         # the alpha-power words, alpha0^n among them, at the frontier
-        ("q8", 128, 128): "8f910eaed06fae4621f77b9c63261f1d2f9a9a8729cca70cec1bc67466a772dd",
-        ("dicyclic", 128, 128): "763380a79895a4d5b48f61d16a86d9ce7445e6a80735382e36be600902945c39",
-        ("torsion", 128, 128): "5d816b7a4d13b0fb2a30d5e7796ab599eb5c6fa4059f58dcea611c473d2aa83c",
+        ("q8", 128, 128): "af2d043022fb4f1045bed46df48f51e800173bf7db707fa96fb3dee6252ca163",
+        ("dicyclic", 128, 128): "a3a8f8e4ba36f3e076af8cb9aa45e07318b89ba536ab10757f4b974f4153aef2",
+        ("torsion", 128, 128): "803a20bb889385ee2f07d008c64d30085bd571d59425bfe042671258cb03cf4a",
     }
 
     def test_machine_output_matches_pinned_digests(self, runner):
@@ -270,7 +271,7 @@ class TestVerifyCommand:
     # method "budget"; it had "arithmetic" when these were first pinned.
     PINNED_BUDGET_DIGESTS = {
         ("q8", "--from", "4", "--to", "12", "--max-endo-letters", "25"):
-            "3ce9b7f0d4a43d44d513bad6a6d3b0170ab0203cbe40e2f5c8c9756df263bf73",
+            "f164ac6624f6f4df6db5f1aec71b73d5badfc3f6ecbec9f054188c81e47e7345",
         # a coset cap hit in background at n = 3 and 2, the only runs that
         # enumerate cosets
         ("background", "--n", "3", "--max-cosets", "5"):
@@ -313,11 +314,11 @@ class TestVerifyCommand:
     PINNED_LARGEST_ABORTS = {
         ("q8", 40, 80): (
             "c3b119ce110b16e99eca5df77e4d7a2f111bcf692ab335ef7a5a55b1cc732fd2",
-            "afb40ecbb526043a393dbe93aeed3ea2600c6e54b58f22e7149a9f6c2b4d0213",
+            "db7f48d58eef7d4afbd5331e0279974a95135f82998b356d43b3d24ed1a772f1",
         ),
         ("dicyclic", 40, 80): (
             "c13f73290b669992975d9ef786959bb0419a85866e16c3fb74c686ec70c0a1c8",
-            "91f84e0369380cb50b9575c395f41109149c6f77c2627216c27982ecb935e158",
+            "4fac65a8fd68913d821ead428aa6f4d9b32889314e72c8f0121df2b81c6ce632",
         ),
     }
 
@@ -357,11 +358,11 @@ class TestVerifyCommand:
     # certificate's cited axioms; the last two runs hit a budget and exit 3.
     PINNED_TEXT_DIGESTS = {
         ("q8", "--from", "3", "--to", "12"):
-            (0, "a413dd021025fb9fe9aa95d53563acfdc3db30d8e2cd3f3bd2801e1326e75513"),
+            (0, "7cc87c45624ca8181a13d4cc3c47e0d0f85e7276da4683b7693894af9f3ad4ca"),
         ("dicyclic", "--from", "3", "--to", "12"):
-            (0, "467ccd27fdbcb768958f4493ad3a26b4f635906f16b13c09eabecfcc554464b8"),
+            (0, "618275ea2d90969558acb023d89f00bfbb7c8a70816b4fc32d2a3f39c57d1a1d"),
         ("torsion", "--from", "3", "--to", "12"):
-            (0, "efaf1c2b57172956f3c32fdce8922af02102a59d62f0e8b9948924bc7cf4f5c9"),
+            (0, "570fb58ecb146e92937e3762af12ec012757295b7877f84ba29a7ae15fe0e414"),
         ("background", "--from", "2", "--to", "12"):
             (0, "70e4969f671ddbc6a524538eb30c57eebf5a4934b1dfbfe5e55d9a16863bd64d"),
         ("odd-obstruction", "--from", "3", "--to", "13"):
