@@ -373,22 +373,17 @@ def _chunk_form(perm: tuple[int, ...], positive: bool) -> _ChunkForm | None:
     caller may change them.
     """
     n = len(perm)
-    empty: list[int] = []
-    images: list[tuple] = [(empty, p, empty) for p in perm]
-    runs = []
+    images: list[tuple] = [None] * n
     passed: list[int] = []  # the perm values already walked past, sorted
     for j in range(n - 1, -1, -1) if positive else range(n):
         pj = perm[j]
         t = bisect_left(passed, pj)
-        ks = passed[:t] if positive else passed[t:]
-        if ks:
-            a, b = ks[0], ks[-1]
-            if b - a + 1 != len(ks):
-                return None
-            W, W_inv = list(range(a, b + 1)), list(range(-b, -a + 1))
-            images[j] = (W, pj, W_inv) if positive else (W_inv, pj, W)
-            runs.append((j, a - 1, b) if positive else (j, b, a - 1))
+        W = passed[:t] if positive else [-k for k in reversed(passed[t:])]
+        images[j] = (W, pj, _inv(W))
         passed.insert(t, pj)
+    runs = _runs(images)
+    if runs is None:
+        return None
     plan = _plan(runs, n)
     walk = plan[2]
     up = sum(step > 0 for _, step in walk)

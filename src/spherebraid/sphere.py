@@ -16,11 +16,13 @@ relator above, for instance, acts by conjugation.  Triviality of the
 characterizes membership in the central pair {1, Delta^2}, which
 acts_trivially decides by comparing the conjugators unexpanded.
 
-No procedure here distinguishes 1 from Delta^2 on its own.  The two
-disambiguation rules -- relator_trivializes (exact, at the B_n level)
-and square_rule (via the uniqueness of the involution, axioms A1-A3) --
-each back an auditable certificate step, and torsion_order chains them
-with cheap invariants to pin exact element orders.
+No procedure here distinguishes 1 from Delta^2 on its own.  Two rules
+do: an exact identity in B_n with the surface relator or 1, whichever
+has the word's exponent sum (`_relator_target`; relator_trivializes
+runs it on both engines, and the plans build it as an exact-Bn step),
+and square_rule, via the uniqueness of the involution (axioms A1-A3).
+torsion_order chains the square rule and exact identities with cheap
+invariants to pin exact element orders.
 """
 
 from __future__ import annotations
@@ -244,10 +246,14 @@ def square_rule(v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_
 def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -> list[ProofStep]:
     """Certify w^k = Delta^2 in B_n(S^2), by the first of three routes that applies.
 
+    w's letters are written once, in the data of the step `{prefix}inv`,
+    which every step here lists in `depends_on`; the steps name w^k, its
+    square root and Delta^2 = alpha0^n by exponent.  Only an exact-Bn
+    step writes the texts of the pair it compares.
+
     1. w^k has the letters of the full-twist word, which `named_element`
        builds as alpha0^n: one `identical-words` step, which runs no engine
-       and cites no axiom, and whose data names both words' bases and
-       exponents instead of writing their letters.
+       and cites no axiom.
     2. w^k = Delta^2 in B_n: one exact-Bn step, both engines.  It is tried
        only when w^k and Delta^2 have the same exponent sum, k times that
        of w against n(n-1).  The exponent sum is a homomorphism B_n -> Z,
@@ -264,33 +270,29 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
     n = w.strand_count
     power = w**k
     delta2 = named_element("full_twist", n)
+    inv = (f"{prefix}inv",)
+    full_twist = {"element": "alpha0", "power": n}
     if power.letters == delta2.letters:
-        base = BraidWord(n, delta2.letters[: delta2.period])
-        exponent = len(delta2) // len(base)
         return [
             ProofStep(
                 id=f"{prefix}root",
-                statement=f"[{w.to_text()}]^{k} is the full-twist word [{base.to_text()}]^"
-                f"{exponent} letter for letter, so it equals Delta^2 in B_{n}",
+                statement=f"w^{k} is the full-twist word alpha0^{n} letter for letter, so it "
+                f"equals Delta^2 in B_{n}",
                 method="identical-words",
-                data={
-                    "n": n,
-                    "word": w.to_text(),
-                    "power": k,
-                    "full_twist": {"word": base.to_text(), "power": exponent},
-                },
+                depends_on=inv,
+                data={"n": n, "power": k, "full_twist": full_twist},
             )
         ]
     if k * exponent_sum(w) == n * (n - 1):
         exact = _exact_step(
             f"{prefix}root",
-            f"[{w.to_text()}]^{k} equals the full-twist word already in B_{n} "
+            f"w^{k} equals the full-twist word already in B_{n} "
             f"(normal forms and free-group actions both agree)",
             [(power, delta2)],
             max_image_letters,
         )
         if exact.ok:
-            return [exact]
+            return [replace(exact, depends_on=inv)]
     # Not a disk identity: certify on the sphere.  w^k is a square as a word
     # when it is w^(k/2) twice, or for odd k two equal halves of its letters
     # (alpha2 = sigma_1^2 at n = 3).
@@ -300,24 +302,30 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
     steps = [
         ProofStep(
             id=f"{prefix}modc",
-            statement=f"[{w.to_text()}]^{k} agrees with the full twist up to the central "
+            statement=f"w^{k} agrees with the full twist alpha0^{n} up to the central "
             f"pair {{1, Delta^2}} in B_{n}(S^2)",
             method="mod-center",
             ok=consistent,
+            depends_on=inv,
             axioms=("A1",),
-            data={"n": n, "lhs": power.to_text(), "rhs": delta2.to_text()},
+            data={"n": n, "power": k, "full_twist": full_twist},
         )
     ]
     if not consistent:
         return steps
+    after = (*inv, f"{prefix}modc")
     if sq is not None:
+        half = k // 2 if k % 2 == 0 else f"({k}/2)"
         steps.append(
             replace(
                 sq,
                 id=f"{prefix}root",
-                statement=sq.statement
-                + f"; in particular [{w.to_text()}]^{k} = Delta^2 in B_{n}(S^2)",
-                depends_on=(f"{prefix}modc",),
+                statement=f"w^{k} is the square of w^{half}, the first half of its letters, and "
+                f"acts trivially on the punctured sphere, so it lies in {{1, Delta^2}}; the strand "
+                f"permutation of w^{half} is nontrivial, so w^{half} is not an involution, forcing "
+                f"w^{k} = Delta^2 in B_{n}(S^2)",
+                depends_on=after,
+                data={"n": n, "power": k},
             )
         )
         return steps
@@ -328,25 +336,25 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
         steps.append(
             ProofStep(
                 id=f"{prefix}root",
-                statement=f"[{w.to_text()}]^{k} lies in {{1, Delta^2}}, but the square rule does "
-                f"not settle which, and the classification of torsion elements does so only for "
-                f"the canonical roots, so its value Delta^2 is not established in B_{n}(S^2)",
+                statement=f"w^{k} lies in {{1, Delta^2}}, but the square rule does not settle "
+                f"which, and the classification of torsion elements does so only for the "
+                f"canonical roots, so its value Delta^2 is not established in B_{n}(S^2)",
                 method="square-rule",
                 ok=False,
-                depends_on=(f"{prefix}modc",),
-                data={"n": n, "word": w.to_text(), "power": k},
+                depends_on=after,
+                data={"n": n, "power": k},
             )
         )
         return steps
     steps.append(
         ProofStep(
             id=f"{prefix}root",
-            statement=f"axiom-backed consistency: [{w.to_text()}]^{k} lies in {{1, Delta^2}} "
-            f"and the classification of torsion elements gives it the value Delta^2",
+            statement=f"axiom-backed consistency: w^{k} lies in {{1, Delta^2}} and the "
+            f"classification of torsion elements gives it the value Delta^2",
             method="axiom",
-            depends_on=(f"{prefix}modc",),
+            depends_on=after,
             axioms=("A5",),
-            data={"n": n, "word": w.to_text(), "power": k, "flag": "axiom-backed consistency"},
+            data={"n": n, "power": k, "flag": "axiom-backed consistency"},
         )
     )
     return steps
@@ -366,7 +374,9 @@ def torsion_order(
     Steps that only the torsion classification can close, for the
     canonical roots alpha_i^(n-i), cite A5 and are flagged axiom-backed
     consistency.  An odd claimed order that the
-    invariants do not refute is INCONCLUSIVE.
+    invariants do not refute is INCONCLUSIVE.  Only the claim and the
+    step `{step_prefix}inv` write w's letters; every other step lists
+    that step in `depends_on` and names w's powers by exponent.
     """
     n = w.strand_count
     if n < 3:
@@ -384,7 +394,7 @@ def torsion_order(
 
     inv_step = ProofStep(
         id=f"{pre}inv",
-        statement=f"the strand permutation of [{w.to_text()}] has order {perm_order} and its "
+        statement=f"the strand permutation of w = [{w.to_text()}] has order {perm_order} and its "
         f"abelianization class has order {xi_order} in Z_{residue.modulus}; both divide the "
         f"order of the element, so the order is a multiple of {lower}",
         method="invariant",
@@ -408,11 +418,11 @@ def torsion_order(
             ProofStep(
                 id=f"{pre}refute",
                 statement=f"w^{claimed} has a nontrivial {witness} invariant, so the order "
-                f"of [{w.to_text()}] does not divide {claimed}",
+                f"of w does not divide {claimed}",
                 method="invariant",
                 ok=False,
                 depends_on=(f"{pre}inv",),
-                data={"n": n, "word": w.to_text(), "claimed": claimed, "witness": witness},
+                data={"n": n, "claimed": claimed, "witness": witness},
             ),
         ]
         return VerificationCertificate(claim, n, Verdict.REFUTED, steps)
@@ -429,11 +439,11 @@ def torsion_order(
     upper_step = ProofStep(
         id=f"{pre}upper",
         statement=f"w^{k} = Delta^2 and Delta^2 has order 2, so w^{claimed} = 1 and the "
-        f"order of [{w.to_text()}] divides {claimed}",
+        f"order of w divides {claimed}",
         method="arithmetic",
-        depends_on=(root_id,),
+        depends_on=(f"{pre}inv", root_id),
         axioms=("A3",),
-        data={"n": n, "word": w.to_text(), "half_power": k, "claimed": claimed},
+        data={"n": n, "half_power": k, "claimed": claimed},
     )
 
     # Candidates: divisors of claimed that are multiples of the invariant
@@ -466,7 +476,7 @@ def torsion_order(
         method="arithmetic",
         depends_on=(f"{pre}inv", root_id, f"{pre}upper"),
         axioms=("A3",),
-        data={"n": n, "word": w.to_text(), "claimed": claimed, "candidates": candidates},
+        data={"n": n, "claimed": claimed, "candidates": candidates},
     )
     steps = [inv_step] + root_steps + [upper_step, pin_step]
     flags = {"a5_backed": any("A5" in s.axioms for s in root_steps)}

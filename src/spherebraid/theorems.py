@@ -98,7 +98,8 @@ def _dicyclic_steps(prefix: str, a: BraidWord, x: BraidWord, m: int, budget) -> 
     - p2.*: a has order exactly 2m, the steps of `torsion_order(a, 2m)`;
       its root step gives a^m = Delta^2, so x^2 = a^m.
     - p3: x a x^-1 = a^-1, since a x a x^-1 is the surface relator or 1
-      in B_n (`sphere.relator_trivializes`), hence 1 in B_n(S^2).
+      in B_n, whichever has its exponent sum (`sphere._relator_target`),
+      exact in B_n, both engines; hence 1 in B_n(S^2).
     - p4: x lies outside <a>: every power of a's strand permutation that
       sends 1 where x's does differs from x's.
     - p6: the order 4m, by counting.  It holds only when `torsion_order`
@@ -119,23 +120,16 @@ def _dicyclic_steps(prefix: str, a: BraidWord, x: BraidWord, m: int, budget) -> 
     steps += order.steps
     relation = BraidWord.product(a, x, a, x.inverse())
     target = sphere._relator_target(relation)
-    if target is None:  # neither has the relation's exponent sum: record the relator
+    if target is None:  # neither has the relation's exponent sum: compare with the relator
         target = named_element("surface_relator", n)
-    equal = sphere.relator_trivializes(relation, budget)
     name = "the surface relator" if target.letters else "1"
     steps.append(
-        ProofStep(
-            id=f"{prefix}3",
-            statement=f"a x a x^-1 is {name} in B_{n} (normal forms and free-group actions "
+        _exact_step(
+            f"{prefix}3",
+            f"a x a x^-1 is {name} in B_{n} (normal forms and free-group actions "
             f"both agree), so it is 1 in B_{n}(S^2): x a x^-1 = a^-1",
-            method="exact-Bn",
-            ok=equal,
-            data={
-                "n": n,
-                "pairs": [[relation.to_text(), target.to_text()]],
-                "engines": ["garside", "artin"],
-                "equal": equal,
-            },
+            [(relation, target)],
+            budget,
         )
     )
     perm_a, perm_x = permutation(a), list(permutation(x).images)
@@ -450,7 +444,8 @@ def verify_background(
                 return acts_trivially(BraidWord._of_checked(n, rel), max_image_letters)
             if shape not in decided:
                 word = BraidWord(max(shape) + 1, shape)
-                decided[shape] = freegroup.eq_Bn(word, BraidWord(word.strand_count), max_image_letters)
+                one = BraidWord(word.strand_count)
+                decided[shape] = sphere._both_engines_equal(word, one, max_image_letters)
             return decided[shape]
 
         relations_ok = all(map(trivial, pres.relators))

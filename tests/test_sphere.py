@@ -513,21 +513,26 @@ class TestTorsionOrder:
                 assert (root.id, root.ok, root.axioms) == ("troot", False, ()), (n, w)
                 assert "A5" not in cert.cited_axiom_ids(), (n, w)
 
-    def test_alpha2_n3_resolved_by_square_rule(self):
+    def test_alpha2_n3_resolved_by_square_rule(self, monkeypatch):
         # (w, claimed order, the square root of w^(claimed/2) the rule gets):
         # alpha2 at n = 3, then alpha2^2, whose w^k for odd k splits into
-        # two equal literal halves alpha2^k
+        # two equal literal halves alpha2^k; the root step names w^k by
+        # exponent, and w through tinv
+        roots = []
+        monkeypatch.setattr(sphere, "square_rule", lambda v, budget: roots.append(v) or square_rule(v, budget))
         cases = [(named_element("alpha2", 3), 2, BraidWord(3, (1,)))]
         for n, claimed in ((4, 2), (8, 6)):
             alpha2 = named_element("alpha2", n)
             cases.append((alpha2**2, claimed, alpha2 ** (claimed // 2)))
         for w, claimed, half in cases:
+            roots.clear()
             cert = torsion_order(w, claimed)
             assert cert.verdict is Verdict.VERIFIED, w.strand_count
             assert not cert.flags["a5_backed"]
             (root,) = [s for s in cert.steps if s.id == "troot"]
             assert root.method == "square-rule"
-            assert root.data["word"] == half.to_text()
+            assert root.data == {"n": w.strand_count, "power": claimed // 2}
+            assert [v.letters for v in roots] == [half.letters]
             assert any(s.method == "mod-center" for s in cert.steps)
 
     def test_odd_claim_is_inconclusive(self):

@@ -87,7 +87,8 @@ class TestVerifyQ8:
         (root,) = [s for s in cert.steps if s.id == "s2.root"]
         assert root.method == "square-rule"
         assert root.axioms == ()
-        assert root.data == {"n": 4, "word": named_element("bipolar_twist", 4).to_text(), "power": 2}
+        assert root.data == {"n": 4, "power": 2}
+        assert root.depends_on == ("s2.inv", "s2.modc")
         assert "A5" not in cert.cited_axiom_ids()
 
 
@@ -504,27 +505,50 @@ class TestReplay:
         assert accepted == []
 
     def test_identical_words_step_is_replayed(self):
-        # the root step of alpha0 names its words; naming the full twist as
-        # another power of the same letters is an edit that replay rejects
+        # the root step of alpha0 names w^6 and the full twist alpha0^6 by
+        # exponent, and w through alpha0.inv; naming the full twist as
+        # another element or power, or w^6 as another power, is an edit
+        # that replay rejects
         cert = verify_torsion_table(6)
         assert replay_certificate(cert)
         ((i, root),) = [(i, s) for i, s in enumerate(cert.steps) if s.method == "identical-words"]
-        assert (root.id, root.axioms, root.depends_on) == ("alpha0.root", (), ())
-        assert root.data == {
-            "n": 6,
-            "word": "1 2 3 4 5",
-            "power": 6,
-            "full_twist": {"word": "1 2 3 4 5", "power": 6},
-        }
-        power = named_element("alpha0", 6) ** 6
+        assert (root.id, root.axioms, root.depends_on) == ("alpha0.root", (), ("alpha0.inv",))
+        assert root.data == {"n": 6, "power": 6, "full_twist": {"element": "alpha0", "power": 6}}
         edits = [
-            {"full_twist": {"word": power.to_text(), "power": 1}},
-            {"word": power.to_text(), "power": 1},
+            {"full_twist": {"element": "alpha1", "power": 6}},
+            {"full_twist": {"element": "alpha0", "power": 1}},
             {"power": 12},
         ]
         for edit in edits:
             forged = _forged(root, data={**root.data, **edit})
             assert not replay_certificate(_forged(cert, steps=cert.steps[:i] + (forged,) + cert.steps[i + 1 :]))
+
+    def test_torsion_order_writes_its_word_once(self):
+        # in each torsion_order sub-certificate of q8, dicyclic and torsion,
+        # only the step {prefix}inv writes w's letters (exact-Bn pairs, which
+        # write the words they compare, aside); every other step names w
+        # through {prefix}inv, which its depends_on lists, and replay rejects
+        # an edit to that one word
+        for claim in ("q8", "dicyclic", "torsion"):
+            for n in range(3, 41):
+                cert = PLANS[claim].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS)
+                invs = [(i, s) for i, s in enumerate(cert.steps) if s.id.endswith(".inv")]
+                assert len(invs) == (0 if claim == "q8" and n % 2 else 3 if claim == "torsion" else 1)
+                for i, inv in invs:
+                    prefix, word = inv.id[: -len("inv")], inv.data["word"]
+                    writers = []
+                    for step in cert.steps:
+                        if not step.id.startswith(prefix):
+                            continue
+                        data = {k: v for k, v in step.data.items() if (step.method, k) != ("exact-Bn", "pairs")}
+                        if word in json.dumps([step.statement, data]):
+                            writers.append(step.id)
+                        if step is not inv:
+                            assert inv.id in step.depends_on, (claim, n, step.id)
+                    assert writers == [inv.id], (claim, n, writers)
+                    edited = _forged(inv, data={**inv.data, "word": word + " 1"})
+                    steps = cert.steps[:i] + (edited,) + cert.steps[i + 1 :]
+                    assert not replay_certificate(_forged(cert, steps=steps)), (claim, n, inv.id)
 
     def test_claim_without_a_plan_raises(self):
         cert = torsion_order(named_element("alpha0", 4), 8)
