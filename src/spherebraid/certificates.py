@@ -11,8 +11,10 @@ at a glance what has to be trusted beyond the computations.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 
 
 class Verdict(str, Enum):
@@ -148,6 +150,82 @@ class VerificationCertificate:
         }
 
 
+# json.dumps indents in C from Python 3.13 on; below 3.13 an indent sends it
+# down its pure-Python encoder, which `_write_json` outruns more than twofold.
+# Drop the branch and `_write_json` when requires-python reaches 3.13.
+_DUMPS_INDENTS_IN_C = sys.version_info >= (3, 13)
+
+
 def to_json(obj) -> str:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline.
+
+    On every supported Python the text is json.dumps(obj, sort_keys=True,
+    indent=2) plus a newline: made by that call from 3.13 on, where it is
+    the faster, and by `_write_json` below 3.13.
+    """
+    if _DUMPS_INDENTS_IN_C:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _write_json(obj)
+
+
+def _write_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", written directly.
+
+    Takes what a machine document holds: dicts with str keys, lists and
+    tuples, str, int, bool and None; any other type, and a key that is not
+    a str, raises TypeError.  Every token goes into one list, joined once.
+    """
+    parts: list[str] = []
+    _write(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(o, newline: str, append) -> None:
+    """Append the tokens of o; newline is a line break and the indent of the line o ends on.
+
+    Strings and keys are escaped by json's own C function (which refuses a
+    non-str key) and ints written by int.__repr__, as json.dumps writes
+    them; a container's items go one to a line, two spaces deeper than the
+    container, and an empty one is [] or {}.  A module function, not a
+    closure over the token list: a closure that calls itself is a
+    reference cycle, which would keep every token alive until the cyclic
+    garbage collector next ran.
+    """
+    t = type(o)
+    if t is str:
+        append(encode_basestring_ascii(o))
+    elif t is int:
+        append(int.__repr__(o))
+    elif t is dict:
+        if not o:
+            append("{}")
+            return
+        inner = newline + "  "
+        head, sep = "{" + inner, "," + inner
+        for key in sorted(o):
+            append(head)
+            append(encode_basestring_ascii(key))
+            append(": ")
+            _write(o[key], inner, append)
+            head = sep
+        append(newline)
+        append("}")
+    elif t is list or t is tuple:
+        if not o:
+            append("[]")
+            return
+        inner = newline + "  "
+        head, sep = "[" + inner, "," + inner
+        for item in o:
+            append(head)
+            _write(item, inner, append)
+            head = sep
+        append(newline)
+        append("]")
+    elif t is bool:
+        append("true" if o else "false")
+    elif o is None:
+        append("null")
+    else:
+        raise TypeError(f"{t.__name__} is not written to a machine document")

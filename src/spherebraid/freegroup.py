@@ -44,7 +44,9 @@ one-letter W_j takes its image as it stands.  Two kinds of word take it:
   with k >= 2 and |u| < CHUNK_LETTERS_PER_STRAND * n takes u letter by
   letter.  When u's images are such a psi and one step costs at most |u|
   junctions and conjugations, each later period is one step; that holds
-  for alpha0^n, alpha1^(n-1), alpha2^(n-2) and, at n >= 12, q8's y^2.
+  for alpha0^n, alpha1^(n-1), alpha2^(n-2) and, at n = 12, 14 and 16 only,
+  a^2 for q8's bipolar twist a, whose period of n(n-2)/4 letters reaches
+  the gate from n = 18.
   Any other power goes by chunks and letters, as a word given by its
   letters alone does, however its letters repeat.
 

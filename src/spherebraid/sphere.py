@@ -295,8 +295,14 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
             return [replace(exact, depends_on=inv)]
     # Not a disk identity: certify on the sphere.  w^k is a square as a word
     # when it is w^(k/2) twice, or for odd k two equal halves of its letters
-    # (alpha2 = sigma_1^2 at n = 3).
-    root = w ** (k // 2) if k % 2 == 0 else BraidWord._of_checked(n, power.letters[: len(power) // 2])
+    # (alpha2 = sigma_1^2 at n = 3).  At k = 2 the root is w itself, whose
+    # text the inv step has already written, so the square rule reuses it.
+    if k == 2:
+        root = w
+    elif k % 2 == 0:
+        root = w ** (k // 2)
+    else:
+        root = BraidWord._of_checked(n, power.letters[: len(power) // 2])
     sq = square_rule(root, max_image_letters) if root**2 == power else None
     consistent = sq is not None or eq_mod_center(power, delta2, max_image_letters)
     steps = [

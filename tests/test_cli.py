@@ -606,6 +606,25 @@ class TestSelftestCommand:
         assert captured.err == self.BUDGET_MESSAGE
 
 
+class TestMachineDocuments:
+    """Every document shape `--format machine` emits is json.dumps(doc, sort_keys=True, indent=2) + a newline."""
+
+    RUNS = {
+        **{f"verify-{claim}": ["verify", "--claim", claim, "--from", "4", "--to", "6"] for claim in cli.CLAIMS},
+        "normal-form": ["normal-form", "--n", "5", "--word", "1 -2 3 4 -1 -1"],
+        "act-disk": ["act", "--n", "5", "--word", "1 2 -3 4 2", "--target", "disk"],
+        "act-sphere": ["act", "--n", "5", "--word", "1 2 -3 4 2", "--target", "sphere"],
+        "selftest": ["selftest", "--pairs", "5"],
+    }
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_stdout_is_the_json_dumps_of_its_parse(self, runner, run):
+        result = runner.invoke(main, [*self.RUNS[run], "--format", "machine"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.stdout)
+        assert result.stdout == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 class TestOptionRanges:
     """Numeric options are checked where they are declared: budgets >= 1, counts >= 0."""
 
