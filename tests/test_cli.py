@@ -233,25 +233,27 @@ class TestVerifyCommand:
     # re-pinned when alpha0's root step became an identical-words step, and
     # the q8 and dicyclic digests when one Dic_4m certifier replaced their
     # two proofs.  The q8, dicyclic and torsion digests were re-pinned again
-    # when torsion_order came to write its word only in its `inv` step.
+    # when torsion_order came to write its word only in its `inv` step, and
+    # the background digests when step b4 came to compare x sigma_i with
+    # sigma_(n-i) x.
     PINNED_MACHINE_DIGESTS = {
         ("q8", 3, 12): "ef59365c522203740ec12285d41065c67c526a987acbe9a57b0abcaee87c2fa4",
         ("dicyclic", 3, 12): "b7c549ccf7eb17b49fae779c0cf03db5d64478d8bf327a5ab193689d16c5dc93",
         ("torsion", 3, 12): "912d19f9a6004019722bfebb10b469e873ac36429fda2bbc0de9392e0b611916",
-        ("background", 3, 12): "5f37b6c4241cb60c88f77cd375965c6023805011764d3fc42507c3741e9e07b5",
+        ("background", 3, 12): "319a1a1fcbd6bcccbab9115f2ac5dd893fa73b72b7a8a3dca0f0c455ffe0d619",
         ("odd-obstruction", 3, 13): "f248195ed7a5f1a0877f8f017c33ba7b5bbd26b6cd423dc75975ba2bfe8ad85d",
         # the certify and background n-grids of the benchmark
         ("q8", 13, 24): "0cbe9409133a4212049bff855af28fe5fa4a57b8dd50e414c04d88023f6b2ac5",
         ("dicyclic", 13, 24): "ebbd95e3a43b596e5febc10166e5979541f68b79a48609604a65d2f88b98063e",
         ("torsion", 13, 24): "cf5255942d50e4952bf5920014b7b0f882d7dac57db330936c4885930000f42e",
-        ("background", 13, 22): "13400b6753c8ec2065507749cd8c4617ae11979dbf36e8415461ffb0631c34a0",
+        ("background", 13, 22): "02c75ff2a476038e80a2ce8d06500f4c2f23867feb456a77729b21489405cef7",
         # torsion past the benchmark grid, where its root words are longest
         ("torsion", 25, 32): "39ae6e49b82b1e25663e1e5a10037d2b02e23c6a3618a7cfb394e15dc2f5c1b7",
         ("torsion", 48, 48): "c6b1a886adee9ebacb3eef68072d7eaae7f08fc880cb811c3694794c7f5bf141",
         ("torsion", 64, 64): "9d7c8de672969c65018e48f27177ca7f2ac086b7b46b5212e0af0e500b5cc7f9",
         # background past the benchmark grid, where b4's words are longest
-        ("background", 23, 32): "305d9f04f65c551574bcdecb046c8710249c93270d4ce0ca33f49502cfc453a3",
-        ("background", 33, 48): "ef0c409b8622520fb54c607216aa9590d24d6329b16a713b245460e6c4d67368",
+        ("background", 23, 32): "731d5b85f0d1e1bbff8aa8289255c38c742426bc30f8f94ea54f3f932e7dfb12",
+        ("background", 33, 48): "2d8733aaeeddeb24d91e251e389dc8c6383b098e2f70bfdfa2950e2285f43ef3",
         # the alpha-power words, alpha0^n among them, at the frontier
         ("q8", 128, 128): "af2d043022fb4f1045bed46df48f51e800173bf7db707fa96fb3dee6252ca163",
         ("dicyclic", 128, 128): "a3a8f8e4ba36f3e076af8cb9aa45e07318b89ba536ab10757f4b974f4153aef2",
@@ -356,6 +358,7 @@ class TestVerifyCommand:
 
     # sha256 of `verify --format text`, the one report that lists each
     # certificate's cited axioms; the last two runs hit a budget and exit 3.
+    # Background's complete run was re-pinned with its machine digests.
     PINNED_TEXT_DIGESTS = {
         ("q8", "--from", "3", "--to", "12"):
             (0, "7cc87c45624ca8181a13d4cc3c47e0d0f85e7276da4683b7693894af9f3ad4ca"),
@@ -364,7 +367,7 @@ class TestVerifyCommand:
         ("torsion", "--from", "3", "--to", "12"):
             (0, "570fb58ecb146e92937e3762af12ec012757295b7877f84ba29a7ae15fe0e414"),
         ("background", "--from", "2", "--to", "12"):
-            (0, "70e4969f671ddbc6a524538eb30c57eebf5a4934b1dfbfe5e55d9a16863bd64d"),
+            (0, "f7e34599b1160b96e8d2eac547d032d775e6601f36e62468cdf72b0de202b76d"),
         ("odd-obstruction", "--from", "3", "--to", "13"):
             (0, "cb4b009dfcc2404b3fe835caffb5512735109c4370c37b58be729cf28a0f82b2"),
         ("torsion", "--n", "24", "--max-endo-letters", "45"):
