@@ -59,11 +59,14 @@ and the sphere layer all call it.  A product of words
 (`words.BraidWord.product`) acts factor by factor there: the last
 factor's images come from `_artin_images`, and each earlier factor acts
 on them, right to left, by its own chunk split, so a chunk never crosses
-a factor boundary.  Step b4's x sigma_i x^-1, q8's and dicyclic's x x and
-their relation words a x a x^-1 are such products, so x and x^-1 are
-walked once per plan, except in q8 from n = 18 on, where the bipolar
-twist and its square take the chunk memo's two entries in between.  On
-them the product meets the flat word's budgets, which the tests check.
+a factor boundary.  Step b4's x sigma_i and sigma_(n-i) x, q8's and
+dicyclic's x x and their relation words a x a x^-1 are such products, so
+x and x^-1 are walked once per plan, except in q8 from n = 18 on, where
+the bipolar twist and its square take the chunk memo's two entries in
+between.  In b4, x sigma_i is one substitution step of x over sigma_i's
+images from n = 9 on, and sigma_(n-i) x one letter step on x's memoized
+images, so no pair acts with x^-1.  On the plan words the product meets
+the flat word's budgets, which the tests check.
 A word's first chunk, with no letter to its right, takes its form's
 images on the identity as they are, held to the budget at the peak the
 step would reach there.
@@ -442,9 +445,9 @@ def _long_chunks(letters: tuple[int, ...], n: int) -> tuple:
 def _split(letters: tuple[int, ...], n: int) -> tuple:
     """`_long_chunks` of the last two long words it was asked for, with their actions.
 
-    Step b4's products x sigma_i x^-1 ask for x's split once a pair and
-    for x^-1's only when the Artin memo computes x^-1's action, and q8's
-    and dicyclic's x x reads x's split twice.  The result and its forms
+    Step b4's products x sigma_i ask for x's split once a pair, and
+    sigma_(n-i) x once a plan, when the Artin memo computes x's action;
+    q8's and dicyclic's x x reads x's split twice.  The result and its forms
     are shared, so no caller may change them.  `theorems._run_plan`
     empties this memo with the Artin memo.
     """
@@ -536,8 +539,8 @@ def _images(w, budget: int | None) -> list[tuple]:
     gate lets it run, the factor's declared period;
     each earlier factor then acts on them, right to left, by its own
     `_long_chunks` split.  So a chunk never crosses a factor boundary,
-    and on the plan words x sigma_i x^-1, x x and a x a x^-1 the
-    product meets the flat word's budgets.  The
+    and on the plan words x sigma_i, sigma_(n-i) x, x x and a x a x^-1
+    the product meets the flat word's budgets.  The
     product's images are not memoized.
     """
     n = w.strand_count

@@ -40,9 +40,9 @@ Representation choices:
     factors' normal forms by the rule
         Delta^p A Delta^q B = Delta^(p+q) tau^q(A) B
     (`_product_form`).  The forms of the last two factors of at least n
-    letters are memoized (`_factor_form`), so step b4's words
-    x sigma_i x^-1 normalize x and x^-1 once per plan, and each pair is
-    one tau-flipped simple instead of a walk over some n^2 letters.
+    letters are memoized (`_factor_form`), so step b4's words x sigma_i
+    and sigma_(n-i) x normalize x once per plan, and each is Delta times
+    the one simple sigma_i instead of a walk over some n^2 / 2 letters.
     `theorems._run_plan` empties that memo before and after each plan.
 """
 
@@ -211,7 +211,8 @@ def _letters_form(n: int, letters: tuple[int, ...]) -> tuple[int, list[tuple[int
     return lead - flips, factors
 
 
-# The normal forms of the last two long factors of products: b4's x and x^-1.
+# The normal forms of the last two long factors of products: the half twist x
+# of b4 and of x x, and a and x of a x a x^-1.
 _factor_form = lru_cache(maxsize=2)(_letters_form)
 
 

@@ -27,9 +27,9 @@ and returns it INCONCLUSIVE instead of raising when a configured budget
 plan starts and ends with empty memos (`freegroup._clear_memos`: the
 disk actions and the chunk splits of long words; `garside._clear_memos`:
 the normal forms of the long factors of products), so it reuses only
-its own work and leaves none behind.  The conjugations by the half
-twist x (x sigma_i x^-1 in b4) and the words x x and a x a x^-1 are
-built as products (`BraidWord.product`), so both engines read x and
+its own work and leaves none behind.  Step b4's words x sigma_i and
+sigma_(n-i) x, for x the half twist, and the words x x and a x a x^-1
+are built as products (`BraidWord.product`), so both engines read x and
 x^-1 by their factors.
 """
 
@@ -379,7 +379,14 @@ def verify_background(
     max_cosets: int = DEFAULT_MAX_COSETS,
     max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS,
 ) -> VerificationCertificate:
-    """The finite sphere braid groups and the half-twist conjugation identities."""
+    """The finite sphere braid groups and the half-twist conjugation identities.
+
+    b1 (n = 2) and b2 (n = 3) enumerate cosets; b3 checks that every
+    defining relator acts trivially on the punctured sphere; b4 compares
+    x sigma_i with sigma_(n-i) x on both exact engines, for x the half
+    twist, which is the conjugation identity x sigma_i x^-1 = sigma_(n-i)
+    with no word that acts with x^-1.
+    """
 
     def body() -> tuple:
         steps: list[ProofStep] = []
@@ -461,15 +468,16 @@ def verify_background(
             )
         )
         x = named_element("half_twist", n)
-        x_inv = x.inverse()
         pairs = [
-            (BraidWord.product(x, BraidWord(n, (i,)), x_inv), BraidWord(n, (n - i,))) for i in range(1, n)
+            (BraidWord.product(x, BraidWord(n, (i,))), BraidWord.product(BraidWord(n, (n - i,)), x))
+            for i in range(1, n)
         ]
         steps.append(
             _exact_step(
                 "b4",
-                f"conjugation by the half twist sends sigma_i to sigma_(n-i) in B_{n}, "
-                f"for every i",
+                f"x sigma_i = sigma_(n-i) x in B_{n} for every i (normal forms and "
+                f"free-group actions both agree), so conjugation by the half twist "
+                f"sends sigma_i to sigma_(n-i)",
                 pairs,
                 max_image_letters,
             )

@@ -106,7 +106,7 @@ class BraidWord:
         factors' memoized normal forms, freegroup by applying each factor's
         memoized chunks to the images of the next, and the sphere layer
         takes a product through freegroup.  A plan step whose words share
-        long factors, as b4's x sigma_i x^-1 share x and x^-1, so reads
+        long factors, as b4's x sigma_i and sigma_(n-i) x share x, so reads
         them once.  The invariants in this module read its letters.
         """
         if not factors:

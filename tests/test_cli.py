@@ -441,7 +441,7 @@ class TestActCommand:
 
     @staticmethod
     def _conjugation_words(n):
-        """Step b4's words x sigma_i x^-1 and their mirror x^-1 sigma_i x, x the
+        """The conjugations x sigma_i x^-1 and their mirror x^-1 sigma_i x, x the
         half twist, for i = 1, n // 2 and n - 1."""
         x = named_element("half_twist", n)
         for i in (1, n // 2, n - 1):

@@ -705,10 +705,14 @@ class TestPowerPath:
 
 
 def _plan_products(n):
-    """The products the plans build: x sigma_i x^-1 (b4) for i in {1, n/2, n - 1}, x x (s1, d1),
-    and a x a x^-1 for a = alpha0 (d3) and the bipolar twist (s3, even n), for x the half twist."""
+    """The products the plans build: x sigma_i and sigma_(n-i) x (b4) for i in {1, n/2, n - 1},
+    x x (s1, d1) and a x a x^-1 for a = alpha0 (d3) and the bipolar twist (s3, even n), for x the
+    half twist, and the conjugations x sigma_i x^-1, which act with both x and x^-1."""
     x = named_element("half_twist", n)
-    products = [(x, BraidWord(n, (i,)), x.inverse()) for i in (1, n // 2, n - 1)]
+    products = []
+    for i in (1, n // 2, n - 1):
+        s = BraidWord(n, (i,))
+        products += [(x, s), (BraidWord(n, (n - i,)), x), (x, s, x.inverse())]
     a = named_element("alpha0", n)
     products += [(x, x), (a, x, a, x.inverse())]
     if n % 2 == 0:

@@ -363,6 +363,28 @@ class TestVerifyBackground:
         (b4,) = [s for s in cert.steps if s.id == "b4"]
         assert len(b4.data["pairs"]) == 4
 
+    def test_b4_pairs_are_the_flat_words_of_x_sigma_i_and_sigma_n_minus_i_x(self):
+        for n in range(3, 41):
+            (b4,) = [s for s in verify_background(n).steps if s.id == "b4"]
+            x = named_element("half_twist", n)
+            flat = [
+                [(x * BraidWord(n, (i,))).to_text(), (BraidWord(n, (n - i,)) * x).to_text()]
+                for i in range(1, n)
+            ]
+            assert (b4.method, b4.ok, b4.data["pairs"]) == ("exact-Bn", True, flat), n
+
+    def test_flat_conjugation_by_the_half_twist_mirrors_sigma_i(self):
+        # x sigma_i x^-1 = sigma_(n-i), the identity b4's x sigma_i =
+        # sigma_(n-i) x stands for, on the flat words and on both engines
+        for n in range(3, 25):
+            x = named_element("half_twist", n)
+            for i in range(1, n):
+                conjugate = x * BraidWord(n, (i,)) * x.inverse()
+                mirror = BraidWord(n, (n - i,))
+                assert garside.equal_Bn(conjugate, mirror), (n, i)
+                assert freegroup.eq_Bn(conjugate, mirror, DEFAULT_MAX_IMAGE_LETTERS), (n, i)
+        theorems._clear_memos()
+
     def test_precondition(self):
         with pytest.raises(ValueError):
             verify_background(1)
@@ -710,13 +732,14 @@ class TestArtinMemo:
         for memo in PLAN_MEMOS:
             assert memo.cache_info().currsize == 0, memo
 
-    def test_b4_computes_two_closed_forms(self):
-        # every pair x sigma_i x^-1 takes the chunk forms of x and x^-1
-        # from the chunk memo, which the plan leaves empty
+    def test_b4_computes_one_closed_form(self):
+        # every pair x sigma_i, sigma_(n-i) x takes x's chunk form from the
+        # chunk memo, which the plan leaves empty, and no word of the plan
+        # has a chunk of x^-1
         for n in (9, 22, 40):
             forms = _calls_into(_chunk_form, ("perm", "positive"), lambda: verify_background(n))
             reversal = tuple(range(n, 0, -1))
-            assert sorted(forms) == [(reversal, False), (reversal, True)], n
+            assert forms == [(reversal, True)], n
             assert _split.cache_info().currsize == 0
 
     def test_b3_decides_two_renumbered_words(self, monkeypatch):
@@ -744,13 +767,12 @@ class TestArtinMemo:
 
     def test_only_long_words_enter_the_chunk_memo(self):
         # a word shorter than 4n, or any word at n < 9, is never walked, so
-        # b4's one-letter factor sigma_i never evicts x from the memo and x
-        # and x^-1 are each walked once per plan
+        # b4's one-letter factors never evict x from the memo, and x, the
+        # only long word of background, is walked once per plan
         for claim, n in [*MEMO_GRID, ("background", 22)]:
             walked = _calls_into(_split.__wrapped__, ("letters", "n"), lambda: PLANS[claim].run(n, DEFAULT_MAX_COSETS, DEFAULT_MAX_IMAGE_LETTERS))
             assert all(n >= 9 and len(letters) >= 4 * n for letters, _ in walked), (claim, n)
-        x = named_element("half_twist", 22)
-        assert sorted(walked) == sorted([(x.letters, 22), (x.inverse().letters, 22)])
+        assert walked == [(named_element("half_twist", 22).letters, 22)]
 
 
 def test_no_plan_runs_the_engines_on_letter_identical_words():
