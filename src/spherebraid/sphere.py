@@ -20,14 +20,15 @@ No procedure here distinguishes 1 from Delta^2 on its own.  Two rules
 do: an exact identity in B_n with the surface relator or 1, whichever
 has the word's exponent sum (`_relator_target`; relator_trivializes
 runs it on both engines, and the plans build it as an exact-Bn step),
-and square_rule, via the uniqueness of the involution (axioms A1-A3).
-torsion_order chains the square rule and exact identities with cheap
-invariants to pin exact element orders.
+and square_rule, a yes/no test that v^2 = Delta^2 via the uniqueness of
+the involution (axioms A1-A3).  torsion_order chains the square rule
+and exact identities with cheap invariants to pin exact element
+orders; `_root_identity_steps` writes the proof steps, the square
+rule's among them.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 import math
 
 from . import freegroup, garside
@@ -61,8 +62,12 @@ def _both_engines_equal(lhs: BraidWord, rhs: BraidWord, budget) -> bool:
     return g
 
 
-def _exact_step(step_id, statement, pairs, budget) -> ProofStep:
-    """One exact-Bn step covering the listed word identities, both engines."""
+def _exact_step(step_id, statement, pairs, budget, depends_on=()) -> ProofStep:
+    """One exact-Bn step covering the listed word identities, both engines.
+
+    `depends_on` lists the steps the statement builds on, as a root step
+    lists the `inv` step that writes its word.
+    """
     n = pairs[0][0].strand_count
     ok = all(_both_engines_equal(lhs, rhs, budget) for lhs, rhs in pairs)
     return ProofStep(
@@ -70,6 +75,7 @@ def _exact_step(step_id, statement, pairs, budget) -> ProofStep:
         statement=statement,
         method="exact-Bn",
         ok=ok,
+        depends_on=depends_on,
         data={
             "n": n,
             "pairs": [[lhs.to_text(), rhs.to_text()] for lhs, rhs in pairs],
@@ -157,12 +163,13 @@ def acts_trivially(w: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMA
     """True iff w acts trivially on the punctured sphere (outer action).
 
     By axiom A1 this means exactly w in {1, Delta^2} in B_n(S^2).  The test
-    never tells 1 from Delta^2; only square_rule, relator_trivializes or an
-    exact identity in B_n can.  A word with a nontrivial strand permutation
-    moves a puncture class and is rejected without computing the action.
-    Otherwise p = j, every image C_j x_j C_j^-1 (C_j: S_j without trailing
-    x_j^+-1) is held to the budget, and the C_j are compared; when every
-    disk image is x_j, every C_j is empty and the comparison says True.
+    never tells 1 from Delta^2; only an exact identity in B_n (as
+    relator_trivializes runs one), or square_rule on a square root of w,
+    can.  A word with a nontrivial strand permutation moves a puncture
+    class and is rejected without computing the action.  Otherwise p = j,
+    every image C_j x_j C_j^-1 (C_j: S_j without trailing x_j^+-1) is held
+    to the budget, and the C_j are compared; when every disk image is x_j,
+    every C_j is empty and the comparison says True.
     """
     n = w.strand_count
     if n < 3:
@@ -217,30 +224,19 @@ def relator_trivializes(w: BraidWord, max_image_letters: int | None = DEFAULT_MA
     return target is not None and _both_engines_equal(w, target, max_image_letters)
 
 
-def square_rule(v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> ProofStep | None:
-    """Certify v^2 = Delta^2 (so v has order 4) in B_n(S^2), or fail.
+def square_rule(v: BraidWord, max_image_letters: int | None = DEFAULT_MAX_IMAGE_LETTERS) -> bool:
+    """True iff the square rule certifies v^2 = Delta^2 (so v has order 4) in B_n(S^2).
 
-    Needs a nontrivial strand permutation and a trivial sphere action of
-    v^2.  Then v^2 lies in {1, Delta^2} by A1; v^2 = 1 would make v an
-    involution different from Delta^2, impossible by A2; so v^2 = Delta^2,
-    and since Delta^2 has order 2 (A3), v has order exactly 4.
+    It holds when v's strand permutation is nontrivial and v^2 acts
+    trivially on the punctured sphere.  Then v^2 lies in {1, Delta^2} by
+    A1; v^2 = 1 would make v an involution different from Delta^2,
+    impossible by A2; so v^2 = Delta^2, and since Delta^2 has order 2
+    (A3), v has order exactly 4.  False says only that the rule does not
+    apply.  The caller writes the step that cites A1-A3.
     """
     if v.strand_count < 3:
         raise ValueError(f"square_rule needs n >= 3, got n = {v.strand_count}")
-    if permutation(v).is_identity():
-        return None
-    if not acts_trivially(v**2, max_image_letters):
-        return None
-    return ProofStep(
-        id="square-rule",
-        statement=f"the square of [{v.to_text()}] acts trivially on the punctured "
-        f"sphere, so it lies in {{1, Delta^2}}; the strand permutation of the element "
-        f"is nontrivial, so it is not an involution, forcing its square to be Delta^2 "
-        f"and its order to be exactly 4 in B_{v.strand_count}(S^2)",
-        method="square-rule",
-        axioms=("A1", "A2", "A3"),
-        data={"n": v.strand_count, "word": v.to_text()},
-    )
+    return not permutation(v).is_identity() and acts_trivially(v**2, max_image_letters)
 
 
 def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -> list[ProofStep]:
@@ -258,14 +254,16 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
        only when w^k and Delta^2 have the same exponent sum, k times that
        of w against n(n-1).  The exponent sum is a homomorphism B_n -> Z,
        so unequal sums make the step fail for certain, and it is skipped.
-    3. On the sphere: a mod-center step (A1), then a root step.  When
-       w^k is a square as a word and the square rule holds for its root,
-       the rule's trivial action of w^k also settles the mod-center step,
-       since Delta^2 acts trivially, and the rule is the root step; only
-       otherwise does `eq_mod_center` compare w^k with Delta^2.  Failing
-       the rule, A5 gives the value, flagged axiom-backed consistency,
-       when w^k is a canonical root alpha_i^(n-i) letter for letter; for
-       any other word the root step fails.
+    3. On the sphere: a mod-center step (A1), then a root step.  w^k is
+       a square as a word when k is even, of w^(k/2), or, for odd k, when
+       the two halves of its letters are equal.  When `square_rule` holds
+       for that root, its trivial action of w^k also settles the
+       mod-center step, since Delta^2 acts trivially, and the root step
+       is a `square-rule` step citing A1-A3; only otherwise does
+       `eq_mod_center` compare w^k with Delta^2.  Failing the rule, A5
+       gives the value, flagged axiom-backed consistency, when w^k is a
+       canonical root alpha_i^(n-i) letter for letter; for any other word
+       the root step fails.
     """
     n = w.strand_count
     power = w**k
@@ -290,21 +288,21 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
             f"(normal forms and free-group actions both agree)",
             [(power, delta2)],
             max_image_letters,
+            depends_on=inv,
         )
         if exact.ok:
-            return [replace(exact, depends_on=inv)]
-    # Not a disk identity: certify on the sphere.  w^k is a square as a word
-    # when it is w^(k/2) twice, or for odd k two equal halves of its letters
-    # (alpha2 = sigma_1^2 at n = 3).  At k = 2 the root is w itself, whose
-    # text the inv step has already written, so the square rule reuses it.
-    if k == 2:
-        root = w
-    elif k % 2 == 0:
+            return [exact]
+    # Not a disk identity: certify on the sphere, by the square rule when
+    # w^k is a square as a word (for odd k, alpha2 = sigma_1^2 at n = 3).
+    cut = len(power) // 2
+    if k % 2 == 0:
         root = w ** (k // 2)
+    elif power.letters[:cut] == power.letters[cut:]:
+        root = BraidWord._of_checked(n, power.letters[:cut])
     else:
-        root = BraidWord._of_checked(n, power.letters[: len(power) // 2])
-    sq = square_rule(root, max_image_letters) if root**2 == power else None
-    consistent = sq is not None or eq_mod_center(power, delta2, max_image_letters)
+        root = None
+    square = root is not None and square_rule(root, max_image_letters)
+    consistent = square or eq_mod_center(power, delta2, max_image_letters)
     steps = [
         ProofStep(
             id=f"{prefix}modc",
@@ -320,17 +318,18 @@ def _root_identity_steps(w: BraidWord, k: int, prefix: str, max_image_letters) -
     if not consistent:
         return steps
     after = (*inv, f"{prefix}modc")
-    if sq is not None:
+    if square:
         half = k // 2 if k % 2 == 0 else f"({k}/2)"
         steps.append(
-            replace(
-                sq,
+            ProofStep(
                 id=f"{prefix}root",
                 statement=f"w^{k} is the square of w^{half}, the first half of its letters, and "
                 f"acts trivially on the punctured sphere, so it lies in {{1, Delta^2}}; the strand "
                 f"permutation of w^{half} is nontrivial, so w^{half} is not an involution, forcing "
                 f"w^{k} = Delta^2 in B_{n}(S^2)",
+                method="square-rule",
                 depends_on=after,
+                axioms=("A1", "A2", "A3"),
                 data={"n": n, "power": k},
             )
         )

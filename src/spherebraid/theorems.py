@@ -134,12 +134,14 @@ def _dicyclic_steps(prefix: str, a: BraidWord, x: BraidWord, m: int, budget) -> 
     )
     perm_a, perm_x = permutation(a), list(permutation(x).images)
     g, powers, point = perm_a.images, [], 1  # point = g^k(1)
+    # power = g^at, advanced only to each match: alpha0 matches at k = 1 of n
+    power, at = list(range(1, n + 1)), 0
     for k in range(perm_a.order()):
         if point == perm_x[0]:
-            power = list(range(1, n + 1))
-            for _ in range(k):
+            for _ in range(k - at):
                 power = [g[v - 1] for v in power]
             powers.append([k, power])
+            at = k
         point = g[point - 1]
     steps.append(
         ProofStep(

@@ -124,7 +124,7 @@ class TestVerifyCommand:
         assert [c["flags"]["order"] for c in doc["certificates"]] == [12, 16, 20]
 
     def test_failed_square_rule_exits_1(self, runner, monkeypatch):
-        monkeypatch.setattr(sphere, "square_rule", lambda v, max_image_letters=None: None)
+        monkeypatch.setattr(sphere, "square_rule", lambda v, max_image_letters=None: False)
         result = runner.invoke(main, ["verify", "--claim", "q8", "--n", "4"])
         assert result.exit_code == 1
         assert "verdict=REFUTED" in result.output

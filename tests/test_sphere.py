@@ -28,7 +28,7 @@ from spherebraid.sphere import (
     square_rule,
     torsion_order,
 )
-from spherebraid.theorems import verify_background
+from spherebraid.theorems import verify_background, verify_q8
 from spherebraid.words import BraidWord, named_element, permutation
 
 
@@ -283,6 +283,10 @@ class TestActsTrivially:
     def test_single_generator_not(self):
         assert acts_trivially(BraidWord(4, (1,))) is False
 
+    def test_needs_three_strands(self):
+        with pytest.raises(ValueError, match="n >= 3"):
+            acts_trivially(BraidWord(2, (1,)))
+
     def test_bipolar_square_in_center_set(self):
         y = named_element("bipolar_twist", 4)
         assert acts_trivially(y * y) is True
@@ -424,26 +428,38 @@ class TestRelatorTrivializes:
 
 class TestSquareRule:
     def test_bipolar_twist(self):
-        step = square_rule(named_element("bipolar_twist", 4))
-        assert step is not None
-        assert set(step.axioms) == {"A1", "A2", "A3"}
+        # the bipolar twist at even n and alpha2^((n-2)/2), whose squares
+        # are q8's and torsion's square-rule roots; the A1-A3 step is the
+        # one q8 writes, s2.root
+        roots = [named_element("bipolar_twist", n) for n in range(4, 25, 2)]
+        roots += [named_element("alpha2", n) ** ((n - 2) // 2) for n in range(6, 25, 2)]
+        for v in roots:
+            assert square_rule(v) is True, v.strand_count
+        for n in range(4, 41, 2):
+            (root,) = [s for s in verify_q8(n).steps if s.id == "s2.root"]
+            assert (root.method, root.ok, root.axioms) == ("square-rule", True, ("A1", "A2", "A3")), n
+            assert root.depends_on == ("s2.inv", "s2.modc"), n
+            assert root.data == {"n": n, "power": 2}, n
 
     def test_half_twist_n6(self):
-        assert square_rule(named_element("half_twist", 6)) is not None
+        assert square_rule(named_element("half_twist", 6)) is True
 
     def test_fails_on_trivial_permutation(self):
-        assert square_rule(named_element("full_twist", 4)) is None
+        assert square_rule(named_element("full_twist", 4)) is False
 
     def test_fails_when_square_acts_nontrivially(self):
-        assert square_rule(BraidWord(4, (1,))) is None
+        assert square_rule(BraidWord(4, (1,))) is False
+
+    def test_needs_three_strands(self):
+        with pytest.raises(ValueError, match="n >= 3"):
+            square_rule(BraidWord(2, (1,)))
 
     @given(st.integers(3, 5).flatmap(lambda n: st.tuples(st.just(n), braid_letters(n, 12))))
     @settings(max_examples=40, deadline=None)
     def test_soundness_on_random_words(self, data):
         n, letters = data
         v = BraidWord(n, tuple(letters))
-        step = square_rule(v)
-        if step is not None:
+        if square_rule(v):
             assert not permutation(v).is_identity()
             assert acts_trivially(v * v) is True
 
@@ -550,3 +566,7 @@ class TestTorsionOrder:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             torsion_order(named_element("alpha0", 4), 0)
+
+    def test_needs_three_strands(self):
+        with pytest.raises(ValueError, match="n >= 3"):
+            torsion_order(BraidWord(2, (1,)), 2)

@@ -80,7 +80,7 @@ class TestVerifyQ8:
         # y^2 = Delta^2 is the root step of y's order; without the square
         # rule it fails, A5 does not stand in for it, and the order and
         # hence the count s6 stay open
-        monkeypatch.setattr(sphere, "square_rule", lambda v, max_image_letters=None: None)
+        monkeypatch.setattr(sphere, "square_rule", lambda v, max_image_letters=None: False)
         cert = verify_q8(4)
         assert cert.verdict is Verdict.REFUTED
         assert [s.id for s in cert.steps if not s.ok] == ["s2.root", "s6"]
@@ -308,6 +308,17 @@ class TestVerifyTorsionTable:
         alpha2_steps = [s for s in cert.steps if s.id.startswith("alpha2.")]
         assert any(s.method == "square-rule" for s in alpha2_steps)
         assert any(s.method == "mod-center" for s in alpha2_steps)
+
+    def test_failed_mod_center_is_inconclusive(self, monkeypatch):
+        # alpha2's root at n = 5 is no square as a word, so only the
+        # mod-center test can place alpha2^3 in {1, Delta^2}; without it
+        # alpha2's steps stop at modc, before any A5 step
+        monkeypatch.setattr(sphere, "eq_mod_center", lambda w, v, max_image_letters=None: False)
+        cert = verify_torsion_table(5)
+        assert cert.verdict is Verdict.INCONCLUSIVE
+        assert [s.id for s in cert.steps if not s.ok] == ["alpha2.modc"]
+        assert cert.steps[-1].id == "alpha2.modc"
+        assert cert.flags == {"orders": {"alpha0": 10, "alpha1": 8, "alpha2": 6}, "a5_backed": []}
 
 
 class TestSphereActionsPerRoot:
