@@ -18,7 +18,9 @@ permuted generator, so the engine keeps each image as its conjugator W
 (reduced, and not ending in x_p^+-1, which makes it unique), W^-1 and p.
 One braid letter then costs one free cancellation, at the junction of two
 reduced words (`_junction`); everything else is list slicing and
-concatenation.
+concatenation.  The letters taken one at a time (`_letter_steps`) are
+freely reduced with a stack first, so sigma_k next to sigma_k^-1 costs
+nothing.
 
 Long words go through one substitution step (`_substitute`).  It composes
 the images phi with an action psi that sends x_j to W_j x_q W_j^-1, every
@@ -36,9 +38,9 @@ one-letter W_j takes its image as it stands.  Two kinds of word take it:
   Walking the letters right to left, `_walk` splits them into maximal
   permutation-braid chunks of one sign.  A chunk of at least
   CHUNK_LETTERS_PER_STRAND * n letters takes the step (`_long_chunks`),
-  and every other letter the letter step.  The walk repeats garside's
-  permutation-braid test in a few lines of its own, so the two engines
-  share no code.
+  and every other letter the letter step.  The walk repeats, for letters
+  of one sign, garside's permutation-braid test in a few lines of its
+  own, so the two engines share no code.
 - A power u^k built with ** declares its period |u|
   (`words.BraidWord.__pow__`).  At n >= 9, a power of at least 2n letters
   with k >= 2 and |u| < CHUNK_LETTERS_PER_STRAND * n takes u letter by
@@ -52,7 +54,8 @@ one-letter W_j takes its image as it stands.  Two kinds of word take it:
 
 Every stored image and every R_m is held to the budget.  The images the
 letter step would pass through inside a chunk or a composed period are
-never built, so their peaks are not.
+never built, so their peaks are not, and neither are the images of the
+letter pairs that free reduction cancels before the letter step.
 
 `_images` is the one entry into the engine: `artin_disk_endo`, `eq_Bn`
 and the sphere layer all call it.  A product of words
@@ -254,9 +257,17 @@ def _conjugated(u: list[int], u_inv: list[int], v, budget: int | None):
 def _letter_steps(imgs: list[tuple], letters, budget: int | None) -> None:
     """Compose the images with the action of each letter in turn, in place.
 
-    `letters` run right to left; each one touches two images.
+    `letters` run right to left.  They are freely reduced with a stack
+    first, so a letter next to its inverse builds no image; each letter
+    left touches two images.
     """
+    reduced: list[int] = []
     for k in letters:
+        if reduced and reduced[-1] == -k:
+            reduced.pop()
+        else:
+            reduced.append(k)
+    for k in reduced:
         i = abs(k) - 1
         if k > 0:
             # x_i -> a b a^-1, x_{i+1} -> a
@@ -405,8 +416,9 @@ def _walk(letters: tuple[int, ...], n: int):
     chunk.  Yields (start, end, positive, perm) for each chunk
     letters[start:end], perm[i] the position where the strand starting
     at position i ends (perm[0] = 0).  This is the permutation-braid test
-    of garside's chunk entry, kept here so that the two engines share no
-    code.
+    of garside's chunk entry for a letter of the chunk's sign, kept here
+    so that the two engines share no code; garside's chunks also take
+    letters of the other sign, which a chunk of one sign cannot.
     """
     identity = list(range(n + 1))
     end, sign, perm = len(letters), 1 if letters[-1] > 0 else -1, identity[:]
@@ -475,14 +487,15 @@ def _artin_images(
     single letters (`_runs`) and the step's junctions (`_plan`) and
     conjugations number at most p.  Otherwise each long chunk
     (`_long_chunks`) with an action of that kind takes the step, the
-    word's first chunk as the images its memoized form holds, and every
-    other letter goes letter by letter (`_letter_steps`), touching two
-    images.
+    word's first chunk as the images its memoized form holds, and the
+    letters between those chunks go letter by letter (`_letter_steps`),
+    freely reduced, each letter left touching two images.
 
     Every stored image and every R_m a step builds is held to the budget;
     the first chunk's images are held to the peak the step would reach on
     the identity.  The images the letter path would pass through inside a
-    step are never built, so their peaks are not held to the budget.  The
+    step, or for a letter pair that free reduction cancels, are never
+    built, so their peaks are not held to the budget.  The
     images stored between steps equal the letter path's there, since the
     conjugator form is unique.  No stored list is ever changed, so the
     identity images can share one empty list, and a step shares the

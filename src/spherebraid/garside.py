@@ -14,20 +14,22 @@ Representation choices:
   * starting/finishing sets are bitmasks of descents, computed directly
     from the images and from the position array;
   * the word enters the pipeline as few simples: walking it right to
-    left, each maximal simple piece of a same-sign run is one chunk, and
-    each letter costs one comparison and one swap.  A positive letter
-    sigma_k joins a positive chunk Q while sigma_k Q is still simple, that
-    is while sigma_k does not start Q.  A negative chunk is
-        Q^-1 = Delta^-1 (Delta Q^-1),
-    held as the simple Delta Q^-1, which starts at Delta; sigma_c^-1
-    joins it by stripping sigma_{n-c} from the front, since
-        Delta (Q sigma_c)^-1 = sigma_{n-c}^-1 Delta Q^-1,
-    while sigma_{n-c} starts Delta Q^-1.  Each negative chunk adds one
-    Delta^-1, so only positive factors are ever normalized, and the
-    inverse x^-1 of a half twist is one chunk, Delta^-1 and a trivial
-    simple.  Moving each Delta^-1 to the front conjugates every chunk to
-    its left by tau, the index flip sigma_i -> sigma_{n-i}, which the
-    walk applies to each letter as it joins;
+    left, the letters are cut into chunks Delta^-e T, T simple, and each
+    letter costs one comparison and one swap.  A positive chunk (e = 0)
+    opens at T = 1; a negative chunk (e = 1) opens at T = Delta, since
+        Q^-1 = Delta^-1 (Delta Q^-1)
+    for a simple Q.  A letter of either sign joins the open chunk while
+    T stays simple: sigma_k joins as sigma_k T when sigma_k does not
+    start T, and sigma_k^-1 joins as sigma_k^-1 T, stripping sigma_k
+    from T's front, when sigma_k does start T.  Otherwise the chunk
+    closes and the letter opens one of its own sign.  So sigma_k next to
+    sigma_k^-1 never splits a chunk, and the inverse x^-1 of a half
+    twist is one chunk, Delta^-1 and a trivial simple.  Each negative
+    chunk adds one Delta^-1, so only positive factors are ever
+    normalized.  Moving each Delta^-1 to the front conjugates every chunk
+    to its left by tau, the index flip sigma_i -> sigma_{n-i}, and
+    Delta Q^-1 = tau(Q^-1) Delta flips a negative chunk's own letters;
+    the walk applies the flips to each letter before comparing it;
   * the form is built left-greedily (El-Rifai-Morton; Epstein et al.,
     Word Processing in Groups, ch. 9): each factor is appended to an
     already left-weighted list, and one right-to-left pass of the local
@@ -54,7 +56,7 @@ from functools import lru_cache
 from .words import BraidWord, check_comparable
 
 # Entries of the pair-slide memo.  Short mixed-sign words on few strands
-# enter about one simple per letter and repeat nearly every pair, so the
+# enter about one simple per two letters and repeat most pairs, so the
 # memo carries them; long same-sign runs enter as few large chunks whose
 # pairs rarely repeat, and the bound keeps them from growing it without
 # limit.
@@ -170,42 +172,38 @@ def _normalize_factors(n: int, simples: list[tuple[int, ...]]) -> tuple[int, lis
 def _letters_form(n: int, letters: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
     """The normal form of a word on n >= 2 strands: (Delta power, other factors)."""
     identity, delta = list(range(1, n + 1)), list(range(n, 0, -1))
-    # Walking right to left, `flips` counts the Delta^-1 of the closed
-    # negative chunks: moving them to the front conjugates everything to
-    # their left by tau (the index flip sigma_i -> sigma_{n-i}) once per
-    # Delta^-1, and tau is an involution, so parity suffices.  The open
-    # chunk is a positive simple Q, or for a negative chunk Q^-1 it holds
-    # Delta Q^-1; each letter either joins it or closes it.  The first
-    # chunk opens with the sign of the last letter, which then joins it.
-    flips = 0
-    negative = bool(letters) and letters[-1] < 0
-    chunk = delta[:] if negative else identity[:]
+    # Walking right to left, the open chunk is Delta^-e T for a simple T,
+    # e = 1 when a negative letter opened it at T = Delta.  Moving each
+    # Delta^-1 to the front conjugates the chunks to its left by tau (the
+    # index flip sigma_i -> sigma_{n-i}), and Delta Q^-1 = tau(Q^-1) Delta
+    # flips its own chunk's letters, so `flips` counts the negative chunks
+    # opened so far, this one included; tau is an involution, so parity
+    # suffices.  The flipped sigma_k joins, as sigma_k T or sigma_k^-1 T,
+    # while T stays simple; otherwise the chunk closes and the letter opens
+    # one of its own sign.  The first chunk opens with the sign of the last
+    # letter, which then joins it.
+    flips = int(bool(letters) and letters[-1] < 0)
+    chunk = delta[:] if flips else identity[:]
     simples: list[tuple[int, ...]] = []
     for k in reversed(letters):
         if k > 0:
-            if negative:
-                simples.append(tuple(chunk))
-                flips += 1
-                negative, chunk = False, identity[:]
             if flips & 1:
                 k = n - k
-            # sigma_k Q stays simple unless sigma_k starts Q
+            # sigma_k T stays simple unless sigma_k starts T
             if chunk[k - 1] > chunk[k]:
                 simples.append(tuple(chunk))
                 chunk = identity[:]
         else:
-            # Delta (Q sigma_c)^-1 = sigma_{n-c}^-1 Delta Q^-1: strip the
-            # crossing k = n - c (c flipped by this chunk's tau parity)
-            k = -k if flips & 1 else n + k
-            if not negative or chunk[k - 1] < chunk[k]:
+            # sigma_k^-1 T stays simple while sigma_k starts T; a new
+            # negative chunk starts at Delta, flipping this letter once more
+            k = n + k if flips & 1 else -k
+            if chunk[k - 1] < chunk[k]:
                 simples.append(tuple(chunk))
-                if negative:
-                    flips += 1
-                    k = n - k
-                negative, chunk = True, delta[:]
+                flips += 1
+                k = n - k
+                chunk = delta[:]
         chunk[k - 1], chunk[k] = chunk[k], chunk[k - 1]
     simples.append(tuple(chunk))
-    flips += negative
     simples.reverse()
     lead, factors = _normalize_factors(n, simples)
     return lead - flips, factors

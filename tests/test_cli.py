@@ -492,6 +492,15 @@ class TestActCommand:
             "raise the budget to continue\n"
         )
 
+    def test_cancelled_pairs_build_no_image(self, capsys):
+        # the letters cancel in pairs before they act, so no image is built
+        # and a budget of 3 lets the identity through
+        args = ["act", "--n", "5", "--word", "1 -1 2 -2 1 2 -2 -1", "--max-endo-letters", "3"]
+        assert cli.run(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [f"x{j} -> {j}" for j in range(1, 6)]
+        assert captured.err == ""
+
     @staticmethod
     def _sphere_words(n):
         """A seeded word set at n: random words, named elements and their conjugates."""

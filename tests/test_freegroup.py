@@ -238,10 +238,12 @@ def _reference_checked_lengths(w):
     A chunk of at least CHUNK_LETTERS_PER_STRAND * n letters whose index
     sets are intervals takes the step: it contributes each R_m the step
     walks (`_reference_walk`), reduced from the images before it, and the
-    images after it; every other letter contributes the image it finishes.
+    images after it.  The letters between two such chunks are one piece,
+    freely reduced with a stack before it goes letter by letter, and each
+    letter left contributes the image it finishes.
     At n >= 9, a word of at least 2n letters built as a power u^k, k >= 2
     (its declared period |u|), with |u| < CHUNK_LETTERS_PER_STRAND * n
-    goes through u letter by letter.  Then, if u's conjugators are
+    goes through u, reduced, letter by letter.  Then, if u's conjugators are
     intervals, their inverses or single letters and one step's walked R_m,
     junctions R_s^-1 R_t and conjugations number at most |u|, each later
     period contributes the R_m walked under the images before it and the
@@ -260,10 +262,15 @@ def _reference_checked_lengths(w):
         ms, start = _reference_walk(n, runs)
         walked.extend(len(_reference_reduce_concat(imgs[start:m])) for m in ms)
 
+    def letter_by_letter(piece):
+        piece_lengths = []
+        for k in reversed(_reference_reduce_concat([piece])):
+            _reference_letter_step(imgs, k, None, piece_lengths)
+        lengths.extend(piece_lengths)
+        stored.extend(piece_lengths[2::3])
+
     if long_ones and len(letters) >= max(2 * n, 2 * period) and 0 < period < least:
-        for k in reversed(letters[:period]):
-            _reference_letter_step(imgs, k, None, lengths)
-        stored += lengths[2::3]
+        letter_by_letter(letters[:period])
         conjugated = [i for i, img in enumerate(imgs) if len(img) > 1]
         runs = [_reference_run(imgs[i][: len(imgs[i]) // 2]) for i in conjugated]
         if None not in runs:
@@ -271,24 +278,26 @@ def _reference_checked_lengths(w):
         if None not in runs and cost <= period:
             for _ in range(len(letters) // period - 1):
                 walk(runs)
-                for k in reversed(letters[:period]):
+                for k in reversed(_reference_reduce_concat([letters[:period]])):
                     _reference_letter_step(imgs, k, None, lengths)
                 stored += [len(imgs[i]) for i in conjugated]
             return imgs, lengths, stored, walked, closed_forms, True
         letters = letters[: len(letters) - period]
+    done = len(letters)  # letters[done:] are applied
     for start, end in _reference_chunks(n, letters) if long_ones else [(0, len(letters))]:
         piece = letters[start:end]
         sets = [S for S in _reference_index_sets(n, piece) if S] if long_ones and end - start >= least else None
-        closed = sets is not None and all(max(S) - min(S) + 1 == len(S) for S in sets)
-        if closed:
-            closed_forms += 1
-            walk([(min(S) - 1, max(S)) if piece[0] > 0 else (max(S), min(S) - 1) for S in sets])
-        piece_lengths = []
+        if sets is None or any(max(S) - min(S) + 1 != len(S) for S in sets):
+            continue
+        letter_by_letter(letters[end:done])
+        closed_forms += 1
+        walk([(min(S) - 1, max(S)) if piece[0] > 0 else (max(S), min(S) - 1) for S in sets])
         for k in reversed(piece):
-            _reference_letter_step(imgs, k, None, piece_lengths)
-        lengths += piece_lengths
+            _reference_letter_step(imgs, k, None, lengths)
         # the images a chunk only permutes were checked when they were made
-        stored += map(len, imgs) if closed else piece_lengths[2::3]
+        stored += map(len, imgs)
+        done = start
+    letter_by_letter(letters[:done])
     return imgs, lengths, stored, walked, closed_forms, False
 
 

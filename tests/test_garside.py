@@ -231,6 +231,42 @@ class TestNormalForm:
                     w = BraidWord(n, tuple(letters))
                     assert normal_form(w) == _reference_normal_form(w), w.to_text()
 
+    def test_inserted_free_pairs_leave_the_form(self):
+        # k, -k pairs, some nested inside another, join the open chunk in
+        # either order, and the form stays the word's
+        rng = random.Random(2027)
+        for n in range(2, 13):
+            for _ in range(80):
+                w = random_word(n, 40, rng)
+                letters = list(w.letters)
+                for _ in range(rng.randint(1, 4)):
+                    k = rng.choice((1, -1)) * rng.randint(1, n - 1)
+                    pos = rng.randint(0, len(letters))
+                    letters[pos:pos] = [k, -k]
+                    if rng.random() < 0.5:
+                        j = rng.choice((1, -1)) * rng.randint(1, n - 1)
+                        letters[pos + 1 : pos + 1] = [j, -j]
+                v = BraidWord(n, tuple(letters))
+                assert normal_form(v) == normal_form(w) == _reference_normal_form(w), v.to_text()
+
+    def test_a_free_pair_enters_as_one_simple(self, monkeypatch):
+        # sigma_k sigma_k^-1 and sigma_k^-1 sigma_k stay in one chunk, so
+        # one simple reaches the slide instead of one of each sign
+        entered = []
+        normalize = garside._normalize_factors
+
+        def record(n, simples):
+            entered.append(list(simples))
+            return normalize(n, simples)
+
+        monkeypatch.setattr(garside, "_normalize_factors", record)
+        for n in range(3, 9):
+            for k in range(1, n):
+                for letters in ((k, -k), (-k, k)):
+                    entered.clear()
+                    assert normal_form(BraidWord(n, letters)) == GarsideNormalForm(n, 0, ())
+                    assert [len(simples) for simples in entered] == [1], (n, letters)
+
     def test_complement_identities_on_every_simple_of_b4(self):
         # a negative chunk Q^-1 is held as Delta Q^-1, which starts at
         # Delta; sigma_c^-1 joins it by stripping sigma_{n-c} from the

@@ -241,16 +241,18 @@ class TestActsTrivially:
         assert outcomes == {False, True, "raised"}
 
     def test_disk_identities_on_the_whole_path(self):
-        # w w^-1 with w touching every generator takes the whole path, and
-        # every disk image is x_j: the sphere conjugators are all empty, so
-        # the comparison answers True once the budget lets the action through
+        # w r w^-1 with w touching every generator and r a braid relator
+        # takes the whole path, and every disk image is x_j: the sphere
+        # conjugators are all empty, so the comparison answers True once the
+        # budget lets the action through (w w^-1 would reduce to nothing)
         rng = random.Random(2411)
         for n in range(9, 17):
             for _ in range(3):
                 letters = [rng.choice((k, -k)) for k in rng.sample(range(1, n), n - 1)]
                 letters += [rng.choice((-1, 1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 4))]
                 w = BraidWord(n, tuple(letters))
-                word = w * w.inverse()
+                i = rng.randint(1, n - 2)
+                word = w * BraidWord(n, (i, i + 1, i, -(i + 1), -i, -(i + 1))) * w.inverse()
                 assert len(word) >= 2 * n and all(W == [] for W, _, _ in _images(word, None))
                 budget, outcomes = 1, []
                 while outcomes[-2:] != [True, True]:
